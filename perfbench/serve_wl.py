@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from common import ROOT, WORK, median, percentile, tail_supported, vm_hwm_mb
+from common import (ROOT, WORK, Tracer, median, percentile, tail_supported,
+                    vm_hwm_mb)
 
 from repro.service.artifact import dumps_artifact, loads_artifact, program_to_dict
 from repro.service.batch import resolve_spec
@@ -550,11 +551,11 @@ async def _run(workload: str, seed: int, seconds: float, tiny: bool,
         fresh_checks = await verify_fresh(conn, inputs, seed, failures,
                                           tiny) if not cluster else 0
         failures += verify_artifacts(outcomes, inputs)
-        layers = {}
+        layers, layer_samples = {}, {}
         if traced:
-            layers = await traced_layers(daemon, conns, inputs, outcomes,
-                                         hot_answers, before, after,
-                                         cluster, tiny)
+            layers, layer_samples = await traced_layers(
+                daemon, conns, inputs, outcomes, hot_answers, before, after,
+                cluster, tiny)
         final = await conn.stats()
         daemon.track(final)
         peak_rss = daemon.peak_rss_mb()
@@ -591,10 +592,7 @@ async def _run(workload: str, seed: int, seconds: float, tiny: bool,
         # Warm answers were checked equal to these pre-warm answers.
         **_sum_counts(hot_answers),
     }
-    if traced:
-        metrics = {**layers, **client,
-                   "workloads.build_ms": inputs.build_ms}
-    return {
+    result = {
         "setup_done": setup_done,
         "attempted": len(outcomes) + fresh_checks + 1,
         "failures": failures,
@@ -602,9 +600,29 @@ async def _run(workload: str, seed: int, seconds: float, tiny: bool,
         "report": {
             **client,
             "samples": {"all": len(latencies), "warm": len(warm),
-                        "cold": len(cold)},
+                        "cold": len(cold), **layer_samples},
         },
     }
+    if traced:
+        result["metrics"] = {**layers, **client,
+                             "workloads.build_ms": inputs.build_ms}
+        result["tracer"] = request_spans(outcomes)
+    return result
+
+
+def request_spans(outcomes: List[Outcome]) -> Tracer:
+    """One client-side span per request, from send to reply, carrying
+    its due time and the frame's queue and compile times."""
+    tracer = Tracer()
+    for o in outcomes:
+        frame = o.frame or {}
+        tracer.spans.append({
+            "id": len(tracer.spans), "name": f"client.{o.kind}",
+            "parent": None, "start": o.sent, "end": o.received or None,
+            "due": o.due, "children_s": 0.0, "ok": bool(frame.get("ok")),
+            "queued_ms": frame.get("queued_ms"),
+            "compile_ms": frame.get("compile_ms")})
+    return tracer
 
 
 def run(workload: str, seed: int, seconds: float, tiny: bool) -> Dict:
@@ -657,7 +675,9 @@ def verify_artifacts(outcomes: List[Outcome], inputs: Inputs) -> List[str]:
 async def traced_layers(daemon: Daemon, conns: List[Conn], inputs: Inputs,
                         outcomes: List[Outcome], hot_answers: List[Dict],
                         before: Dict, after: Dict, cluster: bool,
-                        tiny: bool) -> Dict[str, float]:
+                        tiny: bool) -> Tuple[Dict[str, float], Dict]:
+    """The per-layer metrics, and the sample count behind each
+    percentile."""
     ok = [o for o in outcomes if o.frame is not None and o.frame.get("ok")]
     cold = [o.frame for o in ok if o.kind == "cold"]
     queued = [f["queued_ms"] for f in cold]
@@ -683,12 +703,14 @@ async def traced_layers(daemon: Daemon, conns: List[Conn], inputs: Inputs,
     }
     layers.update(_replay_layers(daemon, inputs, outcomes, hot_answers,
                                  cluster))
+    samples = {"cold_frames": len(cold), "overhead": len(overhead)}
     if cluster:
         hop = await hop_samples(daemon, conns[0], inputs, hot_answers,
                                 50 if tiny else HOP_PAIRS)
         layers["service.cluster.hop_ms.p50"] = _pct(hop, 50)
         layers["service.cluster.hop_ms.p99"] = _pct(hop, 99)
-    return layers
+        samples["hop_pairs"] = len(hop)
+    return layers, samples
 
 
 def _replay_layers(daemon: Daemon, inputs: Inputs, outcomes: List[Outcome],
