@@ -2,12 +2,14 @@
 
 Closed loop, one compile at a time: each pass compiles every corpus
 program once through ``compile_program`` (no cache, no verify), in an
-order shuffled by the seed.  A pass's time is reported as the sum over
-programs of each program's fastest compile in the run.  On a shared
-2-core host the CPU runs up to 1.8x slower for seconds at a time, which
-moved the median pass by 20% (quartile distance over ten seeds) between
-runs; the fastest pass is the compiler's own cost and does not move with
-the host.  The median is in the report line.
+order shuffled by the seed.  The reference loop of
+:func:`common.reference_seconds` runs before the first compile and after
+every compile, and each compile's time is taken at reference speed: scaled
+by ``REFERENCE_MS`` over the mean of the loops on either side of it.  A
+pass (``latency_ms``) is the sum over programs of each program's median
+compile at reference speed, which does not move with the host's
+minutes-long slow phases the way measured milliseconds do.  The measured
+pass in seconds (fastest and median) is in the report line.
 
 Once per run, outside the timed passes, the correctness gate checks every
 output: Pauli-propagation verification, a statevector comparison for
@@ -30,7 +32,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from common import WORK, Tracer, median, own_peak_rss_mb, patched
+from common import (REFERENCE_MS, WORK, Tracer, median, own_peak_rss_mb,
+                    patched, reference_seconds)
 
 from repro.circuit import Gate, QuantumCircuit
 from repro.circuit.statevector import equivalent_up_to_global_phase, simulate
@@ -160,15 +163,18 @@ def _counts(result: CompilationResult):
 def timed_passes(jobs: List[Job], seed: int, seconds: float):
     """Compile the corpus pass after pass until ``seconds`` are used up.
 
-    Returns per-program compile times, the last pass's results, and the
-    set of distinct gate counts seen per program (more than one means the
-    compiler was not deterministic).
+    Returns per-program compile times in seconds, measured and at
+    reference speed, every reference loop's time, the last pass's
+    results, and the set of distinct gate counts seen per program (more
+    than one means the compiler was not deterministic).
     """
     rng = random.Random(seed)
     times: Dict[str, List[float]] = {job.label: [] for job in jobs}
+    scaled: Dict[str, List[float]] = {job.label: [] for job in jobs}
     results: Dict[str, CompilationResult] = {}
     seen: Dict[str, set] = {job.label: set() for job in jobs}
     start = time.perf_counter()
+    references = [reference_seconds()]
     while True:
         order = list(jobs)
         rng.shuffle(order)
@@ -176,13 +182,18 @@ def timed_passes(jobs: List[Job], seed: int, seconds: float):
         for job in order:
             t0 = time.perf_counter()
             result = job.compile()
-            times[job.label].append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            references.append(reference_seconds())
+            times[job.label].append(elapsed)
+            scaled[job.label].append(
+                elapsed * 2e-3 * REFERENCE_MS
+                / (references[-2] + references[-1]))
             results[job.label] = result
             seen[job.label].add(_counts(result))
         now = time.perf_counter()
         if now + (now - pass_start) > start + seconds:
             break
-    return times, results, seen
+    return times, scaled, references, results, seen
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +335,8 @@ def run(workload: str, seed: int, seconds: float, tiny: bool,
         inject_fault: bool = False) -> Dict:
     jobs = setup(workload, seed, tiny)
     setup_done = time.perf_counter()
-    times, results, seen = timed_passes(jobs, seed, seconds)
+    times, scaled, references, results, seen = timed_passes(jobs, seed,
+                                                            seconds)
     peak_rss = own_peak_rss_mb()
     if inject_fault:
         flip_one_rz(results[jobs[0].label])
@@ -333,10 +345,11 @@ def run(workload: str, seed: int, seconds: float, tiny: bool,
     passes = len(next(iter(times.values())))
     return {
         "setup_done": setup_done,
+        "reference_s": median(references),
         "attempted": passes * len(jobs) + gate["checks"],
         "failures": gate["failures"],
         "metrics": {
-            "latency_ms": best_s * 1e3,
+            "latency_ms": 1e3 * sum(median(t) for t in scaled.values()),
             "peak_rss_mb": peak_rss,
             **_sums(results),
         },
@@ -348,6 +361,7 @@ def run(workload: str, seed: int, seconds: float, tiny: bool,
             "statevector_checked": gate["statevector_checked"],
             "programs": {job.label: {
                 "compile_ms": min(times[job.label]) * 1e3,
+                "compile_ms.reference_speed": 1e3 * median(scaled[job.label]),
                 **results[job.label].metrics,
             } for job in jobs},
         },

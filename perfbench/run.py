@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload compile-sc --seed 2022 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload compile-sc --seed 2022 --seconds 30 --trace 0
     python3 perfbench/run.py --workload all          # one row per workload
 
 Workloads (see ``BENCHMARK.json`` for why each exists):
@@ -23,11 +23,16 @@ Every metric of one kind is defined for every workload:
 
 * ``setup_s`` — process start to the first timed operation (imports,
   inputs, daemons, pre-warm), the median of this run's set-up and two
-  more set-ups in fresh processes;
-* ``latency_ms`` — compile workloads: one pass over the corpus, as the
-  sum over programs of each program's fastest compile in the run (see
-  :mod:`compile_wl` for why not the median); serve workloads: the median
-  request, timed from when it was due;
+  more set-ups in fresh processes, at reference speed: scaled by the
+  run's median reference loop, so that set-ups measured in a slow phase
+  of the host and in a fast one compare;
+* ``latency_ms`` — compile workloads: one pass over the corpus at
+  reference speed, the sum over programs of each program's median
+  compile, each compile scaled by a fixed reference loop timed next to
+  it so that the host's slow phases cancel out (see
+  :func:`common.reference_seconds`; measured times are in the report
+  line); serve workloads: the median request as measured, timed from
+  when it was due;
 * ``peak_rss_mb`` — compile workloads: this process; serve workloads: the
   sum of VmHWM over the serving processes (daemon, nodes, workers);
 * ``cnot`` / ``gates`` / ``depth`` — sums over the compile corpus, or over
@@ -160,7 +165,7 @@ def main(argv=None) -> int:
     if args.workload == "all":
         return run_all(args, spec)
 
-    from common import WORK, run_metadata
+    from common import REFERENCE_MS, WORK, run_metadata
 
     WORK.mkdir(exist_ok=True)
     compiling = args.workload.startswith("compile")
@@ -188,8 +193,11 @@ def main(argv=None) -> int:
                              args.tiny, **({"inject_fault": True}
                                            if args.inject_fault else {}))
         kind = "end_to_end"
-        outcome["metrics"]["setup_s"] = setup_seconds(
-            args, outcome["setup_done"] - STARTED)
+        measured = setup_seconds(args, outcome["setup_done"] - STARTED)
+        outcome["report"]["setup_s.measured"] = measured
+        outcome["report"]["reference_ms"] = 1e3 * outcome["reference_s"]
+        outcome["metrics"]["setup_s"] = (
+            measured * REFERENCE_MS / (1e3 * outcome["reference_s"]))
 
     if "tracer" in outcome:
         outcome["tracer"].write(

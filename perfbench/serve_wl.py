@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from common import (ROOT, WORK, Tracer, median, percentile, tail_supported,
-                    vm_hwm_mb)
+from common import (ROOT, WORK, Tracer, median, percentile, reference_seconds,
+                    tail_supported, vm_hwm_mb)
 
 from repro.service.artifact import dumps_artifact, loads_artifact, program_to_dict
 from repro.service.batch import resolve_spec
@@ -63,6 +63,8 @@ HOP_PAIRS = 1100
 #: Fresh programs re-fetched as artifacts and verified after a run.
 VERIFY_FRESH = 40
 REQUEST_TIMEOUT = 60.0
+#: Reference loops timed just before and just after the traffic.
+REFERENCE_LOOPS = 15
 _OUTCOMES = ("warm_hits", "completed", "failed", "cancelled", "rejected",
              "bad_specs")
 
@@ -537,6 +539,7 @@ async def _run(workload: str, seed: int, seconds: float, tiny: bool,
         conns = [conn] + [await Conn.open(daemon.socket)
                           for _ in range(CONNECTIONS - 1)]
         setup_done = time.perf_counter()
+        references = [reference_seconds() for _ in range(REFERENCE_LOOPS)]
         before = await conn.stats()
         traffic_start = time.perf_counter()
         if cluster:
@@ -544,6 +547,7 @@ async def _run(workload: str, seed: int, seconds: float, tiny: bool,
         else:
             outcomes = await open_loop(conns, inputs.requests)
         traffic_s = time.perf_counter() - traffic_start
+        references += [reference_seconds() for _ in range(REFERENCE_LOOPS)]
         after = await conn.stats()
         daemon.track(after)
         failures += outcome_errors(outcomes, hot_answers)
@@ -594,6 +598,7 @@ async def _run(workload: str, seed: int, seconds: float, tiny: bool,
     }
     result = {
         "setup_done": setup_done,
+        "reference_s": median(references),
         "attempted": len(outcomes) + fresh_checks + 1,
         "failures": failures,
         "metrics": metrics,
