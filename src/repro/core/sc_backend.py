@@ -34,9 +34,7 @@ import math
 import random
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-from ..circuit import Gate, QuantumCircuit
+from ..circuit import QuantumCircuit
 from ..ir import PauliBlock, PauliProgram
 from ..pauli import PauliString
 from ..static.invariants import debug_check
@@ -48,13 +46,50 @@ from ..transpile import (
     run_rules,
     validate_routed,
 )
+from ..transpile.coupling import ArcTable, dijkstra
 from .cancellation import check_cancel
 from .scheduling import Schedule, do_schedule, gco_schedule
 from .streaming import is_streaming_scheduler, stream_schedule
 
-__all__ = ["SCResult", "EmbeddedTree", "sc_compile", "SCSynthesizer"]
+__all__ = [
+    "SCResult", "EmbeddedTree", "sc_compile", "SCSynthesizer", "swap_cost_table",
+]
 
 _NO_FORBIDDEN: FrozenSet[int] = frozenset()
+
+
+def swap_cost_table(
+    coupling: CouplingMap,
+    edge_error: Optional[Dict[Tuple[int, int], float]] = None,
+) -> ArcTable:
+    """SWAP reliability cost of every coupler, for gather path selection.
+
+    Calibrated edges cost ``3 * -log(1 - e)`` (a SWAP is 3 CNOTs; summing
+    along a path minimizes the product of failure-free probabilities — the
+    same cost model as :func:`repro.transpile.reliability_cost_matrix`).
+    Rates >= 1 are impassable: the arc is left out, so a gather that needs
+    a dead coupler raises instead of swapping across it.  Uncalibrated
+    edges keep the historical uniform cost of 1, which both preserves plain
+    hop-count behaviour with no ``edge_error`` and makes uncalibrated hops
+    far pricier than any realistic calibrated one.  ``(u, v)`` is looked up
+    before ``(v, u)`` for the arc leaving ``u``.  Negative or NaN rates
+    raise ``ValueError`` naming the edge.
+    """
+    edge_error = edge_error or {}
+
+    def cost(u: int, v: int) -> float:
+        rate = edge_error.get((u, v), edge_error.get((v, u)))
+        if rate is None:
+            return 1.0
+        if not rate >= 0.0:
+            raise ValueError(
+                f"edge ({u}, {v}) error rate {rate!r} is negative or NaN"
+            )
+        if rate >= 1.0:
+            return math.inf
+        return 3.0 * -math.log(1.0 - rate)
+
+    return coupling.arc_table(cost)
 
 
 class EmbeddedTree:
@@ -64,10 +99,6 @@ class EmbeddedTree:
         self.root = root
         self.parent = parent  # node -> parent node (root absent)
         self.depth = depth    # node -> distance from root
-
-    @property
-    def nodes(self) -> Set[int]:
-        return set(self.depth)
 
     def nodes_by_depth_desc(self) -> List[int]:
         return sorted(self.depth, key=lambda n: (-self.depth[n], n))
@@ -121,9 +152,12 @@ class SCSynthesizer:
         Device connectivity.
     edge_error:
         Optional ``{(u, v): error_rate}`` turned into a SWAP reliability
-        cost (see :meth:`_edge_cost`) when moving qubits (lowest-error
+        cost (see :func:`swap_cost_table`) when moving qubits (lowest-error
         path, Algorithm 3 line 6).  Missing edges default to a uniform
         cost of 1.
+    costs:
+        A prebuilt ``swap_cost_table(coupling, edge_error)``, so restarts
+        share one table.
     """
 
     def __init__(
@@ -132,9 +166,12 @@ class SCSynthesizer:
         edge_error: Optional[Dict[Tuple[int, int], float]] = None,
         rng: Optional["random.Random"] = None,
         release_views: bool = False,
+        costs: Optional[ArcTable] = None,
     ):
         self.coupling = coupling
-        self._edge_error = edge_error or {}
+        self._costs = (
+            costs if costs is not None else swap_cost_table(coupling, edge_error)
+        )
         self._rng = rng
         self._release_views = release_views
 
@@ -163,7 +200,7 @@ class SCSynthesizer:
                     remain.append(small)
 
         while remain:
-            block = min(remain, key=self._cumulative_distance)
+            block = min(remain, key=lambda b: self._hop_sum(b.active_qubits))
             remain.remove(block)
             self._process_block(block, _NO_FORBIDDEN)
             if self._release_views:
@@ -289,13 +326,14 @@ class SCSynthesizer:
         connected component of the core positions (Algorithm 3 line 5)."""
         candidates = list(block.core_qubits) or list(block.active_qubits)
         positions = [self.layout.physical(q) for q in candidates]
+        size = {
+            p: len(component)
+            for component in self.coupling.components(set(positions))
+            for p in component
+        }
         return max(
             positions,
-            key=lambda p: (
-                len(self.coupling.connected_component_within(p, positions)),
-                self.coupling.degree(p),
-                -p,
-            ),
+            key=lambda p: (size[p], self.coupling.degree(p), -p),
         )
 
     # -- qubit movement ----------------------------------------------------
@@ -316,9 +354,13 @@ class SCSynthesizer:
         """
         if len(active) <= 1:
             return
-        graph = self._allowed_graph(forbidden, keep=active)
+        # Qubits outside the allowed region: forbidden ones, unless they
+        # held an active qubit when the gather began.
+        blocked = forbidden - active
         while True:
-            components = list(nx.connected_components(graph.subgraph(active)))
+            # A fresh set built from ``active``'s iteration order, as a
+            # subgraph view's node filter is: component order follows it.
+            components = self.coupling.components(set(q for q in active))
             if len(components) <= 1:
                 return
             if seed:
@@ -329,7 +371,7 @@ class SCSynthesizer:
             else:
                 sink = max(components, key=len)
             seed = None  # only the first round honours the seed
-            path = self._cheapest_path_to_sink(graph, sink, active)
+            path = self._cheapest_path_to_sink(sink, active, blocked)
             if path is None:
                 raise ValueError("gather blocked by forbidden region")
             # path runs sink ... qubit; walk the qubit inward, stopping one
@@ -345,44 +387,24 @@ class SCSynthesizer:
                 pos = nxt
 
     def _cheapest_path_to_sink(
-        self, graph: nx.Graph, sink: Set[int], active: Set[int]
+        self, sink: Set[int], active: Set[int], blocked: FrozenSet[int]
     ) -> Optional[List[int]]:
-        """Cheapest path from the sink component to any outside active node."""
-        distances, paths = nx.multi_source_dijkstra(
-            graph, sources=set(sink), weight=lambda u, v, _attrs: self._edge_cost(u, v)
+        """Cheapest path from the sink component to any outside active
+        node, avoiding ``blocked`` qubits."""
+        outside = active - sink
+        distances, pred = dijkstra(
+            self._costs, set(sink), blocked=blocked, targets=outside
         )
         candidates = [n for n in active if n not in sink and n in distances]
         if not candidates:
             return None
-        target = min(candidates, key=lambda n: distances[n])
-        return paths[target]
-
-    def _allowed_graph(self, forbidden: FrozenSet[int], keep: Set[int]) -> nx.Graph:
-        if not forbidden:
-            return self.coupling.graph
-        allowed = [
-            n for n in self.coupling.graph.nodes if n not in forbidden or n in keep
-        ]
-        return self.coupling.graph.subgraph(allowed)
-
-    def _edge_cost(self, u: int, v: int) -> float:
-        """SWAP reliability cost of one edge for path selection.
-
-        Calibrated edges cost ``3 * -log(1 - e)`` (a SWAP is 3 CNOTs;
-        summing along a path minimizes the product of failure-free
-        probabilities — the same cost model as
-        :func:`repro.transpile.reliability_cost_matrix`).  Rates >= 1 are
-        impassable.  Uncalibrated edges keep the historical uniform cost
-        of 1, which both preserves plain hop-count behaviour with no
-        ``edge_error`` and makes uncalibrated hops far pricier than any
-        realistic calibrated one.
-        """
-        rate = self._edge_error.get((u, v), self._edge_error.get((v, u)))
-        if rate is None:
-            return 1.0
-        if rate >= 1.0:
-            return math.inf
-        return 3.0 * -math.log(1.0 - rate)
+        node = min(candidates, key=distances.__getitem__)
+        path = [node]
+        while node in pred:
+            node = pred[node]
+            path.append(node)
+        path.reverse()
+        return path
 
     # -- string synthesis ----------------------------------------------------
     def _synthesize_block(self, block: PauliBlock, forbidden: FrozenSet[int]) -> None:
@@ -402,26 +424,30 @@ class SCSynthesizer:
             if not ws.string.is_identity
         ]
         previous: Optional[PauliString] = None
+        priced_at = None
         while remaining:
-            def key(term):
-                string, _ = term
-                overlap = previous.overlap(string) if previous is not None else 0
-                return (self._scatter_cost(string), -overlap, string.lex_key())
+            if priced_at != self.transition_swaps:
+                # Only gather swaps move the mapping; re-price after them.
+                priced_at = self.transition_swaps
+                hops = [self._hop_sum(string.support) for string, _ in remaining]
 
-            term = min(remaining, key=key)
-            remaining.remove(term)
-            string, coefficient = term
+            def key(i):
+                string = remaining[i][0]
+                overlap = previous.overlap(string) if previous is not None else 0
+                return (hops[i], -overlap, string.lex_key())
+
+            i = min(range(len(remaining)), key=key)
+            string, coefficient = remaining.pop(i)
+            del hops[i]
             self._synthesize_string(string, coefficient, forbidden)
             self.emitted.append((string, coefficient))
             previous = string
 
-    def _scatter_cost(self, string: PauliString) -> int:
-        """Cumulative pairwise distance of a string's active qubits."""
-        positions = [self.layout.physical(q) for q in string.support]
-        return sum(
-            self.coupling.distance(positions[i], positions[j])
-            for i in range(len(positions))
-            for j in range(i + 1, len(positions))
+    def _hop_sum(self, logicals: Sequence[int]) -> int:
+        """Cumulative pairwise hop distance of logical qubits under the
+        current mapping (Algorithm 3 line 22's cumulative distance)."""
+        return self.coupling.pairwise_distance(
+            [self.layout.physical(q) for q in logicals]
         )
 
     def _synthesize_string(
@@ -431,64 +457,45 @@ class SCSynthesizer:
         active = {self.layout.physical(q) for q in string.support}
         self._gather(active, forbidden)
 
-        basis: List[Gate] = []
+        circuit = self.circuit
+        basis: List[Tuple[Callable[[int], QuantumCircuit], int]] = []
         for logical in string.support:
-            phys = self.layout.physical(logical)
             code = string[logical]
             if code == "X":
-                basis.append(Gate("h", (phys,)))
+                basis.append((circuit.h, self.layout.physical(logical)))
             elif code == "Y":
-                basis.append(Gate("yh", (phys,)))
-        for gate in basis:
-            self.circuit.append(gate)
+                basis.append((circuit.yh, self.layout.physical(logical)))
+        for change, phys in basis:
+            change(phys)
 
         if len(active) == 1:
-            self.circuit.rz(-2.0 * coefficient, next(iter(active)))
+            circuit.rz(-2.0 * coefficient, next(iter(active)))
         else:
+            # The sandwich root is the centre of the active subgraph: it
+            # minimizes the CNOT-tree depth.
             tree = EmbeddedTree.bfs(
-                self.coupling, sorted(active), self._sandwich_root(active)
+                self.coupling, sorted(active), self.coupling.centre(active)
             )
-            cnots: List[Gate] = []
-            for node in tree.nodes_by_depth_desc():
-                if node == tree.root:
-                    continue
-                gate = Gate("cx", (node, tree.parent[node]))
-                cnots.append(gate)
-                self.circuit.append(gate)
-            self.circuit.rz(-2.0 * coefficient, tree.root)
-            for gate in reversed(cnots):
-                self.circuit.append(gate)
+            cnots = [
+                (node, tree.parent[node])
+                for node in tree.nodes_by_depth_desc()
+                if node != tree.root
+            ]
+            for control, target in cnots:
+                circuit.cx(control, target)
+            circuit.rz(-2.0 * coefficient, tree.root)
+            for control, target in reversed(cnots):
+                circuit.cx(control, target)
 
-        for gate in reversed(basis):
-            self.circuit.append(gate)
-
-    def _sandwich_root(self, active: Set[int]) -> int:
-        """Centre of the active subgraph: minimizes the CNOT-tree depth."""
-        sub = self.coupling.graph.subgraph(active)
-        best = None
-        best_key = None
-        for node in sorted(active):
-            lengths = nx.single_source_shortest_path_length(sub, node)
-            key = (max(lengths.values()), sum(lengths.values()), node)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = node
-        return best
+        for change, phys in reversed(basis):
+            change(phys)
 
     # -- bookkeeping -------------------------------------------------------
     def _emit_swap(self, a: int, b: int, transition: bool) -> None:
-        self.circuit.append(Gate("swap", (a, b)))
+        self.circuit.swap(a, b)
         self.layout.swap_physical(a, b)
         if transition:
             self.transition_swaps += 1
-
-    def _cumulative_distance(self, block: PauliBlock) -> float:
-        positions = [self.layout.physical(q) for q in block.active_qubits]
-        return sum(
-            self.coupling.distance(positions[i], positions[j])
-            for i in range(len(positions))
-            for j in range(i + 1, len(positions))
-        )
 
 
 def sc_compile(
@@ -537,13 +544,14 @@ def sc_compile(
     check_cancel(cancel, "after scheduling")
     debug_check("sc: schedule", program=program)
 
+    costs = swap_cost_table(coupling, edge_error)
     best: Optional[SCResult] = None
     for attempt in range(restarts):
         if attempt > 0:
             check_cancel(cancel, f"before restart attempt {attempt}")
         rng = random.Random(seed + attempt) if attempt > 0 else None
         synthesizer = SCSynthesizer(
-            coupling, edge_error, rng=rng, release_views=streaming
+            coupling, rng=rng, release_views=streaming, costs=costs
         )
         result = synthesizer.run(schedule, program.num_qubits)
         if run_peephole:

@@ -1,9 +1,30 @@
 """Device coupling maps.
 
 A :class:`CouplingMap` is an undirected connectivity graph over physical
-qubits with cached all-pairs shortest-path distances, plus optional per-edge
-error rates used by the noise-aware passes (Section 5.2 uses the calibration
-data to pick low-error paths).
+qubits, plus optional per-edge error rates used by the noise-aware passes
+(Section 5.2 uses the calibration data to pick low-error paths).
+
+The coupling core is array-native and built once, at construction: one
+neighbour tuple per qubit, the edge tuple, and the all-pairs hop matrix
+(BFS).  The graph kernels the SC backend and the router run on it —
+:func:`dijkstra`, and the masked BFS of :meth:`CouplingMap.components`
+and :meth:`CouplingMap.centre` — take forbidden or outside qubits as a
+set mask and build no subgraph objects.
+
+Tie-break contract.  The kernels reproduce the order in which networkx
+(3.x, the library the compiler used before) visits nodes, so compiled
+circuits stay gate-identical (pinned by ``tests/test_sc_golden.py``):
+
+* neighbours come in adjacency-insertion order (first mention in the edge
+  list; duplicate edges are dropped), and :attr:`CouplingMap.edges` in
+  ``nx.Graph.edges()`` order;
+* :func:`dijkstra` pops ``(distance, push counter, node)`` entries,
+  pushes the sources in their iteration order, and updates a path only
+  on a strict improvement;
+* :meth:`CouplingMap.components` yields components in
+  ``nx.connected_components`` order over a subgraph view: it walks the
+  kept set itself when ``2 * len(kept) < num_qubits`` and the node range
+  otherwise, and grows each component set in BFS insertion order.
 
 Device generators:
 
@@ -18,12 +39,25 @@ Device generators:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+import math
+from heapq import heappop, heappush
+from typing import (
+    AbstractSet,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 __all__ = [
+    "ArcTable",
     "CouplingMap",
+    "dijkstra",
     "linear",
     "ring",
     "grid",
@@ -35,6 +69,12 @@ __all__ = [
     "sycamore_like",
     "ion_trap",
 ]
+
+#: Per-qubit ``(neighbour, cost)`` arcs in neighbour order; infinite-cost
+#: arcs are left out (see :meth:`CouplingMap.arc_table`).
+ArcTable = Tuple[Tuple[Tuple[int, float], ...], ...]
+
+_NONE: AbstractSet[int] = frozenset()
 
 
 class CouplingMap:
@@ -73,26 +113,65 @@ class CouplingMap:
                     f"edge endpoints reach qubit {inferred - 1} but "
                     f"num_qubits is {self.num_qubits}"
                 )
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(range(self.num_qubits))
-        self.graph.add_edges_from(edge_list)
         self.name = name
-        self._dist: Optional[List[List[int]]] = None
-        self._fully_connected: Optional[bool] = None
+        # Dicts as insertion-ordered sets: a repeated edge keeps the
+        # neighbour's first position, as a networkx adjacency dict does.
+        adjacency: List[Dict[int, None]] = [{} for _ in range(self.num_qubits)]
+        for a, b in edge_list:
+            adjacency[a][b] = None
+            adjacency[b][a] = None
+        self._neighbors: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(nbrs) for nbrs in adjacency
+        )
+        self._neighbor_sets = tuple(frozenset(nbrs) for nbrs in adjacency)
+        self._edges: Tuple[Tuple[int, int], ...] = tuple(
+            (u, v) for u, nbrs in enumerate(self._neighbors) for v in nbrs if v > u
+        )
+        self._dist = self._hop_matrix()
+        self._fully_connected = max(self._dist[0]) < self.num_qubits
+
+    def _hop_matrix(self) -> List[List[int]]:
+        """All-pairs hop counts by BFS; disconnected pairs keep a
+        ``2 * num_qubits`` sentinel (no hop count exists) that
+        :meth:`distance` refuses to serve."""
+        n = self.num_qubits
+        neighbors = self._neighbors
+        dist = []
+        for source in range(n):
+            row = [2 * n] * n
+            row[source] = 0
+            frontier = [source]
+            hops = 0
+            while frontier:
+                hops += 1
+                reached = []
+                for u in frontier:
+                    for v in neighbors[u]:
+                        if row[v] > hops:
+                            row[v] = hops
+                            reached.append(v)
+                frontier = reached
+            dist.append(row)
+        return dist
 
     # ------------------------------------------------------------------
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(tuple(sorted(e)) for e in self.graph.edges())
+        """Each edge once as ``(low, high)``, in ``nx.Graph.edges()`` order
+        (calibrations jitter rates in this order)."""
+        return self._edges
 
     def is_connected(self, a: int, b: int) -> bool:
-        return self.graph.has_edge(a, b)
+        try:
+            return b in self._neighbor_sets[a]
+        except IndexError:  # a qubit beyond the device couples to nothing
+            return False
 
     def neighbors(self, qubit: int) -> Tuple[int, ...]:
-        return tuple(self.graph.neighbors(qubit))
+        return self._neighbors[qubit]
 
     def degree(self, qubit: int) -> int:
-        return self.graph.degree(qubit)
+        return len(self._neighbors[qubit])
 
     @property
     def is_fully_connected(self) -> bool:
@@ -102,24 +181,7 @@ class CouplingMap:
         explicit ``num_qubits`` larger than the edge span leaves isolated
         trailing qubits; both make the graph disconnected.
         """
-        if self._fully_connected is None:
-            self._fully_connected = (
-                self.num_qubits > 0 and nx.is_connected(self.graph)
-            )
         return self._fully_connected
-
-    def _distance_matrix(self) -> List[List[int]]:
-        if self._dist is None:
-            n = self.num_qubits
-            # Disconnected pairs keep the 2n sentinel (no hop count exists);
-            # distance() refuses to serve it — see below.
-            dist = [[n * 2] * n for _ in range(n)]
-            for src, lengths in nx.all_pairs_shortest_path_length(self.graph):
-                row = dist[src]
-                for dst, d in lengths.items():
-                    row[dst] = d
-            self._dist = dist
-        return self._dist
 
     def distance(self, a: int, b: int) -> int:
         """Shortest hop count between two physical qubits.
@@ -128,7 +190,7 @@ class CouplingMap:
         the internal ``2 * num_qubits`` placeholder: routing on a
         fictitious distance silently produces unroutable circuits.
         """
-        d = self._distance_matrix()[a][b]
+        d = self._dist[a][b]
         if d >= self.num_qubits:  # real shortest paths use < n hops
             raise ValueError(
                 f"qubits {a} and {b} are disconnected in coupling map "
@@ -138,29 +200,109 @@ class CouplingMap:
         return d
 
     def distance_matrix(self) -> List[List[int]]:
-        """All-pairs hop-count matrix (cached; do not mutate).
+        """All-pairs hop-count matrix (do not mutate).
 
         Disconnected pairs hold a ``2 * num_qubits`` sentinel; callers that
         cannot tolerate it should check :attr:`is_fully_connected` first
         (:func:`repro.transpile.route` does).
         """
-        return self._distance_matrix()
+        return self._dist
 
-    def shortest_path(self, a: int, b: int, weight=None) -> List[int]:
-        """Shortest path between two physical qubits.
+    def pairwise_distance(self, qubits: Sequence[int]) -> int:
+        """Sum of the hop distances over all pairs of ``qubits``.
 
-        ``weight`` may be a callable ``(u, v) -> float`` (e.g. an error-rate
-        cost) or ``None`` for hop count.
+        Raises :meth:`distance`'s ``ValueError`` when a pair is
+        disconnected.
         """
-        if weight is None:
-            return nx.shortest_path(self.graph, a, b)
-        return nx.shortest_path(
-            self.graph, a, b, weight=lambda u, v, _attrs: weight(u, v)
-        )
+        dist = self._dist
+        total = 0
+        for i, a in enumerate(qubits):
+            row = dist[a]
+            for b in qubits[i + 1:]:
+                total += row[b]
+        if total >= self.num_qubits:
+            # Only a sum this large can hide a disconnected-pair sentinel.
+            for i, a in enumerate(qubits):
+                for b in qubits[i + 1:]:
+                    self.distance(a, b)
+        return total
+
+    # -- graph kernels -------------------------------------------------------
+    def arc_table(self, cost: Callable[[int, int], float]) -> ArcTable:
+        """Per-qubit ``(neighbour, cost(u, neighbour))`` arcs for
+        :func:`dijkstra`.  Arcs costing ``inf`` are impassable and left
+        out."""
+        table = []
+        for u, nbrs in enumerate(self._neighbors):
+            arcs = ((v, cost(u, v)) for v in nbrs)
+            table.append(tuple(arc for arc in arcs if arc[1] != math.inf))
+        return tuple(table)
+
+    def components(self, kept: Collection[int]) -> List[Set[int]]:
+        """Connected components of the subgraph induced by ``kept``, in
+        ``nx.connected_components`` order over a subgraph view (module
+        docstring).  ``kept`` is walked as given when it is small, so pass
+        the set whose iteration order a subgraph view would see."""
+        neighbors = self._neighbors
+        if 2 * len(kept) < self.num_qubits:
+            order: Iterable[int] = kept
+        else:
+            order = (v for v in range(self.num_qubits) if v in kept)
+        seen: Set[int] = set()
+        found = []
+        for source in order:
+            if source in seen:
+                continue
+            component = {source}
+            frontier = [source]
+            while frontier:
+                reached = []
+                for u in frontier:
+                    for v in neighbors[u]:
+                        if v in kept and v not in component:
+                            component.add(v)
+                            reached.append(v)
+                frontier = reached
+            seen |= component
+            found.append(component)
+        return found
+
+    def centre(self, kept: Collection[int]) -> int:
+        """The qubit of the connected subgraph induced by ``kept`` with the
+        smallest ``(eccentricity, summed hop distance, index)``, distances
+        taken inside the subgraph."""
+        neighbors = self._neighbors
+        best: Optional[Tuple[int, int, int]] = None
+        for source in sorted(kept):
+            if best is not None:
+                # Device distances bound the in-subgraph ones from below:
+                # skip the BFS of a qubit that cannot beat the best key.
+                row = self._dist[source]
+                bound = [row[v] for v in kept]
+                if (max(bound), sum(bound)) >= best[:2]:
+                    continue
+            seen = {source}
+            frontier = [source]
+            hops = total = 0
+            while True:
+                reached = []
+                for u in frontier:
+                    for v in neighbors[u]:
+                        if v in kept and v not in seen:
+                            seen.add(v)
+                            reached.append(v)
+                if not reached:
+                    break
+                hops += 1
+                total += hops * len(reached)
+                frontier = reached
+            key = (hops, total, source)
+            if best is None or key < best:
+                best = key
+        return best[2]
 
     def subgraph_is_connected(self, qubits: Sequence[int]) -> bool:
-        sub = self.graph.subgraph(qubits)
-        return len(qubits) > 0 and nx.is_connected(sub)
+        return len(qubits) > 0 and len(self.components(set(qubits))) == 1
 
     def connected_component_within(self, qubit: int, allowed: Sequence[int]) -> Tuple[int, ...]:
         """Connected component of ``qubit`` in the subgraph induced by
@@ -168,15 +310,66 @@ class CouplingMap:
         allowed_set = set(allowed)
         if qubit not in allowed_set:
             return (qubit,)
-        sub = self.graph.subgraph(allowed_set)
-        return tuple(sorted(nx.node_connected_component(sub, qubit)))
+        component = next(c for c in self.components(allowed_set) if qubit in c)
+        return tuple(sorted(component))
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return (
             f"CouplingMap{tag}(qubits={self.num_qubits}, "
-            f"edges={self.graph.number_of_edges()})"
+            f"edges={len(self._edges)})"
         )
+
+
+def dijkstra(
+    arcs: ArcTable,
+    sources: Iterable[int],
+    blocked: AbstractSet[int] = _NONE,
+    targets: AbstractSet[int] = _NONE,
+) -> Tuple[Dict[int, float], Dict[int, int]]:
+    """Multi-source Dijkstra over an :meth:`CouplingMap.arc_table`.
+
+    Returns ``(dist, pred)``: final distances in the order nodes were
+    settled, and each reached non-source node's predecessor on its path.
+    ``blocked`` qubits (never a source) are never entered.  With
+    ``targets``, the search stops once every node as close as the nearest
+    target is settled — a prefix of the full run, so distances and paths
+    match it.  Costs must be non-negative.  Heap entries and tie-breaks
+    follow the module docstring's contract.
+    """
+    dist: Dict[int, float] = {}
+    pred: Dict[int, int] = {}
+    best = [math.inf] * len(arcs)
+    closed = bytearray(len(arcs))  # settled or blocked
+    for q in blocked:
+        closed[q] = 1
+    heap: List[Tuple[float, int, int]] = []
+    pushes = 0
+    for source in sources:
+        best[source] = 0
+        heap.append((0, pushes, source))  # equal keys, rising counter: a heap
+        pushes += 1
+    stop = math.inf
+    while heap:
+        d, _, u = heappop(heap)
+        if u in dist:
+            continue
+        if d > stop:
+            break
+        dist[u] = d
+        closed[u] = 1
+        if u in targets and stop == math.inf:
+            stop = d
+        for v, cost in arcs[u]:
+            if closed[v]:
+                continue
+            dv = d + cost
+            if dv < best[v]:
+                best[v] = dv
+                heappush(heap, (dv, pushes, v))
+                pushes += 1
+                pred[v] = u
+    return dist, pred
 
 
 # ----------------------------------------------------------------------

@@ -25,12 +25,10 @@ import math
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..circuit import QuantumCircuit
 from ..circuit.gates import OP
 from ..circuit.tape import NO_SLOT, GateTape
-from .coupling import CouplingMap
+from .coupling import CouplingMap, dijkstra
 from .layout import Layout, dense_initial_layout
 
 __all__ = [
@@ -66,7 +64,8 @@ def reliability_cost_matrix(
     equal-hop path over another, and falling back to the exact integer
     hop matrix keeps the router gate-identical to the distance-only
     reference in that case.  Coupled edges missing from ``edge_error``
-    pessimistically get the worst calibrated rate.
+    pessimistically get the worst calibrated rate.  A rate outside
+    ``[0, 1)`` raises ``ValueError`` naming the edge.
     """
     if not edge_error:
         return None
@@ -82,16 +81,14 @@ def reliability_cost_matrix(
             raise ValueError(f"edge {edge} error rate {rate!r} outside [0, 1)")
         return 3.0 * -math.log(1.0 - rate)
 
+    arcs = coupling.arc_table(swap_cost)
     n = coupling.num_qubits
-    inf = float("inf")
-    cost = [[inf] * n for _ in range(n)]
-    lengths = nx.all_pairs_dijkstra_path_length(
-        coupling.graph, weight=lambda u, v, _attrs: swap_cost(u, v)
-    )
-    for src, dists in lengths:
-        row = cost[src]
-        for dst, d in dists.items():
+    cost = []
+    for src in range(n):
+        row = [math.inf] * n
+        for dst, d in dijkstra(arcs, (src,))[0].items():
             row[dst] = d
+        cost.append(row)
     return cost
 
 

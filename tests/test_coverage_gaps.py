@@ -9,7 +9,7 @@ from repro.core import SCSynthesizer, sc_compile
 from repro.core.scheduling import do_schedule
 from repro.ir import PauliBlock, PauliProgram
 from repro.pauli import PauliString
-from repro.transpile import CouplingMap, Layout, grid, linear, ring
+from repro.transpile import Layout, grid, linear, ring
 
 
 class TestLayoutExtras:
@@ -30,17 +30,6 @@ class TestLayoutExtras:
 
 
 class TestCouplingExtras:
-    def test_weighted_shortest_path_prefers_cheap_edges(self):
-        # Triangle where the direct edge is expensive.
-        cmap = CouplingMap([(0, 1), (1, 2), (0, 2)])
-        costs = {(0, 2): 10.0, (0, 1): 1.0, (1, 2): 1.0}
-
-        def weight(u, v):
-            return costs.get((u, v), costs.get((v, u), 1.0))
-
-        path = cmap.shortest_path(0, 2, weight=weight)
-        assert path == [0, 1, 2]
-
     def test_subgraph_connectivity(self):
         cmap = linear(5)
         assert cmap.subgraph_is_connected([1, 2, 3])

@@ -142,53 +142,48 @@ _PROGRAMS: Dict[str, Callable[[], PauliProgram]] = {
 }
 
 
-def _sc(coupling, program, scheduler="do", level=None, calibrated=False,
-        restarts=1):
-    return dict(coupling=coupling, program=program, scheduler=scheduler,
-                level=level, calibrated=calibrated, restarts=restarts)
-
-
 def _sc_cases() -> Dict[str, Dict]:
     cases: Dict[str, Dict] = {}
 
-    def add(**spec):
-        key = "sc/{coupling}/{program}/{scheduler}/opt{level}/{cal}/r{restarts}".format(
-            cal="cal" if spec["calibrated"] else "plain",
-            level="-full" if spec["level"] is None else spec["level"], **{
-                k: v for k, v in spec.items() if k != "level"})
-        cases[key] = spec
+    def add(coupling, program, scheduler="do", level=None, calibrated=False,
+            restarts=1):
+        opt = "-full" if level is None else level
+        cal = "cal" if calibrated else "plain"
+        cases[f"sc/{coupling}/{program}/{scheduler}/opt{opt}/{cal}/r{restarts}"] = dict(
+            coupling=coupling, program=program, scheduler=scheduler,
+            level=level, calibrated=calibrated, restarts=restarts)
 
     # Schedulers x small topologies (dense actives: component walks over
     # the node range rather than the kept set).
     for coupling in ("linear-6", "ring-8", "grid-3x3"):
         program = "Rand-6" if coupling == "linear-6" else "Rand-8"
         for scheduler in ("do", "gco", "none", "do-stream"):
-            add(**_sc(coupling, program, scheduler))
-        add(**_sc(coupling, program, "do", calibrated=True))
-    add(**_sc("grid-3x3", "Rand-9", "gco", calibrated=True))
-    add(**_sc("linear-8", "UCCSD-8", "do"))
-    add(**_sc("linear-8", "REG-8-3", "do", calibrated=True))
-    add(**_sc("grid-3x4", "REG-12-4", "do"))
-    add(**_sc("grid-3x4", "REG-12-4", "gco", calibrated=True))
+            add(coupling, program, scheduler)
+        add(coupling, program, "do", calibrated=True)
+    add("grid-3x3", "Rand-9", "gco", calibrated=True)
+    add("linear-8", "UCCSD-8", "do")
+    add("linear-8", "REG-8-3", "do", calibrated=True)
+    add("grid-3x4", "REG-12-4", "do")
+    add("grid-3x4", "REG-12-4", "gco", calibrated=True)
     # Peephole levels.
     for level in (0, 1, 2, 3):
-        add(**_sc("grid-3x4", "Rand-12", "do", level=level))
-        add(**_sc("falcon-27", "UCCSD-8", "do", level=level, calibrated=True))
+        add("grid-3x4", "Rand-12", "do", level=level)
+        add("falcon-27", "UCCSD-8", "do", level=level, calibrated=True)
     # The paper's devices, plain and calibrated.
     for coupling in ("melbourne-15", "falcon-27", "manhattan-65"):
         for calibrated in (False, True):
-            add(**_sc(coupling, "UCCSD-8", "do", calibrated=calibrated))
-            add(**_sc(coupling, "REG-12-4", "do", calibrated=calibrated))
-            add(**_sc(coupling, "Rand-12", "gco", calibrated=calibrated))
-    add(**_sc("manhattan-65", "Rand-20", "do"))
-    add(**_sc("manhattan-65", "Rand-20", "do-stream", calibrated=True))
-    add(**_sc("falcon-27", "UCCSD-4s", "none", calibrated=True))
+            add(coupling, "UCCSD-8", "do", calibrated=calibrated)
+            add(coupling, "REG-12-4", "do", calibrated=calibrated)
+            add(coupling, "Rand-12", "gco", calibrated=calibrated)
+    add("manhattan-65", "Rand-20", "do")
+    add("manhattan-65", "Rand-20", "do-stream", calibrated=True)
+    add("falcon-27", "UCCSD-4s", "none", calibrated=True)
     # Restarts (jittered placements).
-    add(**_sc("melbourne-15", "UCCSD-8", "do", restarts=3))
-    add(**_sc("falcon-27", "Rand-12", "do", calibrated=True, restarts=3))
+    add("melbourne-15", "UCCSD-8", "do", restarts=3)
+    add("falcon-27", "Rand-12", "do", calibrated=True, restarts=3)
     # Parallel-block deferral to the remain pool.
-    add(**_sc("linear-6", "deferral", "do"))
-    add(**_sc("linear-6", "deferral", "gco", calibrated=True))
+    add("linear-6", "deferral", "do")
+    add("linear-6", "deferral", "gco", calibrated=True)
     return cases
 
 
