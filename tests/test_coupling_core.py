@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import SCSynthesizer, sc_compile
 from repro.circuit import QuantumCircuit
 from repro.ir import PauliBlock, PauliProgram
-from repro.transpile import CouplingMap, Layout, linear, reliability_cost_matrix, ring
+from repro.transpile import CouplingMap, Layout, linear
 from repro.transpile.coupling import dijkstra
 
 
@@ -140,10 +140,6 @@ def _gather_on(cmap, edge_error, active):
 
 
 class TestDeadCouplers:
-    def test_gather_routes_around_a_dead_coupler(self):
-        swaps = _gather_on(ring(4), {(0, 1): 1.0}, {0, 2})
-        assert swaps and all(set(q) != {0, 1} for q in swaps)
-
     def test_gather_never_joins_over_a_dead_coupler(self):
         # The only path from 0 to 2 crosses the dead (0, 1) coupler: the
         # gather must refuse, not pull qubit 2 next to 0 over it.
@@ -167,7 +163,3 @@ class TestInvalidRates:
         ])
         with pytest.raises(ValueError, match=r"edge \(4, 5\)"):
             sc_compile(program, linear(6), edge_error={(4, 5): math.nan})
-
-    def test_reliability_matrix_rejects_nan(self):
-        with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
-            reliability_cost_matrix(linear(3), {(0, 1): math.nan, (1, 2): 0.01})
