@@ -9,7 +9,7 @@ coefficient)`` terms.  The SHA-256 of each case is committed in
 the gate emitter must reproduce the historical output byte for byte — same
 chain orders, same tie-breaks, same peephole input.
 
-The grid covers Ising-1D, Heisen-2D, UCCSD-8, REG-20-4 and Rand-30 at
+The grid covers Ising-1D, Heisen-2D, UCCSD-8, REG-20-4, Rand-30 and N2 at
 paper scale plus a 60-qubit, 2000-string ``scale_random_program``; the gco,
 do, none, gco-stream and do-stream schedulers; the paired and one-sided
 junction policies; and peephole levels 0 to 3 and the full fixpoint.  The
@@ -79,6 +79,7 @@ _PROGRAMS: Dict[str, Callable[[], PauliProgram]] = {
     "UCCSD-8": _paper("UCCSD-8"),
     "REG-20-4": _paper("REG-20-4"),
     "Rand-30": _paper("Rand-30"),
+    "N2": _paper("N2"),
     "Scale-60q-2k": lambda: scale_random_program(60, 2000, seed=2022),
 }
 
@@ -116,6 +117,7 @@ def _compile_cases() -> Dict[str, Dict]:
             add(program, scheduler, "paired", level)
         add(program, scheduler, "onesided", None)
     add("Rand-30", "do", "paired", None)
+    add("N2", "gco", "paired", None)
     return cases
 
 

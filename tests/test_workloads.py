@@ -1,5 +1,9 @@
 """Tests for the workload generators against Table 1 ground truth."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -225,6 +229,33 @@ class TestMolecules:
         a = molecule_program("CO2", num_strings=50)
         b = molecule_program("CO2", num_strings=50)
         assert a.multiset_of_terms() == b.multiset_of_terms()
+
+    def test_independent_of_hash_seed(self):
+        # Fresh interpreters with different hash seeds must build the same
+        # N2 program: the compile fingerprint covers its exact content.
+        fingerprints = []
+        for seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", _N2_FINGERPRINT_SCRIPT.format(src=SRC)],
+                env={"PYTHONHASHSEED": seed, "PATH": ""},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            fingerprints.append(out.stdout.strip())
+        assert fingerprints[0] == fingerprints[1]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_N2_FINGERPRINT_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.service.fingerprint import canonical_options, compile_fingerprint
+from repro.workloads import molecule_program
+
+program = molecule_program("N2")
+print(compile_fingerprint(program, canonical_options("ft", "gco")))
+"""
 
 
 class TestRegistry:
