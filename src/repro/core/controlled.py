@@ -20,8 +20,13 @@ from typing import List, Optional
 from ..circuit import Gate, QuantumCircuit
 from ..ir import PauliProgram
 from ..pauli import PauliString
-from .ft_backend import _better_neighbor
-from .synthesis import SynthesisPlan, aligned_chain_plan, chain_plan, pauli_rotation_gates
+from .synthesis import (
+    SynthesisPlan,
+    aligned_chain_plan,
+    better_neighbor,
+    chain_plan,
+    pauli_rotation_gates,
+)
 
 __all__ = [
     "controlled_rz_gates",
@@ -113,7 +118,7 @@ def controlled_program_circuit(
     for idx, (string, coefficient) in enumerate(repeated):
         prev_string = repeated[idx - 1][0] if idx > 0 else None
         next_string = repeated[idx + 1][0] if idx + 1 < len(repeated) else None
-        neighbor = _better_neighbor(string, prev_string, next_string)
+        neighbor = better_neighbor(string, prev_string, next_string)
         plan = aligned_chain_plan(string, neighbor)
         circuit.extend(
             controlled_pauli_rotation_gates(string, -2.0 * coefficient, control, plan)

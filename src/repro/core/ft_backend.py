@@ -22,6 +22,7 @@ The pass works in three stages:
    one-sided rule — each string aligning with whichever neighbour shares
    more operators — only cancelled a junction when both sides happened to
    pick each other, and its greedy choices were dominated by the DP set.)
+   Planning and emission are array-native (see :func:`ft_synthesize`).
 3. **Peephole cleanup** to realize the cancellations in the gate counts.
 
 The emitted ``(string, coefficient)`` order is recorded so tests can verify
@@ -35,15 +36,17 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..circuit import QuantumCircuit
+from ..circuit.gates import OP
+from ..circuit.tape import NO_SLOT, GateTape
 from ..ir import PauliProgram
 from ..pauli import PauliString
-from ..pauli.symplectic import PauliTable, popcount
+from ..pauli import operators as ops
+from ..pauli.symplectic import PauliTable
 from ..static.invariants import debug_check
 from ..transpile import optimize, run_rules
 from .cancellation import check_cancel
 from .scheduling import Schedule, do_schedule, gco_schedule
 from .streaming import is_streaming_scheduler, stream_schedule
-from .synthesis import SynthesisPlan, aligned_chain_plan, pauli_rotation_gates
 
 __all__ = [
     "FTResult",
@@ -52,6 +55,8 @@ __all__ = [
     "ft_synthesize",
     "ft_compile",
 ]
+
+_OP_H, _OP_YH, _OP_RZ, _OP_CX = OP["h"], OP["yh"], OP["rz"], OP["cx"]
 
 #: Above this many terms, the greedy chain computes overlap rows on demand
 #: instead of materializing the full (m, m) overlap matrix.
@@ -144,44 +149,11 @@ def plan_junctions(strings: List[PauliString]) -> List[Optional[int]]:
     too, so its cancellation total is dominated).  Returns per string the
     aligned neighbour's index (``i - 1``, ``i + 1``, or ``None``).
     """
-    m = len(strings)
-    aligned: List[Optional[int]] = [None] * m
-    if m < 2:
-        return aligned
-    table = PauliTable.from_strings(strings)
-    shared = table.consecutive_shared_masks()
-    cnot_gain = 2 * np.maximum(popcount(shared) - 1, 0)
-    basis_gain = 2 * popcount(shared & table.x[:-1])  # X/Y <=> x-bit set
-
-    # dp[j] = lexicographic-max (cancelled CNOTs, cancelled basis gates)
-    # over non-adjacent subsets of junctions 0..j.
-    zero = (0, 0)
-    gains = [
-        (int(c), int(b)) if c + b > 0 else None
-        for c, b in zip(cnot_gain, basis_gain)
-    ]
-    dp: List[Tuple[int, int]] = [zero] * (m - 1)
-    for j in range(m - 1):
-        skip = dp[j - 1] if j >= 1 else zero
-        if gains[j] is None:
-            dp[j] = skip
-            continue
-        prev2 = dp[j - 2] if j >= 2 else zero
-        join = (prev2[0] + gains[j][0], prev2[1] + gains[j][1])
-        dp[j] = max(skip, join)
-    j = m - 2
-    while j >= 0:
-        if gains[j] is not None:
-            prev2 = dp[j - 2] if j >= 2 else zero
-            join = (prev2[0] + gains[j][0], prev2[1] + gains[j][1])
-            # Prefer taking the junction on DP ties: equal cancellation
-            # total, but one more junction actually realized.
-            if dp[j] == join:
-                aligned[j] = j + 1
-                aligned[j + 1] = j
-                j -= 2
-                continue
-        j -= 1
+    aligned: List[Optional[int]] = [None] * len(strings)
+    if strings:
+        for j in _TermSweep(strings).junctions():
+            aligned[j] = j + 1
+            aligned[j + 1] = j
     return aligned
 
 
@@ -192,140 +164,165 @@ def ft_synthesize(
 ) -> QuantumCircuit:
     """Adaptive synthesis of an ordered term list (Algorithm 2 cores).
 
-    ``junction_policy`` selects the alignment planner: ``"paired"`` (the
-    default) plans every junction once, pairwise-consistently, via
-    :func:`plan_junctions`; ``"onesided"`` is the legacy rule where each
-    string independently aligns with its higher-overlap neighbour (kept for
-    ablation — it only cancels a junction when both sides happen to pick
-    each other).
+    Each term becomes the Figure 2 sandwich over a CNOT *chain* whose order
+    is: the support qubits shared with the term's primary neighbour, then
+    those shared with its other neighbour, then the rest, each ascending.
+
+    ``junction_policy`` picks the primary neighbours: ``"paired"`` (the
+    default) aligns both terms of every :func:`plan_junctions` junction
+    and lets the other terms fall back to the one-sided rule;
+    ``"onesided"`` is the legacy rule where each string independently
+    aligns with its higher-overlap neighbour and has no secondary part
+    (kept for ablation — it only cancels a junction when both sides happen
+    to pick each other).  The DP undercounts when adjacent junctions'
+    shared sets nest, so the paired policy keeps the one-sided chains when
+    their predicted ``(CNOTs, basis gates)`` is strictly greater.
+
+    Planning runs on one :class:`PauliTable` sweep and the gates go
+    straight into :class:`GateTape` columns.
     """
-    strings = [string for string, _ in terms]
-    if junction_policy == "paired":
-        plans = _paired_plans(strings)
-    elif junction_policy == "onesided":
-        plans = _onesided_plans(strings)
-    else:
+    if junction_policy not in ("paired", "onesided"):
         raise ValueError(f"unknown junction policy {junction_policy!r}")
-    circuit = QuantumCircuit(num_qubits)
-    for (string, coefficient), plan in zip(terms, plans):
-        circuit.extend(pauli_rotation_gates(string, -2.0 * coefficient, plan))
-    return circuit
+    if not terms:
+        return QuantumCircuit(num_qubits)
+    sweep = _TermSweep([string for string, _ in terms])
+    if sweep.cols.size and sweep.cols.max() >= num_qubits:
+        raise ValueError(f"qubit {sweep.cols.max()} out of range for a "
+                         f"{num_qubits}-qubit circuit")
+    onesided = sweep.onesided_sides()
+    chains = sweep.chain_order(onesided, secondary=False)
+    if junction_policy == "paired":
+        sides = onesided.copy()
+        taken = np.array(sweep.junctions(), dtype=np.int64)
+        sides[taken], sides[taken + 1] = _NEXT, _PREV
+        paired = sweep.chain_order(sides, secondary=True)
+        if sweep.predicted_cancellation(chains) <= sweep.predicted_cancellation(paired):
+            chains = paired
+    angles = -2.0 * np.array([c for _, c in terms], dtype=np.float64)
+    return QuantumCircuit.from_tape(sweep.emit(chains, angles, num_qubits))
 
 
-def _paired_plans(strings: List[PauliString]) -> List[Optional[SynthesisPlan]]:
-    """Pairwise-consistent plans, guaranteed no worse than the one-sided
-    rule's.
+#: Which neighbour a term's chain puts first: none, previous, next.
+_NONE, _PREV, _NEXT = 0, 1, 2
 
-    The DP's one-junction-per-string model undercounts when adjacent
-    junctions' shared sets nest (a single leaf prefix then serves both), so
-    both candidate plan sets are scored with the exact junction-prefix
-    cancellation predictor and the better one is kept (ties go to the
-    pairwise DP plans).
+
+class _TermSweep:
+    """A term list's Pauli table as sparse entries, one per non-identity
+    operator, ordered by term and then qubit.
+
+    Supports, shared sets with either neighbour, overlaps and junction
+    gains are whole-array reductions over the entries.  A chain set is an
+    entry permutation that keeps each term's entries together.
     """
-    dp_plans = _dp_plans(strings)
-    os_plans = _onesided_plans(strings)
-    if _predicted_cancellation(os_plans, strings) > _predicted_cancellation(
-        dp_plans, strings
-    ):
-        return os_plans
-    return dp_plans
 
+    def __init__(self, strings: List[PauliString]):
+        codes = PauliTable.from_strings(strings).codes
+        m = self.num_terms = codes.shape[0]
+        rows, cols = self.rows, self.cols = np.nonzero(codes)
+        self.codes = codes[rows, cols]
+        self.x = (self.codes & 1).astype(bool)  # X or Y: needs a basis change
+        self.weights = np.bincount(rows, minlength=m)
+        self.starts = np.cumsum(self.weights) - self.weights
+        self.pos = np.arange(rows.size) - self.starts[rows]
+        # Same non-identity operator as the previous / next term.
+        self.shared_prev = (rows > 0) & (
+            codes[np.maximum(rows - 1, 0), cols] == self.codes)
+        self.shared_next = (rows < m - 1) & (
+            codes[np.minimum(rows + 1, m - 1), cols] == self.codes)
+        self.overlap_prev = np.bincount(rows[self.shared_prev], minlength=m)
+        self.overlap_next = np.bincount(rows[self.shared_next], minlength=m)
 
-def _dp_plans(strings: List[PauliString]) -> List[Optional[SynthesisPlan]]:
-    aligned = plan_junctions(strings)
-    plans: List[Optional[SynthesisPlan]] = []
-    for idx, k in enumerate(aligned):
-        prev_string = strings[idx - 1] if idx > 0 else None
-        next_string = strings[idx + 1] if idx + 1 < len(strings) else None
-        if k is not None:
-            primary = strings[k]
-            # The other neighbour orders the rest of the chain (free: the
-            # junction prefix is untouched).
-            secondary = prev_string if k == idx + 1 else next_string
-        else:
-            # Leaf end not devoted to any planned junction: fall back to
-            # the one-sided rule so nested shared sets still line up.
-            primary = _better_neighbor(strings[idx], prev_string, next_string)
-            secondary = None
-            if primary is not None:
-                secondary = prev_string if primary is next_string else next_string
-        plans.append(_plan_for(strings[idx], primary, secondary))
-    return plans
+    def onesided_sides(self) -> np.ndarray:
+        """:func:`~repro.core.synthesis.better_neighbor` for every term."""
+        prev, nxt = self.overlap_prev, self.overlap_next
+        return np.where((prev <= 0) & (nxt <= 0), _NONE,
+                        np.where(prev >= nxt, _PREV, _NEXT))
 
+    def junctions(self) -> List[int]:
+        """The junctions :func:`plan_junctions` aligns: the non-adjacent set
+        with the lexicographic-max ``(cancelled CNOTs, cancelled basis
+        gates)``, taking a junction on ties (one more realized)."""
+        cnot = 2 * np.maximum(self.overlap_next[:-1] - 1, 0)
+        basis = 2 * np.bincount(self.rows[self.shared_next & self.x],
+                                minlength=self.num_terms)[:-1]
+        gains = [(c, b) if c + b else None
+                 for c, b in zip(cnot.tolist(), basis.tolist())]
+        best = [(0, 0)] * (len(gains) + 2)  # best[j + 2]: junctions 0..j
+        for j, gain in enumerate(gains):
+            best[j + 2] = best[j + 1] if gain is None else max(
+                best[j + 1], (best[j][0] + gain[0], best[j][1] + gain[1]))
+        taken: List[int] = []
+        j = len(gains) - 1
+        while j >= 0:
+            gain = gains[j]
+            if gain and best[j + 2] == (best[j][0] + gain[0], best[j][1] + gain[1]):
+                taken.append(j)
+                j -= 2
+            else:
+                j -= 1
+        return taken
 
-def _onesided_plans(strings: List[PauliString]) -> List[Optional[SynthesisPlan]]:
-    plans: List[Optional[SynthesisPlan]] = []
-    for idx, string in enumerate(strings):
-        prev_string = strings[idx - 1] if idx > 0 else None
-        next_string = strings[idx + 1] if idx + 1 < len(strings) else None
-        plans.append(
-            _plan_for(string, _better_neighbor(string, prev_string, next_string))
-        )
-    return plans
+    def chain_order(self, sides: np.ndarray, secondary: bool) -> np.ndarray:
+        """Entry permutation listing every term's chain, leaf to root."""
+        side = sides[self.rows]
+        first = np.where(side == _PREV, self.shared_prev,
+                         (side == _NEXT) & self.shared_next)
+        rank = 2 - 2 * first
+        if secondary:
+            rank -= ~first & np.where(side == _PREV, self.shared_next,
+                                      (side == _NEXT) & self.shared_prev)
+        return np.argsort(3 * self.rows + rank, kind="stable")
 
+    def predicted_cancellation(self, chains: np.ndarray) -> Tuple[int, int]:
+        """Exact ``(CNOTs, basis gates)`` the peephole pass cancels at the
+        junctions of a chain set: along the longest common prefix of two
+        adjacent chains whose qubits carry the same operator on both sides,
+        ``2 (p - 1)`` CNOTs plus two basis changes per X/Y prefix qubit."""
+        rows, pos = self.rows, self.pos
+        chain = self.cols[chains]
+        after = np.minimum(rows + 1, self.num_terms - 1)
+        paired = self.shared_next[chains] & (pos < self.weights[after])
+        partner = np.where(paired, self.starts[after] + pos, 0)
+        misses = np.cumsum(~(paired & (chain == chain[partner])))
+        in_prefix = misses == np.concatenate(([0], misses))[self.starts[rows]]
+        prefix = np.bincount(rows[in_prefix], minlength=self.num_terms)
+        cnot = 2 * int((prefix[prefix > 0] - 1).sum())
+        return cnot, 2 * int(np.count_nonzero(in_prefix & self.x[chains]))
 
-def _plan_order(plan: Optional[SynthesisPlan]) -> List[int]:
-    """Chain order (leaf to root) realized by a plan."""
-    if plan is None:
-        return []
-    if not plan.edges:
-        return [plan.root]
-    return [plan.edges[0][0]] + [target for _, target in plan.edges]
-
-
-def _predicted_cancellation(
-    plans: List[Optional[SynthesisPlan]], strings: List[PauliString]
-) -> Tuple[int, int]:
-    """Exact ``(CNOTs, basis gates)`` the peephole pass cancels at the
-    junctions of a plan set.
-
-    Junction ``j`` cancels along the longest common *prefix* of the two
-    chain orders whose qubits carry identical operators on both sides:
-    ``2 (p - 1)`` CNOTs (the prefix chain's edges, closed by one string and
-    reopened by the next) plus two basis-change gates per X/Y prefix qubit.
-    """
-    total_cnot = 0
-    total_basis = 0
-    for j in range(len(plans) - 1):
-        left = _plan_order(plans[j])
-        right = _plan_order(plans[j + 1])
-        shared = set(strings[j].shared_support(strings[j + 1]))
-        prefix = 0
-        for a, b in zip(left, right):
-            if a != b or a not in shared:
-                break
-            prefix += 1
-        if prefix:
-            total_cnot += 2 * (prefix - 1)
-            total_basis += 2 * sum(
-                1 for q in left[:prefix] if strings[j].code_at(q) & 1
-            )
-    return total_cnot, total_basis
-
-
-def _plan_for(
-    string: PauliString,
-    neighbor: Optional[PauliString],
-    secondary: Optional[PauliString] = None,
-) -> Optional[SynthesisPlan]:
-    if string.is_identity:
-        return None  # emits no gates
-    return aligned_chain_plan(string, neighbor, secondary)
-
-
-def _better_neighbor(
-    string: PauliString,
-    prev_string: Optional[PauliString],
-    next_string: Optional[PauliString],
-) -> Optional[PauliString]:
-    prev_overlap = string.overlap(prev_string) if prev_string is not None else 0
-    next_overlap = string.overlap(next_string) if next_string is not None else 0
-    if prev_overlap <= 0 and next_overlap <= 0:
-        # No operator shared with either neighbour: aligning is pointless,
-        # so keep the canonical ascending chain (a zero-overlap neighbour
-        # must not win just because the other side is missing).
-        return None
-    return prev_string if prev_overlap >= next_overlap else next_string
+    def emit(self, chains: np.ndarray, angles: np.ndarray,
+             num_qubits: int) -> GateTape:
+        """Every term's sandwich as tape columns: basis changes on the
+        support ascending, chain CNOTs leaf to root, the rotation on the
+        root, then the mirror image."""
+        rows, w, pos = self.rows, self.weights, self.pos
+        chain = self.cols[chains]
+        basis = np.bincount(rows[self.x], minlength=self.num_terms)
+        length = np.where(w > 0, 2 * basis + 2 * w - 1, 0)
+        start = np.cumsum(length) - length
+        total = int(length.sum())
+        op = np.full(total, _OP_CX, dtype=np.int64)
+        q0 = np.empty(total, dtype=np.int64)
+        q1 = np.full(total, NO_SLOT, dtype=np.int64)
+        param = np.zeros(total)
+        changed = np.flatnonzero(self.x)
+        term = rows[changed]
+        rank = np.arange(changed.size) - (np.cumsum(basis) - basis)[term]
+        for slot in (start[term] + rank, start[term] + length[term] - 1 - rank):
+            op[slot] = np.where(self.codes[changed] == ops.X, _OP_H, _OP_YH)
+            q0[slot] = self.cols[changed]
+        edge = np.flatnonzero(pos < w[rows] - 1)
+        term = rows[edge]
+        tree = start[term] + basis[term]
+        for slot in (tree + pos[edge], tree + 2 * w[term] - 2 - pos[edge]):
+            q0[slot] = chain[edge]
+            q1[slot] = chain[edge + 1]
+        term = np.flatnonzero(w)
+        slot = start[term] + basis[term] + w[term] - 1
+        op[slot] = _OP_RZ
+        q0[slot] = chain[self.starts[term] + w[term] - 1]
+        param[slot] = angles[term]
+        return GateTape.from_columns(num_qubits, op.tolist(), q0.tolist(),
+                                     q1.tolist(), param.tolist())
 
 
 def ft_compile(

@@ -29,6 +29,7 @@ __all__ = [
     "SynthesisPlan",
     "chain_plan",
     "aligned_chain_plan",
+    "better_neighbor",
     "pauli_rotation_gates",
     "pauli_evolution_circuit",
     "naive_program_circuit",
@@ -115,6 +116,24 @@ def aligned_chain_plan(
         + sorted(q for q in support if q not in shared and q not in shared2)
     )
     return chain_plan(order)
+
+
+def better_neighbor(
+    string: PauliString,
+    prev_string: Optional[PauliString],
+    next_string: Optional[PauliString],
+) -> Optional[PauliString]:
+    """The one-sided alignment rule: the neighbour sharing more operators
+    with ``string`` (the previous one on ties), or ``None`` when neither
+    shares any."""
+    prev_overlap = string.overlap(prev_string) if prev_string is not None else 0
+    next_overlap = string.overlap(next_string) if next_string is not None else 0
+    if prev_overlap <= 0 and next_overlap <= 0:
+        # No operator shared with either neighbour: aligning is pointless,
+        # so keep the canonical ascending chain (a zero-overlap neighbour
+        # must not win just because the other side is missing).
+        return None
+    return prev_string if prev_overlap >= next_overlap else next_string
 
 
 def _basis_change_gates(string: PauliString) -> List[Gate]:

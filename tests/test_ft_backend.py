@@ -13,13 +13,14 @@ from repro.core import (
     naive_program_circuit,
     plan_junctions,
 )
-from repro.core.ft_backend import _better_neighbor
+from repro.core.synthesis import better_neighbor
 from repro.ir import PauliBlock, PauliProgram
 from repro.pauli import PauliString
 from repro.transpile import optimize
 from repro.workloads import build_benchmark
 
 from helpers import terms_unitary
+from oracles.ft_synthesis import reference_ft_synthesize
 
 
 def prog(*block_specs, parameter=0.5):
@@ -117,9 +118,9 @@ class TestJunctionPlanning:
         other = PauliString.from_label("IXX")
         # A zero-overlap neighbour must not win just because the other side
         # is missing (the old -1 sentinel made overlap 0 look attractive).
-        assert _better_neighbor(string, None, other) is None
-        assert _better_neighbor(string, other, None) is None
-        assert _better_neighbor(string, None, None) is None
+        assert better_neighbor(string, None, other) is None
+        assert better_neighbor(string, other, None) is None
+        assert better_neighbor(string, None, None) is None
 
     def test_pairwise_consistent_selection(self):
         # Shared-Z counts between neighbours are [3, 4, 3], i.e. CNOT
@@ -158,6 +159,33 @@ class TestJunctionPlanning:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             ft_synthesize([(PauliString.from_label("Z"), 0.1)], 1, junction_policy="x")
+        with pytest.raises(ValueError, match="junction policy"):
+            ft_synthesize([], 1, junction_policy="x")
+
+
+class TestSynthesisChecks:
+    def test_support_beyond_circuit_rejected(self):
+        terms = [(PauliString.from_label("IIZZ"), 0.1),
+                 (PauliString.from_label("ZIIX"), 0.2)]
+        for policy in ("paired", "onesided"):
+            with pytest.raises(ValueError, match="qubit 3 out of range"):
+                ft_synthesize(terms, 3, junction_policy=policy)
+
+    def test_wide_string_with_support_inside_circuit_accepted(self):
+        # Only the support has to fit, as when gates were appended one by one.
+        terms = [(PauliString.from_label("IIZZ"), 0.1),
+                 (PauliString.from_label("IIIX"), 0.2)]
+        circuit = ft_synthesize(terms, 2)
+        assert circuit.gates == reference_ft_synthesize(terms, 2).gates
+
+    def test_mixed_widths_rejected(self):
+        terms = [(PauliString.from_label("ZZ"), 0.1),
+                 (PauliString.from_label("ZZZ"), 0.2)]
+        with pytest.raises(ValueError, match="same qubit count"):
+            ft_synthesize(terms, 3)
+
+    def test_empty_term_list(self):
+        assert ft_synthesize([], 2).size == 0
 
     @pytest.mark.parametrize("name", ["Ising-1D", "Ising-2D", "Heisen-1D", "Heisen-2D"])
     @pytest.mark.parametrize("scheduler", ["do", "gco"])
@@ -182,6 +210,27 @@ def test_ft_always_unitary_equivalent(labels, scheduler):
     result = ft_compile(p, scheduler=scheduler)
     expected = terms_unitary(result.emitted_terms, 3)
     assert equivalent_up_to_global_phase(circuit_unitary(result.circuit), expected)
+
+
+@st.composite
+def _term_lists(draw):
+    """2-8-qubit term lists, identity strings and repeats included."""
+    n = draw(st.integers(2, 8))
+    label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    labels = draw(st.lists(st.one_of(label, st.just("I" * n)), max_size=10))
+    if labels and draw(st.booleans()):
+        labels.insert(draw(st.integers(0, len(labels))), labels[0])
+    coefficient = st.floats(-3.0, 3.0, allow_nan=False)
+    return n, [(PauliString.from_label(s), draw(coefficient)) for s in labels]
+
+
+@given(_term_lists(), st.sampled_from(["paired", "onesided"]))
+@settings(max_examples=300, deadline=None)
+def test_ft_synthesize_matches_scalar_oracle(case, policy):
+    n, terms = case
+    circuit = ft_synthesize(terms, n, junction_policy=policy)
+    expected = reference_ft_synthesize(terms, n, junction_policy=policy)
+    assert circuit.gates == expected.gates
 
 
 @given(

@@ -32,6 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.circuit.gates import OP_ROTATION, OPCODES
+from repro.circuit.tape import NO_SLOT
 from repro.core import ft_compile, sc_compile
 from repro.ir import PauliBlock, PauliProgram
 from repro.noise import NoiseModel
@@ -62,8 +64,13 @@ def _sha(payload) -> str:
 
 
 def _gates(circuit) -> List:
-    return [[g.name, list(g.qubits), [float(p).hex() for p in g.params]]
-            for g in circuit.gates]
+    """``[name, qubits, hex params]`` per gate, read off the tape columns
+    (the same rows ``circuit.gates`` would give, without building them)."""
+    tape = circuit.tape
+    op, q0, q1, param = tape.op, tape.q0, tape.q1, tape.param
+    return [[OPCODES[op[s]], [q0[s]] if q1[s] == NO_SLOT else [q0[s], q1[s]],
+             [float(param[s]).hex()] if op[s] in OP_ROTATION else []]
+            for s in tape.iter_slots()]
 
 
 def _layout(layout) -> Optional[List]:

@@ -13,7 +13,13 @@ Stages (``--stage all`` runs every one):
 * ``gco``       — full ``gco-stream`` drain;
 * ``do``        — full ``do-stream`` drain (frontier + padding loop);
 * ``ft``        — end-to-end ``ft_compile`` at opt 1 via ``gco-stream``;
-* ``conjugate`` — the batched Clifford tape conjugation sweep.
+* ``conjugate`` — the batched Clifford tape conjugation sweep;
+* ``ft-synth``  — :func:`~repro.core.ft_synthesize` alone on the Rand-30
+  paper terms (gco order), the compile-ft corpus's largest program;
+* ``peephole``  — the full peephole fixpoint on that synthesized circuit,
+  the largest FT layer once synthesis is array-native.
+
+``ft-synth`` and ``peephole`` ignore ``--qubits``/``--terms``.
 
 Run::
 
@@ -22,6 +28,7 @@ Run::
     PYTHONPATH=src python tools/profile_kernels.py --stage all --limit 15
     PYTHONPATH=src python tools/profile_kernels.py --stage ft \\
         --dump ft.pstats       # then e.g. snakeviz ft.pstats elsewhere
+    PYTHONPATH=src python tools/profile_kernels.py --stage peephole
 """
 
 from __future__ import annotations
@@ -33,10 +40,14 @@ import sys
 import time
 from typing import Callable, Dict
 
-from repro.core import ft_compile
+from repro.core import ft_compile, ft_synthesize
 from repro.core.streaming import scan_blocks, stream_schedule
 from repro.ir import PauliProgram
-from repro.workloads import scale_random_program
+from repro.transpile import optimize
+from repro.workloads import build_benchmark, scale_random_program
+
+#: Stages run on the Rand-30 paper program instead of the scale workload.
+RAND30_STAGES = ("ft-synth", "peephole")
 
 
 def _drain(layers) -> int:
@@ -74,6 +85,17 @@ def _stages(program: PauliProgram) -> Dict[str, Callable[[], object]]:
     }
 
 
+def _rand30_stages() -> Dict[str, Callable[[], object]]:
+    program = build_benchmark("Rand-30", "paper")
+    frontend = ft_compile(program, run_peephole=False)
+    terms, raw = frontend.emitted_terms, frontend.circuit
+    print(f"Rand-30: {len(terms)} terms, {raw.size} gates before peephole")
+    return {
+        "ft-synth": lambda: ft_synthesize(terms, program.num_qubits),
+        "peephole": lambda: optimize(raw),
+    }
+
+
 def profile_stage(name: str, fn: Callable[[], object], sort: str,
                   limit: int, dump: str = None) -> None:
     profiler = cProfile.Profile()
@@ -96,7 +118,8 @@ def main(argv=None) -> int:
     parser.add_argument("--terms", type=int, default=20_000)
     parser.add_argument(
         "--stage", default="do",
-        choices=["all", "build", "scan", "gco", "do", "ft", "conjugate"],
+        choices=["all", "build", "scan", "gco", "do", "ft", "conjugate",
+                 *RAND30_STAGES],
     )
     parser.add_argument(
         "--sort", default="tottime",
@@ -116,13 +139,20 @@ def main(argv=None) -> int:
         )
         return 0
 
-    program = scale_random_program(args.qubits, args.terms)
-    print(f"workload: {program.num_blocks} blocks on "
-          f"{program.num_qubits} qubits")
-    stages = _stages(program)
-    selected = stages if args.stage == "all" else {args.stage: stages[args.stage]}
+    selected: Dict[str, Callable[[], object]] = {}
+    program = None
+    if args.stage not in RAND30_STAGES:
+        program = scale_random_program(args.qubits, args.terms)
+        print(f"workload: {program.num_blocks} blocks on "
+              f"{program.num_qubits} qubits")
+        selected.update(_stages(program))
+    if args.stage == "all" or args.stage in RAND30_STAGES:
+        selected.update(_rand30_stages())
+    if args.stage != "all":
+        selected = {args.stage: selected[args.stage]}
     for name, fn in selected.items():
-        program.release_views()  # profile from a cold program every time
+        if program is not None:
+            program.release_views()  # profile from a cold program every time
         profile_stage(name, fn, args.sort, args.limit,
                       args.dump if len(selected) == 1 else None)
     return 0
