@@ -303,7 +303,6 @@ class _TermSweep:
         op = np.full(total, _OP_CX, dtype=np.int64)
         q0 = np.empty(total, dtype=np.int64)
         q1 = np.full(total, NO_SLOT, dtype=np.int64)
-        param = np.zeros(total)
         changed = np.flatnonzero(self.x)
         term = rows[changed]
         rank = np.arange(changed.size) - (np.cumsum(basis) - basis)[term]
@@ -320,9 +319,12 @@ class _TermSweep:
         slot = start[term] + basis[term] + w[term] - 1
         op[slot] = _OP_RZ
         q0[slot] = chain[self.starts[term] + w[term] - 1]
-        param[slot] = angles[term]
+        # Non-rotations share one 0.0 object, as gate-by-gate appends did.
+        param = [0.0] * total
+        for at, angle in zip(slot.tolist(), angles[term].tolist()):
+            param[at] = angle
         return GateTape.from_columns(num_qubits, op.tolist(), q0.tolist(),
-                                     q1.tolist(), param.tolist())
+                                     q1.tolist(), param)
 
 
 def ft_compile(
