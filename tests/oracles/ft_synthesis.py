@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.circuit import QuantumCircuit
-from repro.core.ft_backend import plan_junctions
 from repro.core.synthesis import (
     SynthesisPlan,
     aligned_chain_plan,
@@ -54,8 +53,41 @@ def _paired_plans(strings: List[PauliString]) -> List[Optional[SynthesisPlan]]:
     return dp_plans
 
 
+def _plan_junctions(strings: List[PauliString]) -> List[Optional[int]]:
+    """Non-adjacent junction set with the lexicographic-max ``(cancelled
+    CNOTs, cancelled basis gates)``, taking a junction on DP ties."""
+    m = len(strings)
+    aligned: List[Optional[int]] = [None] * m
+    gains: List[Optional[Tuple[int, int]]] = []
+    for j in range(m - 1):
+        shared = strings[j].shared_support(strings[j + 1])
+        cnot = 2 * max(len(shared) - 1, 0)
+        basis = 2 * sum(1 for q in shared if strings[j].code_at(q) & 1)
+        gains.append((cnot, basis) if cnot + basis > 0 else None)
+    zero = (0, 0)
+    dp: List[Tuple[int, int]] = [zero] * max(m - 1, 0)
+    for j in range(m - 1):
+        skip = dp[j - 1] if j >= 1 else zero
+        if gains[j] is None:
+            dp[j] = skip
+            continue
+        prev2 = dp[j - 2] if j >= 2 else zero
+        dp[j] = max(skip, (prev2[0] + gains[j][0], prev2[1] + gains[j][1]))
+    j = m - 2
+    while j >= 0:
+        if gains[j] is not None:
+            prev2 = dp[j - 2] if j >= 2 else zero
+            if dp[j] == (prev2[0] + gains[j][0], prev2[1] + gains[j][1]):
+                aligned[j] = j + 1
+                aligned[j + 1] = j
+                j -= 2
+                continue
+        j -= 1
+    return aligned
+
+
 def _dp_plans(strings: List[PauliString]) -> List[Optional[SynthesisPlan]]:
-    aligned = plan_junctions(strings)
+    aligned = _plan_junctions(strings)
     plans: List[Optional[SynthesisPlan]] = []
     for idx, k in enumerate(aligned):
         prev_string = strings[idx - 1] if idx > 0 else None
