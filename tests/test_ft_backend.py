@@ -162,6 +162,14 @@ class TestJunctionPlanning:
         with pytest.raises(ValueError, match="junction policy"):
             ft_synthesize([], 1, junction_policy="x")
 
+    @pytest.mark.parametrize("name", ["Ising-1D", "Ising-2D", "Heisen-1D", "Heisen-2D"])
+    @pytest.mark.parametrize("scheduler", ["do", "gco"])
+    def test_cnot_never_worse_than_onesided(self, name, scheduler):
+        program = build_benchmark(name, "small")
+        paired = ft_compile(program, scheduler=scheduler, junction_policy="paired")
+        onesided = ft_compile(program, scheduler=scheduler, junction_policy="onesided")
+        assert paired.circuit.cnot_count <= onesided.circuit.cnot_count
+
 
 class TestSynthesisChecks:
     def test_support_beyond_circuit_rejected(self):
@@ -186,14 +194,6 @@ class TestSynthesisChecks:
 
     def test_empty_term_list(self):
         assert ft_synthesize([], 2).size == 0
-
-    @pytest.mark.parametrize("name", ["Ising-1D", "Ising-2D", "Heisen-1D", "Heisen-2D"])
-    @pytest.mark.parametrize("scheduler", ["do", "gco"])
-    def test_cnot_never_worse_than_onesided(self, name, scheduler):
-        program = build_benchmark(name, "small")
-        paired = ft_compile(program, scheduler=scheduler, junction_policy="paired")
-        onesided = ft_compile(program, scheduler=scheduler, junction_policy="onesided")
-        assert paired.circuit.cnot_count <= onesided.circuit.cnot_count
 
 
 @given(
