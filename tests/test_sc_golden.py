@@ -13,9 +13,12 @@ The grid covers linear, ring, grid, melbourne-15, falcon-27 and
 manhattan-65 couplings; the do, gco, none and do-stream schedulers;
 peephole levels 0 to 3; uncalibrated and calibrated runs; ``restarts=3``;
 and parallel-block deferral.  The router half digests
-:func:`repro.transpile.reliability_cost_matrix` (exact floats) and
+:func:`repro.transpile.reliability_cost_matrix` (exact floats),
 ``route(edge_error=...)`` on the ``benchmarks/bench_devices.py`` device x
-workload combinations.
+workload combinations, and the generic :func:`repro.transpile.transpile`
+sequence at levels 0 to 3 on all-to-all, falcon-27 and calibrated
+falcon-27 targets (FT-synthesized UCCSD-8 input, plus a seeded gate mix
+on which every level's output differs).
 
 Regenerate the corpus only when an output change is intended::
 
@@ -26,12 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.circuit import QuantumCircuit
 from repro.circuit.gates import OP_ROTATION, OPCODES
 from repro.circuit.tape import NO_SLOT
 from repro.core import ft_compile, sc_compile
@@ -47,6 +52,7 @@ from repro.transpile import (
     reliability_cost_matrix,
     ring,
     route,
+    transpile,
 )
 from repro.workloads import maxcut_program, regular_graph, uccsd_program
 from repro.workloads.random_hamiltonian import random_hamiltonian_program
@@ -248,10 +254,65 @@ def run_route_case(device_name: str, workload: Optional[str]) -> str:
         route(circuit, device.coupling, edge_error=device.edge_error()))
 
 
+#: ``transpile()`` targets: ``(device, calibrated)``; ``None`` is all-to-all.
+TRANSPILE_TARGETS: Dict[str, Tuple[Optional[str], bool]] = {
+    "alltoall": (None, False),
+    "falcon-27": ("falcon-27", False),
+    "falcon-27-cal": ("falcon-27", True),
+}
+
+
+def _mixed_circuit(n: int = 8, size: int = 600, seed: int = 11) -> QuantumCircuit:
+    """A seeded gate soup on which every transpile level gives a
+    different output (commuting CNOT pairs for level 2, SWAP/CNOT pairs
+    for level 3), unlike FT-synthesized input."""
+    rng = random.Random(seed)
+    circuit = QuantumCircuit(n)
+    for _ in range(size):
+        kind = rng.random()
+        if kind < 0.35:
+            circuit.cx(*rng.sample(range(n), 2))
+        elif kind < 0.45:
+            circuit.swap(*rng.sample(range(n), 2))
+        elif kind < 0.7:
+            circuit.rz(rng.choice([0.5, -0.5, 0.25, 1.0]), rng.randrange(n))
+        elif kind < 0.85:
+            circuit.h(rng.randrange(n))
+        else:
+            circuit.x(rng.randrange(n))
+    return circuit
+
+
+TRANSPILE_INPUTS: Dict[str, Callable[[], QuantumCircuit]] = {
+    "UCCSD-8": lambda: ft_compile(uccsd_program(8), scheduler="gco",
+                                  run_peephole=False).circuit,
+    "mixed-8": _mixed_circuit,
+}
+TRANSPILE_CASES = {
+    f"transpile/{target}/{name}/opt{level}": (target, name, level)
+    for target in TRANSPILE_TARGETS for name in TRANSPILE_INPUTS
+    for level in range(4)
+}
+
+
+def run_transpile_case(target: str, name: str, level: int) -> str:
+    device_name, calibrated = TRANSPILE_TARGETS[target]
+    device = get_device(device_name) if device_name else None
+    out = transpile(
+        TRANSPILE_INPUTS[name](), coupling=device.coupling if device else None,
+        optimization_level=level,
+        edge_error=device.edge_error() if calibrated else None,
+    )
+    return _sha({"gates": _gates(out)})
+
+
 def compute_all() -> Dict[str, str]:
     digests = {key: run_sc_case(spec) for key, spec in SC_CASES.items()}
     digests.update(
         {key: run_route_case(*args) for key, args in ROUTE_CASES.items()})
+    digests.update(
+        {key: run_transpile_case(*args)
+         for key, args in TRANSPILE_CASES.items()})
     return digests
 
 
@@ -271,7 +332,7 @@ def golden() -> Dict[str, str]:
 
 
 def test_corpus_covers_every_case(golden):
-    assert set(golden) == set(SC_CASES) | set(ROUTE_CASES)
+    assert set(golden) == set(SC_CASES) | set(ROUTE_CASES) | set(TRANSPILE_CASES)
 
 
 @pytest.mark.parametrize("key", sorted(SC_CASES))
@@ -282,6 +343,11 @@ def test_sc_output_matches_golden(key, golden):
 @pytest.mark.parametrize("key", sorted(ROUTE_CASES))
 def test_route_output_matches_golden(key, golden):
     assert run_route_case(*ROUTE_CASES[key]) == golden[key]
+
+
+@pytest.mark.parametrize("key", sorted(TRANSPILE_CASES))
+def test_transpile_output_matches_golden(key, golden):
+    assert run_transpile_case(*TRANSPILE_CASES[key]) == golden[key]
 
 
 def main(argv: List[str]) -> int:
