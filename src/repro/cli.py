@@ -12,7 +12,7 @@ Commands
   and run the Pauli-propagation verifier over the artifact the cache
   stores for it (catches stale, corrupted, or miscompiled artifacts at
   any qubit count, no statevector involved);
-* ``check`` — static analysis: with no arguments, re-validate every
+* ``check`` — static analysis: with no arguments, validate every
   shipped pipeline against the pass-contract checker and print the
   property flow; with ``SPECS.jsonl --cache DIR``, sweep each spec's
   program and stored artifact with the IR invariant analyzer, naming
@@ -335,18 +335,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check(args) -> int:
     """Static checks: pipeline contracts or cached-artifact invariants."""
+    from .core.passes import shipped_pipelines
     from .static import (
         PipelineChecker,
         PipelineContractError,
         check_program,
         check_result,
-        shipped_pipelines,
     )
 
     if args.specs is None:
-        # Contract mode: importing repro.static already self-checked the
-        # shipped pipelines, but re-running here prints the property flow
-        # and keeps the CLI honest about *which* sequences were proven.
+        # Contract mode: prove every pipeline compile_program, ft_compile,
+        # sc_compile and transpile can run, and print its property flow.
         checker = PipelineChecker()
         rows = []
         bad = 0

@@ -15,7 +15,7 @@ from .ft_backend import (
     most_overlap_sort,
     plan_junctions,
 )
-from .passes import PassPipeline, PipelineResult, ft_pipeline, sc_pipeline
+from .passes import Pipeline, PipelineResult, run_pipeline, shipped_pipelines
 from .sc_backend import EmbeddedTree, SCResult, SCSynthesizer, sc_compile
 from .trotter import (
     symmetric_trotterize,
@@ -52,7 +52,7 @@ __all__ = [
     "CompilationResult",
     "EmbeddedTree",
     "FTResult",
-    "PassPipeline",
+    "Pipeline",
     "PipelineResult",
     "SCResult",
     "SCSynthesizer",
@@ -71,7 +71,6 @@ __all__ = [
     "LayerProfile",
     "do_schedule",
     "ft_compile",
-    "ft_pipeline",
     "ft_synthesize",
     "gco_schedule",
     "layer_operator_overlap",
@@ -80,9 +79,10 @@ __all__ = [
     "pauli_evolution_circuit",
     "pauli_rotation_gates",
     "plan_junctions",
-    "sc_pipeline",
+    "run_pipeline",
     "schedule_depth_estimate",
     "schedule_to_program",
+    "shipped_pipelines",
     "stream_schedule",
     "streaming_do_schedule",
     "streaming_gco_schedule",

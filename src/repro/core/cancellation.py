@@ -2,9 +2,10 @@
 
 A ``cancel`` callback is a zero-argument callable returning ``True`` once
 the caller has abandoned the compile (client disconnected, request timed
-out).  The backends poll it at pass boundaries via :func:`check_cancel` —
-never mid-pass, so cancellation can only drop whole intermediate results,
-and a compile that races past its last checkpoint simply completes.
+out).  The pass driver (:func:`repro.core.passes.run_pipeline`) polls it
+via :func:`check_cancel` after every pass and before each SC restart
+attempt, and ``compile_program`` polls it once on entry — never
+mid-pass, so cancellation can only drop whole intermediate results.
 
 The callback must be cheap and side-effect free: the gateway's process
 workers use an ``os.path.exists`` probe on a flag file, in-process callers

@@ -28,6 +28,7 @@ from ..static.invariants import debug_check
 from ..transpile import CouplingMap, DeviceSpec, Layout, get_device
 from .cancellation import CompilationCancelled, check_cancel
 from .ft_backend import ft_compile
+from .passes import Pipeline
 from .sc_backend import sc_compile
 
 if TYPE_CHECKING:  # deferred at runtime: repro.service imports this module
@@ -97,8 +98,9 @@ class CompilationResult:
     #: ``peephole_level`` override lowered the effort).  Execution
     #: effort only — never part of the cache fingerprint.
     tier: str = "full"
-    #: Provenance: the shipped pipeline this compilation corresponds to
-    #: (e.g. ``"ft-gco-opt3"``); ``None`` for results built by hand.
+    #: Provenance: the name of the shipped pipeline that ran (e.g.
+    #: ``"ft-gco-opt3"``, see :func:`repro.core.passes.shipped_pipelines`);
+    #: ``None`` for results built by hand.
     pipeline: Optional[str] = None
 
     @property
@@ -198,9 +200,9 @@ def compile_program(
         Verification is a check, not a compile option, so it does not
         enter the cache fingerprint.
     cancel:
-        Optional zero-argument callable polled at pass boundaries (after
-        scheduling, between SC restarts, before peephole); returning
-        ``True`` raises :class:`CompilationCancelled`.  Cancellation is a
+        Optional zero-argument callable polled on entry, after every pass
+        and before each SC restart attempt; returning ``True`` raises
+        :class:`CompilationCancelled`.  Cancellation is a
         caller-liveness signal, not a compile option — it never enters
         the fingerprint.  A cache hit is returned even when ``cancel``
         already fires (serving it is cheaper than checking).
@@ -231,15 +233,11 @@ def compile_program(
     else:
         raise ValueError(f"unknown backend {backend!r}; expected 'ft' or 'sc'")
 
-    # Effort level actually executed: 0 with peephole off, the override
-    # when one is given, else the full fixpoint (level 3).
-    if not run_peephole:
-        effort = 0
-    elif peephole_level is None:
-        effort = 3
-    else:
-        effort = max(0, min(3, int(peephole_level)))
-    tier = "full" if effort >= 3 or not run_peephole else f"opt{effort}"
+    # The flow ft_compile/sc_compile run (they build the same key); its
+    # name is the result's provenance.
+    key = Pipeline.for_backend(
+        backend, resolved_scheduler, run_peephole, peephole_level, edge_error)
+    tier = "full" if key.level >= 3 or not run_peephole else f"opt{key.level}"
 
     fingerprint: Optional[str] = None
     if cache is not None:
@@ -315,7 +313,7 @@ def compile_program(
         )
     result.fingerprint = fingerprint
     result.tier = tier
-    result.pipeline = f"{backend}-{resolved_scheduler}-opt{effort}"
+    result.pipeline = key.name
     if cache is not None:
         if tier == "full":
             cache.put(fingerprint, dumps_artifact(result))

@@ -42,11 +42,11 @@ from ..ir import PauliProgram
 from ..pauli import PauliString
 from ..pauli import operators as ops
 from ..pauli.symplectic import PauliTable
-from ..static.invariants import debug_check
-from ..transpile import optimize, run_rules
-from .cancellation import check_cancel
+from . import passes
+# The FT flow's scheduling passes call these through this module at call
+# time (see repro.core.passes), so they stay bound here.
 from .scheduling import Schedule, do_schedule, gco_schedule
-from .streaming import is_streaming_scheduler, stream_schedule
+from .streaming import stream_schedule
 
 __all__ = [
     "FTResult",
@@ -343,44 +343,14 @@ def ft_compile(
     schedules through :mod:`repro.core.streaming` in O(window) profile
     memory and releases each block's view after its terms are flattened
     — the path for 10^5-10^6-term programs.  ``junction_policy`` is
-    forwarded to :func:`ft_synthesize`; ``cancel`` is polled between
-    passes (see :mod:`repro.core.cancellation`).  ``peephole_level``
+    forwarded to :func:`ft_synthesize`; ``cancel`` is polled after every
+    pass (see :mod:`repro.core.cancellation`).  ``peephole_level``
     (``None`` = full fixpoint) restricts the cleanup to the level's rule
     subset — the speculative fast tier compiles at level 1
-    (cancel+merge, no commute/fuse search).
+    (cancel+merge, no commute/fuse search).  The pass sequence is
+    :func:`repro.core.passes.pass_sequence`'s ``ft`` flow.
     """
-    streaming = is_streaming_scheduler(scheduler)
-    if streaming:
-        schedule = stream_schedule(program, scheduler)
-    elif scheduler == "gco":
-        schedule = gco_schedule(program)
-    elif scheduler == "do":
-        schedule = do_schedule(program)
-    elif scheduler == "none":
-        schedule = [[block] for block in program]
-    else:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    check_cancel(cancel, "after scheduling")
-    debug_check("ft: schedule", program=program)
-    terms = _flatten_schedule(schedule, release=streaming)
-    circuit = ft_synthesize(terms, program.num_qubits, junction_policy=junction_policy)
-    check_cancel(cancel, "after synthesis")
-    debug_check("ft: synthesize", tape=circuit.tape)
-    if run_peephole:
-        circuit = _peephole(circuit, peephole_level)
-        debug_check("ft: peephole", tape=circuit.tape)
-    return FTResult(circuit, terms)
-
-
-def _peephole(
-    circuit: QuantumCircuit, level: Optional[int]
-) -> QuantumCircuit:
-    """Full fixpoint at ``level=None``/``>=3``, else the level's subset."""
-    if level is None or level >= 3:
-        return optimize(circuit)
-    if level <= 0:
-        return circuit
-    out, _ = run_rules(
-        circuit, cancel=True, merge=True, commute=level >= 2, fuse=False
-    )
-    return out
+    run = passes.Pipeline.for_backend(
+        "ft", scheduler, run_peephole, peephole_level,
+    ).run(program, cancel=cancel, junction_policy=junction_policy)
+    return FTResult(run.circuit, run.emitted_terms)

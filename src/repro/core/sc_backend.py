@@ -37,19 +37,13 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from ..circuit import QuantumCircuit
 from ..ir import PauliBlock, PauliProgram
 from ..pauli import PauliString
-from ..static.invariants import debug_check
-from ..transpile import (
-    CouplingMap,
-    Layout,
-    dense_initial_layout,
-    optimize,
-    run_rules,
-    validate_routed,
-)
+from ..transpile import CouplingMap, Layout, dense_initial_layout
 from ..transpile.coupling import ArcTable, dijkstra
-from .cancellation import check_cancel
+from . import passes
+# The SC flow's scheduling passes call these through this module at call
+# time (see repro.core.passes), so they stay bound here.
 from .scheduling import Schedule, do_schedule, gco_schedule
-from .streaming import is_streaming_scheduler, stream_schedule
+from .streaming import stream_schedule
 
 __all__ = [
     "SCResult", "EmbeddedTree", "sc_compile", "SCSynthesizer", "swap_cost_table",
@@ -155,9 +149,6 @@ class SCSynthesizer:
         cost (see :func:`swap_cost_table`) when moving qubits (lowest-error
         path, Algorithm 3 line 6).  Missing edges default to a uniform
         cost of 1.
-    costs:
-        A prebuilt ``swap_cost_table(coupling, edge_error)``, so restarts
-        share one table.
     """
 
     def __init__(
@@ -166,12 +157,9 @@ class SCSynthesizer:
         edge_error: Optional[Dict[Tuple[int, int], float]] = None,
         rng: Optional["random.Random"] = None,
         release_views: bool = False,
-        costs: Optional[ArcTable] = None,
     ):
         self.coupling = coupling
-        self._costs = (
-            costs if costs is not None else swap_cost_table(coupling, edge_error)
-        )
+        self._costs = swap_cost_table(coupling, edge_error)
         self._rng = rng
         self._release_views = release_views
 
@@ -514,66 +502,21 @@ def sc_compile(
     ``scheduler`` accepts ``"do"`` (default), ``"gco"``, ``"none"``, and
     the streaming variants ``"do-stream"`` / ``"gco-stream"`` that
     schedule through :mod:`repro.core.streaming` and release block views
-    after synthesis (the large-scale path).  ``restarts > 1`` re-runs the pass with jittered initial placements and
-    keeps the lowest-CNOT result (deterministic given ``seed``; the first
-    attempt is always the un-jittered layout).  The returned circuit acts on
-    physical qubits and respects the coupling map (validated on return).
-    ``cancel`` is polled after scheduling and between restart attempts
+    after synthesis (the large-scale path).  ``restarts > 1`` re-runs
+    synthesis and peephole with jittered initial placements and keeps the
+    lowest-CNOT result (deterministic given ``seed``; the first attempt is
+    always the un-jittered layout).  The returned circuit acts on physical
+    qubits and respects the coupling map (validated on return).
+    ``edge_error`` switches synthesis to calibration-weighted paths.
+    ``cancel`` is polled after every pass and before each restart attempt
     (see :mod:`repro.core.cancellation`).  ``peephole_level`` (``None``
     = full fixpoint) restricts the cleanup to the level's rule subset —
-    the speculative fast tier compiles at level 1.
+    the speculative fast tier compiles at level 1.  The pass sequence is
+    :func:`repro.core.passes.pass_sequence`'s ``sc`` flow.
     """
-    streaming = is_streaming_scheduler(scheduler)
-    if streaming:
-        # The SC pass walks the schedule twice (interaction-aware layout,
-        # then synthesis) and restarts re-run it, so the streamed layer
-        # *structure* is materialized — but block views are not: the
-        # streaming scheduler never realizes them for singleton blocks,
-        # and release_views drops each one after synthesis.
-        schedule = [list(layer) for layer in stream_schedule(program, scheduler)]
-    elif scheduler == "do":
-        schedule = do_schedule(program)
-    elif scheduler == "gco":
-        schedule = gco_schedule(program)
-    elif scheduler == "none":
-        schedule = [[block] for block in program]
-    else:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    check_cancel(cancel, "after scheduling")
-    debug_check("sc: schedule", program=program)
-
-    costs = swap_cost_table(coupling, edge_error)
-    best: Optional[SCResult] = None
-    for attempt in range(restarts):
-        if attempt > 0:
-            check_cancel(cancel, f"before restart attempt {attempt}")
-        rng = random.Random(seed + attempt) if attempt > 0 else None
-        synthesizer = SCSynthesizer(
-            coupling, rng=rng, release_views=streaming, costs=costs
-        )
-        result = synthesizer.run(schedule, program.num_qubits)
-        if run_peephole:
-            if peephole_level is None or peephole_level >= 3:
-                cleaned = optimize(result.circuit)
-            elif peephole_level <= 0:
-                cleaned = result.circuit
-            else:
-                cleaned, _ = run_rules(
-                    result.circuit, cancel=True, merge=True,
-                    commute=peephole_level >= 2, fuse=False,
-                )
-            result = SCResult(
-                cleaned,
-                result.initial_layout,
-                result.final_layout,
-                result.emitted_terms,
-                result.transition_swaps,
-            )
-        if best is None or result.circuit.cnot_count < best.circuit.cnot_count:
-            best = result
-    validate_routed(best.circuit, coupling)
-    debug_check("sc: synthesize+peephole", tape=best.circuit.tape,
-                coupling=coupling)
-    return best
+    run = passes.Pipeline.for_backend(
+        "sc", scheduler, run_peephole, peephole_level, edge_error,
+    ).run(program, coupling=coupling, edge_error=edge_error,
+          restarts=restarts, seed=seed, cancel=cancel)
+    return SCResult(run.circuit, run.initial_layout, run.final_layout,
+                    run.emitted_terms, run.transition_swaps)

@@ -11,8 +11,8 @@ catches miscompositions before any of that work is spent.
 * :mod:`repro.static.contracts` — the ``requires`` / ``preserves`` /
   ``establishes`` property vocabulary, per-pass :class:`PassContract`
   declarations for every built-in pass, and the :class:`PipelineChecker`
-  that validates pass-order composition (all shipped pipelines are
-  checked at import time).
+  that validates pass-order composition (the pass driver in
+  :mod:`repro.core.passes` checks every sequence before running it).
 * :mod:`repro.static.invariants` — cheap structural checkers for
   :class:`~repro.circuit.tape.GateTape` and Pauli IR programs, runnable
   between passes under ``REPRO_CHECK_INVARIANTS=1`` and as the
@@ -36,7 +36,6 @@ from .contracts import (
     contract_for,
     preserves_all_except,
     rules_for_level,
-    shipped_pipelines,
 )
 from .invariants import (
     Diagnostic,
@@ -62,7 +61,6 @@ __all__ = [
     "contract_for",
     "preserves_all_except",
     "rules_for_level",
-    "shipped_pipelines",
     "Diagnostic",
     "InvariantIssue",
     "InvariantReport",

@@ -15,21 +15,18 @@ diagnostic naming the offending pass, the unmet property, and the pass
 that dropped it.
 
 The module is deliberately **stdlib-only and imports nothing from the
-rest of the package** — it is pure metadata, so the pipeline drivers in
-:mod:`repro.core.passes` and :mod:`repro.transpile.pipeline` can import
-it without layering cycles.  Those drivers bind their callables to
-contract names via :func:`register_callable` at their own import time.
-
-All shipped pipelines (FT and SC backends at optimization levels 0-3,
-plus the generic routed transpile sequences) are validated when this
-module is imported; a contract regression therefore fails every test
-run at collection time rather than surfacing as a miscompiled circuit.
+rest of the package** — it is pure metadata, so the pass driver in
+:mod:`repro.core.passes` can import it without layering cycles.  Stock
+callables are bound to contract names via :func:`register_callable` at
+their own modules' import time.  The pass table itself, and the list of
+shipped pipelines ``repro check`` proves, live in
+:mod:`repro.core.passes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 __all__ = [
     "VOCABULARY",
@@ -42,7 +39,6 @@ __all__ = [
     "contract_for",
     "register_callable",
     "rules_for_level",
-    "shipped_pipelines",
     "TIER_LEVELS",
     "pipeline_for_tier",
 ]
@@ -290,7 +286,7 @@ def _contract_table() -> Dict[str, PassContract]:
     ))
 
     # -- slot defaults for unregistered callables --------------------------
-    # Custom passes plugged into PassPipeline without a declared contract
+    # Custom passes plugged into a pass sequence without a declared contract
     # are trusted to do their slot's job but nothing more: an opaque
     # circuit pass is assumed to destroy routing, peephole fixpoints and
     # angle canonicalization, which is exactly what makes an undeclared
@@ -458,12 +454,12 @@ class PipelineChecker:
 
 
 # ---------------------------------------------------------------------------
-# Shipped pipelines
+# Peephole levels and serving tiers
 # ---------------------------------------------------------------------------
 
 def rules_for_level(level: int) -> List[str]:
-    """The peephole rule subset the generic pipeline runs at ``level``
-    (mirrors ``transpile.pipeline._optimize_at_level``)."""
+    """The peephole rule subset every pipeline runs at ``level``; each
+    level's rules are a superset of the level below."""
     if level <= 0:
         return []
     rules = ["peephole_cancel", "peephole_merge"]
@@ -477,10 +473,10 @@ def rules_for_level(level: int) -> List[str]:
 #: Serving-layer artifact quality tiers mapped onto the peephole
 #: optimization level whose shipped pipeline produced them.  The
 #: gateway's speculative lane answers at ``opt1`` and upgrades to
-#: ``full``; the contracts below guarantee that upgrade is monotone —
-#: each level's rule set is a superset of the level below, so a
-#: higher-tier recompile can only add simplifications, never lose the
-#: guarantees the fast artifact already carried.
+#: ``full``; that upgrade is monotone because :func:`rules_for_level`
+#: gives each level a superset of the rules below it, so a higher-tier
+#: recompile can only add simplifications, never lose the guarantees the
+#: fast artifact already carried.
 TIER_LEVELS: Dict[str, int] = {
     "opt0": 0, "opt1": 1, "opt2": 2, "opt3": 3, "full": 3,
 }
@@ -492,121 +488,12 @@ def pipeline_for_tier(backend: str, scheduler: str, tier: str) -> str:
 
     This is the serving layer's provenance hook: an artifact stamped
     ``tier="opt1"`` was compiled by the pipeline this function names, and
-    the self-check below asserts that pipeline is actually shipped (and
-    contract-valid), so a tier string in the cache always corresponds to
-    a statically validated pass sequence.
+    the tests assert that pipeline is shipped (and contract-valid), so a
+    tier string in the cache always corresponds to a statically validated
+    pass sequence.
     """
     if tier not in TIER_LEVELS:
         raise ValueError(
             f"unknown tier {tier!r}; expected one of {sorted(TIER_LEVELS)}"
         )
     return f"{backend}-{scheduler}-opt{TIER_LEVELS[tier]}"
-
-
-@dataclass(frozen=True)
-class ShippedPipeline:
-    """A built-in pass sequence with its entry assumptions and goal."""
-
-    name: str
-    passes: Tuple[str, ...]
-    initial: FrozenSet[str] = frozenset()
-    goal: FrozenSet[str] = frozenset()
-
-
-def shipped_pipelines() -> List[ShippedPipeline]:
-    """Every built-in pipeline: FT and SC flows at optimization levels
-    0-3, plus the generic routed/unrouted transpile sequences."""
-    pipelines: List[ShippedPipeline] = []
-    ir = frozenset({"ir_valid"})
-    for level in range(4):
-        rules = rules_for_level(level)
-        for scheduler in ("gco", "do", "none", "gco-stream", "do-stream"):
-            pipelines.append(ShippedPipeline(
-                f"ft-{scheduler}-opt{level}",
-                (f"schedule_{scheduler.replace('-', '_')}",
-                 "ft_synthesize", *rules),
-                initial=ir,
-                goal=frozenset({"synthesized", "terms_recorded"}),
-            ))
-        for scheduler in ("gco", "do", "gco-stream", "do-stream"):
-            pipelines.append(ShippedPipeline(
-                f"sc-{scheduler}-opt{level}",
-                (f"schedule_{scheduler.replace('-', '_')}",
-                 "sc_synthesize", *rules,
-                 "validate_routed"),
-                initial=ir,
-                goal=frozenset({
-                    "synthesized", "routed", "coupling_respected",
-                }),
-            ))
-        # SC flow with calibration-weighted path selection (the
-        # noise-aware variant the device registry drives).
-        pipelines.append(ShippedPipeline(
-            f"sc-noise-do-opt{level}",
-            ("schedule_do", "sc_synthesize_noise", *rules, "validate_routed"),
-            initial=ir,
-            goal=frozenset({
-                "synthesized", "routed", "coupling_respected",
-            }),
-        ))
-        # Generic transpile over an already-synthesized circuit
-        # (optimize, route, re-optimize, validate).
-        pipelines.append(ShippedPipeline(
-            f"generic-opt{level}",
-            (*rules, "route_sabre", *rules, "validate_routed"),
-            initial=frozenset({"synthesized"}),
-            goal=frozenset({"synthesized", "routed", "coupling_respected"}),
-        ))
-        pipelines.append(ShippedPipeline(
-            f"generic-noise-opt{level}",
-            (*rules, "route_sabre_noise", *rules, "validate_routed"),
-            initial=frozenset({"synthesized"}),
-            goal=frozenset({"synthesized", "routed", "coupling_respected"}),
-        ))
-        pipelines.append(ShippedPipeline(
-            f"generic-alltoall-opt{level}",
-            tuple(rules),
-            initial=frozenset({"synthesized"}),
-            goal=frozenset({"synthesized"}),
-        ))
-    return pipelines
-
-
-def _self_check() -> None:
-    """Validate every shipped pipeline; runs at import time, so a contract
-    regression fails the whole suite at collection rather than shipping a
-    miscomposed default."""
-    checker = PipelineChecker()
-    shipped = {p.name for p in shipped_pipelines()}
-    for pipeline in shipped_pipelines():
-        checker.check(
-            pipeline.passes,
-            initial=pipeline.initial,
-            goal=pipeline.goal,
-            name=pipeline.name,
-        )
-    # Tier provenance: every serving-layer tier must resolve to a shipped
-    # (hence contract-validated) pipeline for both backends.
-    for tier in TIER_LEVELS:
-        for backend in ("ft", "sc"):
-            for scheduler in ("gco", "do"):
-                name = pipeline_for_tier(backend, scheduler, tier)
-                if name not in shipped:
-                    raise AssertionError(
-                        f"tier {tier!r} maps to unshipped pipeline {name!r}"
-                    )
-    # Upgrade monotonicity: a higher optimization level runs a superset
-    # of the rules below it, so a background opt-3 recompile of an opt-1
-    # artifact can only add simplifications.  Without this, the
-    # speculative lane's "upgrade" could silently regress circuit
-    # quality.
-    for level in range(3):
-        lower, higher = set(rules_for_level(level)), set(rules_for_level(level + 1))
-        if not lower <= higher:
-            raise AssertionError(
-                f"peephole rules are not monotone: level {level} runs "
-                f"{sorted(lower - higher)} which level {level + 1} drops"
-            )
-
-
-_self_check()

@@ -366,14 +366,9 @@ def fuse_swap_cx(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, int]:
     return out, fused
 
 
-def optimize(circuit: QuantumCircuit, max_rounds: int = 50) -> QuantumCircuit:
-    """Run all rewrite rules to a joint fixed point.
-
-    ``max_rounds`` is kept for signature compatibility with the seed
-    sweep-based implementation; the worklist engine always runs to its
-    (finite) fixpoint in one invocation.
-    """
-    del max_rounds
+def optimize(circuit: QuantumCircuit) -> QuantumCircuit:
+    """Run all rewrite rules to a joint fixed point in one invocation of
+    the worklist engine."""
     out, _ = _run(
         circuit, do_cancel=True, do_merge=True, do_commute=True, do_fuse=True
     )

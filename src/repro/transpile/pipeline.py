@@ -12,7 +12,8 @@ generic industry compiler.  :func:`transpile` reproduces that stage:
 Each level runs its rule subset to a joint fixpoint in a single pass of
 the worklist engine (see :mod:`repro.transpile.peephole`).  Routing uses
 the SABRE-style router with a dense initial layout, mirroring Qiskit's
-default at high optimization levels.
+default at high optimization levels.  The sequence is the ``generic``
+flow of the pass table in :mod:`repro.core.passes`.
 """
 
 from __future__ import annotations
@@ -20,65 +21,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..circuit import QuantumCircuit
-from ..static.contracts import PipelineChecker, rules_for_level
-from ..static.invariants import debug_check
 from .coupling import CouplingMap
 from .layout import Layout
-from .peephole import run_rules
-from .routing import route, validate_routed
 
-__all__ = ["transpile", "contract_sequence"]
-
-
-def contract_sequence(
-    optimization_level: int, routed: bool, noise_aware: bool = False
-) -> list:
-    """The contract-name sequence :func:`transpile` executes for a given
-    level/target, for the pipeline checker."""
-    rules = rules_for_level(optimization_level)
-    if not routed:
-        return rules
-    router = "route_sabre_noise" if noise_aware else "route_sabre"
-    return [*rules, router, *rules, "validate_routed"]
-
-
-def _self_check() -> None:
-    """Validate every sequence this driver can run (levels 0-3, routed or
-    all-to-all, distance-only or noise-aware) at import time: a rule
-    reordering that breaks composition fails here, before any circuit is
-    touched."""
-    checker = PipelineChecker()
-    for level in range(4):
-        for routed in (False, True):
-            for noise_aware in ((False, True) if routed else (False,)):
-                target = "routed" if routed else "alltoall"
-                if noise_aware:
-                    target = "noise-" + target
-                checker.check(
-                    contract_sequence(level, routed, noise_aware),
-                    initial=frozenset({"synthesized"}),
-                    goal=frozenset(
-                        {"synthesized", "routed", "coupling_respected"}
-                        if routed else {"synthesized"}
-                    ),
-                    name=f"transpile-{target}-opt{level}",
-                )
-
-
-_self_check()
-
-
-def _optimize_at_level(circuit: QuantumCircuit, level: int) -> QuantumCircuit:
-    if level <= 0:
-        return circuit
-    out, _ = run_rules(
-        circuit,
-        cancel=True,
-        merge=True,
-        commute=level >= 2,
-        fuse=level >= 3,
-    )
-    return out
+__all__ = ["transpile"]
 
 
 def transpile(
@@ -95,16 +41,13 @@ def transpile(
     error rates) switches routing to the reliability-weighted scorer; see
     :func:`repro.transpile.route`.
     """
-    out = _optimize_at_level(circuit, optimization_level)
-    debug_check("transpile: pre-routing optimize", tape=out.tape)
-    if coupling is not None:
-        result = route(
-            out, coupling, initial_layout=initial_layout, edge_error=edge_error
-        )
-        out = result.circuit
-        debug_check("transpile: route", tape=out.tape, coupling=coupling)
-        out = _optimize_at_level(out, optimization_level)
-        validate_routed(out, coupling)
-        debug_check("transpile: post-routing optimize", tape=out.tape,
-                    coupling=coupling)
-    return out
+    # Deferred import: the pass driver in repro.core sits above this layer.
+    from ..core.passes import Pipeline
+
+    level = max(0, min(3, int(optimization_level)))
+    if coupling is None:
+        return Pipeline("generic-alltoall", level=level).run(circuit).circuit
+    return Pipeline("generic", level=level, noise_aware=bool(edge_error)).run(
+        circuit, coupling=coupling, initial_layout=initial_layout,
+        edge_error=edge_error,
+    ).circuit

@@ -95,6 +95,17 @@ class TestCheckErrors:
         out = capsys.readouterr().out
         assert "well-composed" in out
         assert "sc-do-opt3" in out
+        assert "sc-none-opt0" in out
+
+    def test_pipeline_contract_mode_exits_1_on_miscomposition(
+            self, monkeypatch, capsys):
+        from repro.static import CONTRACTS, PassContract, preserves_all_except
+
+        monkeypatch.setitem(CONTRACTS, "peephole_cancel", PassContract(
+            "peephole_cancel", requires=frozenset({"synthesized"}),
+            preserves=preserves_all_except("routed", "coupling_respected")))
+        assert main(["check"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_clean_artifact_exits_0_and_reports_ok(self, tmp_path, capsys):
         specs = write_specs(tmp_path / "specs.jsonl", [GOOD_SPEC])

@@ -2,14 +2,16 @@
 
 Covers the contract algebra, the forward property-flow checker and its
 diagnostics, the shipped-pipeline inventory (every FT/SC flow at every
-optimization level must compose), and the integration points: PassPipeline
-rejects a miscomposed sequence *before any gate is emitted*, and the
-generic transpile sequences validate for all levels on both backends.
+optimization level must compose), and the integration points: the pass
+driver rejects a miscomposed sequence *before any gate is emitted*, and
+the generic transpile sequences validate for all levels.
 """
 
 import pytest
 
-from repro.core.passes import PassPipeline, ft_pipeline, sc_pipeline
+from repro.core.passes import (
+    Pipeline, pass_sequence, run_pipeline, shipped_pipelines,
+)
 from repro.ir import PauliBlock, PauliProgram
 from repro.static import (
     ALL,
@@ -21,11 +23,9 @@ from repro.static import (
     contract_for,
     preserves_all_except,
     rules_for_level,
-    shipped_pipelines,
 )
-from repro.static.contracts import register_callable
+from repro.static.contracts import TIER_LEVELS, pipeline_for_tier, register_callable
 from repro.transpile import CouplingMap
-from repro.transpile.pipeline import contract_sequence
 
 
 def small_program():
@@ -165,39 +165,54 @@ class TestShippedPipelines:
         assert "peephole_commute" in rules_for_level(2)
         assert "peephole_fuse" in rules_for_level(3)
         for level in range(4):
-            assert contract_sequence(level, routed=False) == \
-                rules_for_level(level)
-            routed = contract_sequence(level, routed=True)
+            assert pass_sequence("generic-alltoall", level=level) == \
+                tuple(rules_for_level(level))
+            routed = pass_sequence("generic", level=level)
             assert "route_sabre" in routed
             assert routed[-1] == "validate_routed"
 
+    def test_rules_are_monotone_across_levels(self):
+        # A background opt-3 recompile of an opt-1 artifact can only add
+        # simplifications; otherwise the speculative lane's "upgrade"
+        # could silently regress circuit quality.
+        for level in range(3):
+            assert set(rules_for_level(level)) <= set(rules_for_level(level + 1))
+
+    def test_every_tier_maps_to_a_shipped_pipeline(self):
+        names = {p.name for p in shipped_pipelines()}
+        for tier in TIER_LEVELS:
+            for backend in ("ft", "sc"):
+                for scheduler in ("gco", "do"):
+                    assert pipeline_for_tier(backend, scheduler, tier) in names
+
 
 class TestPassPipelineIntegration:
+    """The pass driver (repro.core.passes.run_pipeline) as the checker's
+    integration point."""
+
     def test_ft_and_sc_factory_pipelines_validate(self):
-        ft_pipeline().validate()
-        ft_pipeline(scheduler="do", peephole=False).validate()
         coupling = CouplingMap([(i, i + 1) for i in range(4)])
-        sc_pipeline(coupling).validate()
-        sc_pipeline(coupling, scheduler="gco").validate()
+        Pipeline("ft", "gco").run(small_program())
+        Pipeline("ft", "do", 0).run(small_program())
+        Pipeline("sc", "do").run(small_program(), coupling=coupling)
+        Pipeline("sc", "gco").run(small_program(), coupling=coupling)
 
     def test_miscomposed_pipeline_rejected_before_any_gate(self):
         # Plug the deliberately-unshipped cross-wire rule after SC
-        # synthesis: run() must raise from the static check without ever
-        # invoking the schedule pass, i.e. before a single gate exists.
+        # synthesis: the driver must raise from the static check without
+        # ever invoking the schedule pass, i.e. before a single gate exists.
         calls = []
         coupling = CouplingMap([(i, i + 1) for i in range(4)])
-        pipeline = sc_pipeline(coupling)
-
-        original_schedule = pipeline._schedule_pass
 
         def spying_schedule(program):
             calls.append("schedule")
-            return original_schedule(program)
+            return [[block] for block in program]
 
-        pipeline._schedule_pass = spying_schedule
-        pipeline.add_circuit_pass("peephole_reorder2q", lambda c: c)
+        reorder = register_callable(lambda c: c, "peephole_reorder2q")
         with pytest.raises(PipelineContractError) as info:
-            pipeline.run(small_program())
+            run_pipeline(
+                [spying_schedule, "sc_synthesize", reorder, "validate_routed"],
+                small_program(), backend="sc", coupling=coupling)
         assert calls == []
         assert info.value.dropped_by == "peephole_reorder2q"
         assert info.value.unmet in {"routed", "coupling_respected"}
@@ -207,29 +222,28 @@ class TestPassPipelineIntegration:
         # routing, so appending one to the SC pipeline is a static error
         # even though the callable is in fact harmless.
         coupling = CouplingMap([(i, i + 1) for i in range(4)])
-        pipeline = sc_pipeline(coupling)
-        pipeline.add_circuit_pass("mystery", lambda c: c)
         with pytest.raises(PipelineContractError) as info:
-            pipeline.validate()
+            run_pipeline([*pass_sequence("sc", "do"), lambda c: c],
+                         small_program(), backend="sc", coupling=coupling)
         assert info.value.dropped_by == "circuit_opaque"
 
     def test_custom_opaque_passes_still_compose_for_ft(self):
         # The slot defaults keep undeclared schedule/synthesis callables
         # usable: trusted to do their slot's job, nothing more.
-        pipeline = PassPipeline(
-            name="custom",
-            schedule_pass=lambda program: [[b] for b in program],
-            synthesis_pass=ft_pipeline()._synthesis_pass,
-            goal=frozenset({"synthesized"}),
-        )
-        pipeline.validate()
-        result = pipeline.run(small_program())
+        from repro.core.ft_backend import _flatten_schedule, ft_synthesize
+
+        def synthesis(schedule, program):
+            return ft_synthesize(_flatten_schedule(schedule), program.num_qubits)
+
+        result = run_pipeline(
+            [lambda program: [[b] for b in program], synthesis],
+            small_program(), goal={"synthesized"})
         assert result.circuit.cnot_count > 0
 
-    def test_import_time_self_check_guards_contract_table(self):
-        # A broken contract table must fail _self_check the same way a
-        # bad pipeline does — simulate the regression with a private
-        # checker whose peephole table entry drops routing.
+    def test_broken_contract_table_fails(self):
+        # A broken contract table must fail a shipped pipeline the same
+        # way a bad sequence does -- simulate the regression with a
+        # private checker whose peephole table entry drops routing.
         broken = dict(CONTRACTS)
         broken["peephole_cancel"] = PassContract(
             "peephole_cancel",
@@ -237,8 +251,7 @@ class TestPassPipelineIntegration:
             preserves=preserves_all_except("routed", "coupling_respected"),
         )
         checker = PipelineChecker(broken)
-        pipeline = next(p for p in shipped_pipelines()
-                        if p.name == "sc-do-opt1")
+        pipeline = Pipeline("sc", "do", 1)
         with pytest.raises(PipelineContractError):
             checker.check(pipeline.passes, initial=pipeline.initial,
                           goal=pipeline.goal, name=pipeline.name)
