@@ -439,12 +439,43 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Run the compile gateway daemon until SIGINT/SIGTERM (exit 0)."""
+async def _serve_until_signal(server, label: str, banner) -> int:
+    """Bind ``server``, print ``banner(server)``, and serve until SIGINT,
+    SIGTERM or an honoured ``shutdown`` verb; then drain and close.
+    Returns the exit status: 0, or 2 when the bind fails."""
     import asyncio
     import signal
 
-    from .service import CompileGateway, GatewayConfig, prepare_unix_path
+    from .service import prepare_unix_path
+
+    try:
+        if server.config.socket_path:
+            prepare_unix_path(server.config.socket_path)
+        await server.start()
+    except OSError as exc:
+        print(f"cannot bind {label}: {exc}", file=sys.stderr)
+        # start() may have allocated the worker pool and cancel dir before
+        # the bind failed; release them so supervisor restart loops
+        # against a stuck port don't accumulate leaks.
+        await server.close(drain=False)
+        return 2
+    print(banner(server), flush=True)
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, server.shutdown_requested.set)
+    await server.shutdown_requested.wait()
+    # "gateway draining..." / "cluster draining...".
+    print(f"{label.split()[0]} draining...", flush=True)
+    await server.close()
+    print(f"{label} stopped", flush=True)
+    return 0
+
+
+def _cmd_serve(args) -> int:
+    """Run the compile gateway daemon until SIGINT/SIGTERM (exit 0)."""
+    import asyncio
+
+    from .service import CompileGateway, GatewayConfig
 
     peer_stores = tuple(
         p.strip() for p in (args.peer_stores or "").split(",") if p.strip())
@@ -463,36 +494,13 @@ def _cmd_serve(args) -> int:
         speculative_limit=args.speculative_limit,
     )
 
-    async def run() -> int:
-        gateway = CompileGateway(config)
-        try:
-            if config.socket_path:
-                prepare_unix_path(config.socket_path)
-            await gateway.start()
-        except OSError as exc:
-            print(f"cannot bind gateway: {exc}", file=sys.stderr)
-            # start() may have allocated the worker pool and cancel dir
-            # before the bind failed; release them so supervisor restart
-            # loops against a stuck port don't accumulate leaks.
-            await gateway.close(drain=False)
-            return 2
-        print(
-            f"gateway listening on {gateway.address} "
-            f"(cache={args.cache or 'memory-only'}, "
-            f"workers={config.workers or 'in-process'})",
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(
-                signum, gateway.shutdown_requested.set)
-        await gateway.shutdown_requested.wait()
-        print("gateway draining...", flush=True)
-        await gateway.close()
-        print("gateway stopped", flush=True)
-        return 0
+    def banner(gateway) -> str:
+        return (f"gateway listening on {gateway.address} "
+                f"(cache={args.cache or 'memory-only'}, "
+                f"workers={config.workers or 'in-process'})")
 
-    return asyncio.run(run())
+    return asyncio.run(
+        _serve_until_signal(CompileGateway(config), "gateway", banner))
 
 
 def _parse_tenant_quotas(pairs) -> dict:
@@ -509,7 +517,6 @@ def _parse_tenant_quotas(pairs) -> dict:
 def _cmd_serve_cluster(args) -> int:
     """Run an N-node sharded compile fabric until SIGINT/SIGTERM."""
     import asyncio
-    import signal
 
     from .service import (
         ClusterRouter,
@@ -539,6 +546,12 @@ def _cmd_serve_cluster(args) -> int:
     )
     if args.socket:
         config.socket_path = args.socket
+    # A busy or non-socket router path fails before any node is launched.
+    try:
+        prepare_unix_path(config.socket_path)
+    except OSError as exc:
+        print(f"cannot bind cluster router: {exc}", file=sys.stderr)
+        return 2
 
     supervisor = ClusterSupervisor(
         config.nodes, log_dir=os.path.join(args.state_dir, "logs"))
@@ -550,33 +563,14 @@ def _cmd_serve_cluster(args) -> int:
         supervisor.stop()
         return 2
 
-    async def run() -> int:
-        router = ClusterRouter(config)
-        try:
-            if config.socket_path:
-                prepare_unix_path(config.socket_path)
-            await router.start()
-        except OSError as exc:
-            print(f"cannot bind cluster router: {exc}", file=sys.stderr)
-            await router.close(drain=False)
-            return 2
-        print(
-            f"cluster listening on {router.address} "
-            f"(nodes={len(config.nodes)}, workers={args.workers}, "
-            f"healthy={len(router.healthy_nodes())})",
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, router.shutdown_requested.set)
-        await router.shutdown_requested.wait()
-        print("cluster draining...", flush=True)
-        await router.close()
-        print("cluster router stopped", flush=True)
-        return 0
+    def banner(router) -> str:
+        return (f"cluster listening on {router.address} "
+                f"(nodes={len(config.nodes)}, workers={args.workers}, "
+                f"healthy={len(router.healthy_nodes())})")
 
     try:
-        return asyncio.run(run())
+        return asyncio.run(_serve_until_signal(
+            ClusterRouter(config), "cluster router", banner))
     finally:
         supervisor.stop()
         print("cluster nodes stopped", flush=True)

@@ -40,9 +40,10 @@ from .fingerprint import (
     compile_fingerprint,
     program_fingerprint,
 )
-from .gateway import CompileGateway, GatewayClient, GatewayConfig, prepare_unix_path
+from .gateway import CompileGateway, GatewayClient, GatewayConfig
 from .metrics import GatewayMetrics, LatencyReservoir
 from .protocol import PROTOCOL_VERSION, ProtocolError, parse_request
+from .server import FrameServer, open_frame_stream, prepare_unix_path
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -68,7 +69,9 @@ __all__ = [
     "GatewayConfig",
     "GatewayMetrics",
     "LatencyReservoir",
+    "FrameServer",
     "ProtocolError",
+    "open_frame_stream",
     "parse_request",
     "prepare_unix_path",
     "canonical_options",

@@ -61,7 +61,6 @@ import itertools
 import json
 import os
 import signal
-import socket as socket_module
 import subprocess
 import sys
 import threading
@@ -72,21 +71,21 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .batch import resolve_spec
-from .metrics import GatewayMetrics
 from .protocol import (
     E_BAD_SPEC,
     E_CANCELLED,
     E_OVERLOADED,
     E_SHUTTING_DOWN,
     E_UNAVAILABLE,
-    E_UNSUPPORTED,
-    MAX_FRAME_BYTES,
-    ProtocolError,
     Request,
-    encode_frame,
     error_frame,
-    hello_frame,
-    parse_request,
+)
+from .server import (
+    Connection,
+    FrameServer,
+    open_frame_stream,
+    read_frame,
+    unix_listener_alive,
 )
 
 __all__ = [
@@ -293,7 +292,7 @@ def plan_cluster(state_dir: os.PathLike, nodes: int = 3, workers: int = 1,
 class _Forward:
     """One client compile request in flight somewhere in the cluster."""
 
-    client: "_RouterClient"
+    client: Connection
     request_id: str
     router_id: str
     frame: Dict                  # original compile frame, id rewritten on send
@@ -306,27 +305,18 @@ class _Forward:
     done: bool = False
 
 
-class _Trunk:
+class _Trunk(Connection):
     """The router's persistent multiplexed connection to one node."""
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
+        super().__init__(writer)
         self.reader = reader
-        self.writer = writer
-        self.send_lock = asyncio.Lock()
+        #: Forwards on this node, keyed by router id.
         self.pending: Dict[str, _Forward] = {}
         #: Router-originated requests (pings, stats fan-out) by id.
         self.waiters: Dict[str, asyncio.Future] = {}
         self.reader_task: Optional[asyncio.Task] = None
-
-    async def send(self, frame: Dict) -> bool:
-        async with self.send_lock:
-            try:
-                self.writer.write(encode_frame(frame))
-                await self.writer.drain()
-                return True
-            except (ConnectionError, RuntimeError, OSError):
-                return False
 
 
 class _Node:
@@ -340,38 +330,36 @@ class _Node:
         self.connects = 0    # successful trunk establishments (restarts show)
 
 
-class _RouterClient:
-    """Per-connection state on the router's client side."""
-
-    _ids = itertools.count(1)
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.id = next(self._ids)
-        self.writer = writer
-        self.send_lock = asyncio.Lock()
-        self.closed = False
-        #: Unanswered compile forwards keyed by the client's request id.
-        self.waiting: Dict[str, _Forward] = {}
-
-
 def _spec_fingerprint(spec: Dict) -> str:
     """Spec → content fingerprint (blocking: runs on the executor)."""
     return resolve_spec(spec).fingerprint()
+
+
+def _cancelled_frames(request_id: str, message: str) -> List[Dict]:
+    """What a client sees when the router settles a cancel itself: the
+    compile's ``cancelled`` error, then the cancel ack."""
+    return [error_frame("compile", request_id, E_CANCELLED, message),
+            {"op": "cancel", "id": request_id, "ok": True,
+             "state": "cancelled"}]
 
 
 #: Node error codes the router passes through as clean rejections.
 _REJECT_CODES = (E_OVERLOADED, E_SHUTTING_DOWN, E_UNAVAILABLE)
 
 
-class ClusterRouter:
+class ClusterRouter(FrameServer):
     """Fingerprint-sharding front for a fleet of compile gateways.
 
     Speaks :mod:`repro.service.protocol` to clients and to every node;
     ``await start()``, then hold it open; ``await close()`` drains and
     releases everything.  Single event loop, no threads of its own —
     spec fingerprinting is the only CPU-bound step and runs on the
-    default executor, memoized.
+    default executor, memoized.  The client-side frame transport is
+    :class:`~repro.service.server.FrameServer`'s; each client's
+    ``waiting`` maps its request ids to :class:`_Forward` entries.
     """
+
+    server_name = "repro-cluster"
 
     def __init__(self, config: ClusterConfig):
         if not config.nodes:
@@ -379,15 +367,11 @@ class ClusterRouter:
         names = [spec.name for spec in config.nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names in {names}")
-        self.config = config
+        super().__init__(config)
         self.ring = HashRing(vnodes=config.vnodes)
-        self.metrics = GatewayMetrics()
-        self.shutdown_requested = asyncio.Event()
         self._nodes: Dict[str, _Node] = {
             spec.name: _Node(spec) for spec in config.nodes
         }
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._clients: Set[_RouterClient] = set()
         self._forward_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
         self._fp_memo: "OrderedDict[str, str]" = OrderedDict()
@@ -396,13 +380,10 @@ class ClusterRouter:
         self._tenant_received: Dict[str, int] = {}
         #: Recently finished router-id → (client, client request id), so a
         #: node's trailing cancel ack can still be translated back.
-        self._recent: "OrderedDict[str, Tuple[_RouterClient, str]]" = \
+        self._recent: "OrderedDict[str, Tuple[Connection, str]]" = \
             OrderedDict()
         self._health_task: Optional[asyncio.Task] = None
         self._health_wake = asyncio.Event()
-        self._tasks: Set[asyncio.Task] = set()
-        self._closing = False
-        self._bound = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -413,55 +394,18 @@ class ClusterRouter:
         ``wait_nodes`` runs one immediate connect pass so a router whose
         nodes are already up starts with a populated ring.
         """
-        if self.config.socket_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path,
-                limit=MAX_FRAME_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port,
-                limit=MAX_FRAME_BYTES,
-            )
-        self._bound = True
+        await self._listen()
         if wait_nodes:
             await self._probe_all()
         self._health_task = asyncio.create_task(self._health_loop())
-
-    @property
-    def address(self) -> str:
-        if self.config.socket_path:
-            return self.config.socket_path
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return f"{host}:{port}"
-
-    @property
-    def port(self) -> Optional[int]:
-        if self.config.socket_path or self._server is None:
-            return None
-        return self._server.sockets[0].getsockname()[1]
 
     def healthy_nodes(self) -> Tuple[str, ...]:
         return tuple(sorted(
             name for name, node in self._nodes.items() if node.healthy))
 
     async def close(self, drain: bool = True) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
-            while (any(c.waiting for c in self._clients)
-                   and time.monotonic() < deadline):
-                await asyncio.sleep(0.02)
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
+        await self._quiesce(drain)
+        await self._stop(self._health_task)
         # Whatever still waits gets a clean refusal, counted in the
         # ledger, before the sockets die.
         for client in list(self._clients):
@@ -469,33 +413,17 @@ class ClusterRouter:
                 await self._finish(forward, "rejected", [error_frame(
                     "compile", forward.request_id, E_SHUTTING_DOWN,
                     "cluster router is shutting down")])
-            client.closed = True
-            try:
-                client.writer.close()
-            except Exception:
-                pass
+        self._close_clients()
         for node in self._nodes.values():
             if node.trunk is not None:
                 await self._drop_trunk(node, node.trunk, retry=False)
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        if (self._bound and self.config.socket_path):
+        await self._cancel_tasks()
+        if self._bound and self.config.socket_path:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._unlink_socket)
 
-    def _unlink_socket(self) -> None:
-        try:
-            os.unlink(self.config.socket_path)
-        except OSError:
-            pass
-
-    def _spawn(self, coro) -> asyncio.Task:
-        task = asyncio.create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
+    def _busy(self) -> bool:
+        return any(c.waiting for c in self._clients)
 
     # ------------------------------------------------------------------
     # Node health / trunks
@@ -536,19 +464,10 @@ class ClusterRouter:
     async def _connect_node(self, node: _Node) -> bool:
         spec = node.spec
         try:
-            if spec.socket_path:
-                opening = asyncio.open_unix_connection(
-                    spec.socket_path, limit=MAX_FRAME_BYTES)
-            else:
-                opening = asyncio.open_connection(
-                    spec.host, spec.port, limit=MAX_FRAME_BYTES)
-            reader, writer = await asyncio.wait_for(
-                opening, self.config.connect_timeout)
-            hello = await asyncio.wait_for(
-                reader.readline(), self.config.connect_timeout)
-            if not hello:
-                raise ConnectionError("node closed during hello")
-        except (OSError, ConnectionError, asyncio.TimeoutError, ValueError):
+            reader, writer, _hello = await open_frame_stream(
+                spec.socket_path, spec.host, spec.port,
+                self.config.connect_timeout)
+        except (OSError, asyncio.TimeoutError, ValueError):
             node.failures += 1
             return False
         trunk = _Trunk(reader, writer)
@@ -564,20 +483,13 @@ class ClusterRouter:
         try:
             while True:
                 try:
-                    line = await trunk.reader.readline()
-                except ValueError:   # over-long frame: trunk unusable
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    frame = json.loads(line)
-                except json.JSONDecodeError:
+                    frame = await read_frame(trunk.reader)
+                except json.JSONDecodeError:   # blank or garbled line
                     continue
                 if isinstance(frame, dict):
                     await self._on_node_frame(node, trunk, frame)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+        except (ConnectionError, ValueError, asyncio.CancelledError):
+            # End of stream, or an over-long frame: the trunk is unusable.
             pass
         finally:
             await self._drop_trunk(node, trunk)
@@ -610,12 +522,8 @@ class ClusterRouter:
             if forward.done:
                 continue
             if not retry or forward.cancel_requested:
-                await self._finish(forward, "cancelled", [
-                    error_frame("compile", forward.request_id, E_CANCELLED,
-                                "node lost while cancelling"),
-                    {"op": "cancel", "id": forward.request_id, "ok": True,
-                     "state": "cancelled"},
-                ])
+                await self._finish(forward, "cancelled", _cancelled_frames(
+                    forward.request_id, "node lost while cancelling"))
             else:
                 # Failover: the ring no longer contains this node, so the
                 # retry lands on the key's next preference — replaying a
@@ -651,11 +559,15 @@ class ClusterRouter:
             if not future.done():
                 future.set_result(frame)
             return
-        if frame.get("op") == "cancel":
-            # Ack for a forwarded cancel: translate the id back.  The
-            # matching compile outcome frame travels separately (the node
-            # answers the compile *before* acking the cancel), so the
-            # forward may already have finished — _recent bridges that.
+        if frame.get("op") in ("cancel", "upgrade"):
+            # A cancel ack or a speculative-lane upgrade push: translate
+            # the id back and relay verbatim.  Both trail the compile
+            # outcome for the same id (the node answers the compile
+            # *before* acking the cancel; an upgrade follows the answer
+            # it improves), so the forward may already have finished —
+            # _recent bridges that.  Want_upgrade travelled to the node
+            # inside the raw compile frame, so only subscribed clients
+            # ever get an upgrade.
             target = None
             forward = trunk.pending.get(rid)
             if forward is not None:
@@ -665,24 +577,7 @@ class ClusterRouter:
             if target is not None:
                 out = dict(frame)
                 out["id"] = target[1]
-                await self._send(target[0], out)
-            return
-        if frame.get("op") == "upgrade":
-            # Speculative-lane push: trails the compile response it
-            # belongs to, so the forward has normally already finished —
-            # translate the id back through _recent and relay verbatim.
-            # Want_upgrade travelled to the node inside the raw compile
-            # frame, so only subscribed clients ever get one of these.
-            target = None
-            forward = trunk.pending.get(rid)
-            if forward is not None:
-                target = (forward.client, forward.request_id)
-            elif rid in self._recent:
-                target = self._recent[rid]
-            if target is not None:
-                out = dict(frame)
-                out["id"] = target[1]
-                await self._send(target[0], out)
+                await target[0].send(out)
             return
         forward = trunk.pending.pop(rid, None)
         if forward is None or forward.done:
@@ -704,69 +599,9 @@ class ClusterRouter:
         await self._finish(forward, counter, [out])
 
     # ------------------------------------------------------------------
-    # Client connections
+    # Client compile, cancel, disconnect
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        client = _RouterClient(writer)
-        self._clients.add(client)
-        self.metrics.incr("connections_total")
-        await self._send(client, hello_frame(server="repro-cluster"))
-        try:
-            while not client.closed:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    self.metrics.incr("bad_requests")
-                    await self._send(client, error_frame(
-                        None, None, "bad-frame", "frame exceeds size limit"))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                await self._handle_frame(client, line)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            await self._disconnect(client)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _handle_frame(self, client: _RouterClient, line: bytes) -> None:
-        received_at = time.perf_counter()
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            self.metrics.incr("bad_requests")
-            await self._send(client, error_frame(
-                None, exc.request_id, exc.code, str(exc)))
-            return
-        if request.op == "ping":
-            await self._send(client, {"op": "pong", "id": request.id,
-                                      "ok": True})
-        elif request.op == "stats":
-            stats = await self.cluster_stats()
-            await self._send(client, {"op": "stats", "id": request.id,
-                                      "ok": True, "stats": stats})
-        elif request.op == "shutdown":
-            if not self.config.allow_shutdown:
-                await self._send(client, error_frame(
-                    "shutdown", request.id, E_UNSUPPORTED,
-                    "shutdown verb is disabled (start with --allow-shutdown)"))
-                return
-            await self._send(client, {"op": "shutdown", "id": request.id,
-                                      "ok": True})
-            self.shutdown_requested.set()
-        elif request.op == "cancel":
-            await self._handle_cancel(client, request)
-        else:
-            await self._handle_compile(client, request, received_at)
-
-    async def _handle_compile(self, client: _RouterClient, request: Request,
+    async def _handle_compile(self, client: Connection, request: Request,
                               received_at: float) -> None:
         self.metrics.incr("received")
         if request.tenant is not None:
@@ -776,18 +611,18 @@ class ClusterRouter:
             fingerprint = await self._fingerprint(request.spec)
         except (ValueError, KeyError, TypeError) as exc:
             self.metrics.incr("bad_specs")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_BAD_SPEC, str(exc)))
             return
         if self._closing:
             self.metrics.incr("rejected")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_SHUTTING_DOWN,
                 "cluster router is shutting down"))
             return
         if len(client.waiting) >= self.config.per_client_limit:
             self.metrics.incr("rejected")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_OVERLOADED,
                 f"client has {len(client.waiting)} unanswered requests "
                 f"(limit {self.config.per_client_limit})"))
@@ -796,7 +631,7 @@ class ClusterRouter:
         if quota is not None \
                 and self._tenants.get(request.tenant, 0) >= quota:
             self.metrics.incr("rejected")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_OVERLOADED,
                 f"tenant {request.tenant!r} has "
                 f"{self._tenants.get(request.tenant, 0)} outstanding "
@@ -864,12 +699,12 @@ class ClusterRouter:
             trunk.pending.pop(forward.router_id, None)
             await self._drop_trunk(node, trunk)
 
-    async def _handle_cancel(self, client: _RouterClient,
+    async def _handle_cancel(self, client: Connection,
                              request: Request) -> None:
         forward = client.waiting.get(request.id)
         if forward is None or forward.done:
-            await self._send(client, {"op": "cancel", "id": request.id,
-                                      "ok": True, "state": "not-found"})
+            await client.send({"op": "cancel", "id": request.id,
+                               "ok": True, "state": "not-found"})
             return
         forward.cancel_requested = True
         node = self._nodes.get(forward.node) if forward.node else None
@@ -881,19 +716,10 @@ class ClusterRouter:
             await trunk.send({"op": "cancel", "id": forward.router_id})
             return
         # Not currently on any node (between failovers): settle it here.
-        await self._finish(forward, "cancelled", [
-            error_frame("compile", request.id, E_CANCELLED,
-                        "cancelled by request"),
-            {"op": "cancel", "id": request.id, "ok": True,
-             "state": "cancelled"},
-        ])
+        await self._finish(forward, "cancelled", _cancelled_frames(
+            request.id, "cancelled by request"))
 
-    async def _disconnect(self, client: _RouterClient) -> None:
-        if client not in self._clients:
-            return
-        self._clients.discard(client)
-        client.closed = True
-        self.metrics.incr("disconnects")
+    async def _disconnect(self, client: Connection) -> None:
         for forward in list(client.waiting.values()):
             forward.cancel_requested = True
             node = self._nodes.get(forward.node) if forward.node else None
@@ -934,21 +760,7 @@ class ClusterRouter:
         while len(self._recent) > 1024:
             self._recent.popitem(last=False)
         for frame in frames:
-            await self._send(client, frame)
-
-    async def _send(self, client: _RouterClient, frame: Dict) -> bool:
-        if client.closed:
-            return False
-        async with client.send_lock:
-            if client.closed:
-                return False
-            try:
-                client.writer.write(encode_frame(frame))
-                await client.writer.drain()
-                return True
-            except (ConnectionError, RuntimeError, OSError):
-                client.closed = True
-                return False
+            await client.send(frame)
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -992,6 +804,9 @@ class ClusterRouter:
         }
         return snap
 
+    async def stats_payload(self) -> Dict:
+        return await self.cluster_stats()
+
     async def cluster_stats(self) -> Dict:
         """The ``stats`` verb payload: router ledger + per-node snapshots
         + cluster-wide sums, fetched from every healthy node in parallel.
@@ -1015,9 +830,8 @@ class ClusterRouter:
         fetched = await asyncio.gather(
             *(fetch(node) for node in self._nodes.values()))
         nodes_section: Dict[str, Dict] = {}
-        cluster_requests: Dict[str, int] = {}
-        cluster_cache: Dict[str, int] = {}
-        cluster_spec: Dict[str, int] = {}
+        cluster: Dict[str, Dict[str, int]] = {
+            "requests": {}, "cache": {}, "speculative": {}}
         for node, stats in sorted(fetched, key=lambda p: p[0].spec.name):
             nodes_section[node.spec.name] = {
                 "healthy": node.healthy,
@@ -1028,27 +842,21 @@ class ClusterRouter:
             }
             if not stats:
                 continue
-            for name, value in stats.get("requests", {}).items():
-                if isinstance(value, (int, float)):
-                    cluster_requests[name] = \
-                        cluster_requests.get(name, 0) + value
-            for name, value in stats.get("cache", {}).items():
-                if isinstance(value, (int, float)):
-                    cluster_cache[name] = cluster_cache.get(name, 0) + value
-            # Only the spec_* counters sum meaningfully across nodes
-            # (queue gauges and the enabled flag are per-node state).
-            for name, value in stats.get("speculative", {}).items():
-                if name.startswith("spec_") and isinstance(value, int):
-                    cluster_spec[name] = cluster_spec.get(name, 0) + value
-        cluster_cache.pop("hit_rate", None)
+            for section, totals in cluster.items():
+                for name, value in stats.get(section, {}).items():
+                    # Only the spec_* counters sum meaningfully across
+                    # nodes (queue gauges and the enabled flag are
+                    # per-node state).
+                    if section == "speculative" \
+                            and not name.startswith("spec_"):
+                        continue
+                    if isinstance(value, (int, float)):
+                        totals[name] = totals.get(name, 0) + value
+        cluster["cache"].pop("hit_rate", None)
         return {
             "router": self.router_stats(),
             "nodes": nodes_section,
-            "cluster": {
-                "requests": cluster_requests,
-                "cache": cluster_cache,
-                "speculative": cluster_spec,
-            },
+            "cluster": cluster,
         }
 
 
@@ -1149,16 +957,9 @@ class ClusterSupervisor:
                 raise RuntimeError(
                     f"node {spec.name} exited with {proc.returncode} "
                     f"before listening (see {self.log_dir})")
-            probe = socket_module.socket(
-                socket_module.AF_UNIX, socket_module.SOCK_STREAM)
-            try:
-                probe.settimeout(0.5)
-                probe.connect(spec.socket_path)
+            if unix_listener_alive(spec.socket_path):
                 return
-            except OSError:
-                time.sleep(0.1)
-            finally:
-                probe.close()
+            time.sleep(0.1)
         raise TimeoutError(f"node {spec.name} did not start listening")
 
     # -- lifecycle -----------------------------------------------------

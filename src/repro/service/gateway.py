@@ -91,24 +91,19 @@ from .artifact import (
 )
 from .batch import _worker_compile, _worker_init, resolve_spec
 from .cache import CompileCache
-from .metrics import GatewayMetrics
 from .protocol import (
     E_BAD_SPEC,
     E_CANCELLED,
     E_COMPILE,
     E_OVERLOADED,
     E_SHUTTING_DOWN,
-    E_UNSUPPORTED,
-    MAX_FRAME_BYTES,
-    ProtocolError,
     Request,
     encode_frame,
     error_frame,
-    hello_frame,
-    parse_request,
 )
+from .server import Connection, FrameServer, open_frame_stream, read_frame
 
-__all__ = ["GatewayConfig", "CompileGateway", "GatewayClient", "prepare_unix_path"]
+__all__ = ["GatewayConfig", "CompileGateway", "GatewayClient"]
 
 
 @dataclass
@@ -232,44 +227,46 @@ def _withdraw_cancel_flag(path: str) -> None:
         pass
 
 
-class _Client:
-    """Per-connection state, owned by the event loop."""
+def _raise_cancel_flag(path: str) -> None:
+    """Touch a running job's cancel-flag file; the worker notices at its
+    next pass boundary."""
+    try:
+        Path(path).touch()
+    except OSError:
+        pass
 
-    _ids = itertools.count(1)
+
+class _Client(Connection):
+    """Per-connection state; ``waiting`` holds the unanswered cold
+    requests' :class:`_Waiter` entries."""
 
     def __init__(self, writer: asyncio.StreamWriter):
-        self.id = next(self._ids)
-        self.writer = writer
-        self.send_lock = asyncio.Lock()
-        self.closed = False
+        super().__init__(writer)
         #: Cold jobs this client is responsible for dispatching (fairness
         #: unit: the round-robin drains one of these per turn).
         self.pending: Deque[_ColdJob] = deque()
         self.in_rr = False
-        #: Unanswered cold requests, keyed by request id.
-        self.waiting: Dict[str, _Waiter] = {}
         #: Answered requests still subscribed to an ``upgrade`` push
         #: frame, keyed by request id (cancel verb lookups).
         self.upgrades: Dict[str, _SpecJob] = {}
 
 
-class CompileGateway:
+class CompileGateway(FrameServer):
     """The daemon.  ``await start()``, then ``await closed_event.wait()``
     or hold it open however the caller likes; ``await close()`` drains and
-    releases everything."""
+    releases everything.  The frame transport is
+    :class:`~repro.service.server.FrameServer`'s."""
+
+    connection_class = _Client
 
     def __init__(self, config: GatewayConfig,
                  cache: Optional[CompileCache] = None):
-        self.config = config
+        super().__init__(config)
         self.cache = cache if cache is not None else CompileCache(
             config.cache_root, memory_entries=config.memory_entries,
             peer_roots=config.peer_stores,
             replica_probes=config.replica_probes,
         )
-        self.metrics = GatewayMetrics()
-        self.shutdown_requested = asyncio.Event()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._clients: Set[_Client] = set()
         self._cold: Dict[str, _ColdJob] = {}
         #: Background upgrade jobs: dedupe map + FIFO queue + the ones a
         #: worker is currently compiling (preemption targets).
@@ -282,9 +279,7 @@ class CompileGateway:
         self._work = asyncio.Event()
         self._slot_free = asyncio.Event()
         self._slot_free.set()
-        self._closing = False
         self._dispatcher: Optional[asyncio.Task] = None
-        self._job_tasks: Set[asyncio.Task] = set()
         self._resolve_memo: "OrderedDict[str, Tuple]" = OrderedDict()
         self._metrics_memo: "OrderedDict[str, Dict]" = OrderedDict()
         self._cancel_dir: Optional[Path] = None
@@ -294,9 +289,6 @@ class CompileGateway:
         self._pool_lock: Optional[asyncio.Lock] = None
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._seen_worker_pids: Set[int] = set()
-        #: True once *this* gateway bound its socket; close() only removes
-        #: the socket file / sweeps the store when it actually owned them.
-        self._bound = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -316,33 +308,8 @@ class CompileGateway:
             self._thread_pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="gw-compile"
             )
-        if self.config.socket_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path,
-                limit=MAX_FRAME_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port,
-                limit=MAX_FRAME_BYTES,
-            )
-        self._bound = True
+        await self._listen()
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
-
-    @property
-    def address(self) -> str:
-        """Human-readable bound address (socket path or ``host:port``)."""
-        if self.config.socket_path:
-            return self.config.socket_path
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return f"{host}:{port}"
-
-    @property
-    def port(self) -> Optional[int]:
-        if self.config.socket_path or self._server is None:
-            return None
-        return self._server.sockets[0].getsockname()[1]
 
     def _new_pool(self) -> ProcessPoolExecutor:
         # "spawn" keeps pool rebuilds safe no matter how many threads the
@@ -362,26 +329,10 @@ class CompileGateway:
 
     async def close(self, drain: bool = True) -> None:
         """Stop accepting, optionally drain in-flight work, tear down."""
-        self._closing = True
-        self._work.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
-            while ((self._queued or self._in_flight or self._job_tasks)
-                   and time.monotonic() < deadline):
-                await asyncio.sleep(0.02)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-        for task in list(self._job_tasks):
-            task.cancel()
-        if self._job_tasks:
-            await asyncio.gather(*self._job_tasks, return_exceptions=True)
+        self._work.set()   # wakes the dispatcher to see _closing
+        await self._quiesce(drain)
+        await self._stop(self._dispatcher)
+        await self._cancel_tasks()
         # Upgrade jobs still queued will never run; account each so the
         # speculative ledger reconciles across a shutdown.
         while self._spec_queue:
@@ -397,15 +348,11 @@ class CompileGateway:
                 if not waiter.cancelled:
                     waiter.cancelled = True
                     self.metrics.incr("rejected")
-                    await self._send(client, error_frame(
+                    await client.send(error_frame(
                         "compile", waiter.request_id, E_SHUTTING_DOWN,
                         "gateway is shutting down",
                     ))
-            client.closed = True
-            try:
-                client.writer.close()
-            except Exception:
-                pass
+        self._close_clients()
         if self._pool is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self._pool.shutdown(wait=True, cancel_futures=True)
@@ -420,6 +367,9 @@ class CompileGateway:
         await asyncio.get_running_loop().run_in_executor(
             None, self._cleanup_disk)
 
+    def _busy(self) -> bool:
+        return bool(self._queued or self._in_flight or self._tasks)
+
     def _cleanup_disk(self) -> None:
         """Blocking teardown I/O, executed on the executor by close()."""
         if self._cancel_dir is not None:
@@ -431,77 +381,11 @@ class CompileGateway:
             # All our writers are down: any .tmp left is an orphan
             # (killed worker).
             self.cache.sweep_stale_tmp(max_age_seconds=0.0)
-            if (self.config.socket_path
-                    and os.path.exists(self.config.socket_path)):
-                try:
-                    os.unlink(self.config.socket_path)
-                except OSError:
-                    pass
+            self._unlink_socket()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Compile, cancel, disconnect
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        client = _Client(writer)
-        self._clients.add(client)
-        self.metrics.incr("connections_total")
-        await self._send(client, hello_frame())
-        try:
-            while not client.closed:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Over-long line: framing is lost, drop the connection.
-                    self.metrics.incr("bad_requests")
-                    await self._send(client, error_frame(
-                        None, None, "bad-frame", "frame exceeds size limit"))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                await self._handle_frame(client, line)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._disconnect(client)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _handle_frame(self, client: _Client, line: bytes) -> None:
-        received_at = time.perf_counter()
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            self.metrics.incr("bad_requests")
-            await self._send(client, error_frame(
-                None, exc.request_id, exc.code, str(exc)))
-            return
-        if request.op == "ping":
-            await self._send(client, {"op": "pong", "id": request.id, "ok": True})
-        elif request.op == "stats":
-            await self._send(client, {
-                "op": "stats", "id": request.id, "ok": True,
-                "stats": self.stats(),
-            })
-        elif request.op == "shutdown":
-            if not self.config.allow_shutdown:
-                await self._send(client, error_frame(
-                    "shutdown", request.id, E_UNSUPPORTED,
-                    "shutdown verb is disabled (start with --allow-shutdown)"))
-                return
-            await self._send(client, {
-                "op": "shutdown", "id": request.id, "ok": True})
-            self.shutdown_requested.set()
-        elif request.op == "cancel":
-            await self._handle_cancel(client, request)
-        else:  # compile
-            await self._handle_compile(client, request, received_at)
-
     async def _handle_compile(self, client: _Client, request: Request,
                               received_at: float) -> None:
         self.metrics.incr("received")
@@ -510,7 +394,7 @@ class CompileGateway:
                 await self._resolve(request.spec)
         except (ValueError, KeyError, TypeError) as exc:
             self.metrics.incr("bad_specs")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_BAD_SPEC, str(exc)))
             return
 
@@ -540,7 +424,7 @@ class CompileGateway:
                 await asyncio.get_running_loop().run_in_executor(
                     None, self.cache.discard, fingerprint)
             else:
-                await self._send(client, frame)
+                await client.send(frame)
                 self.metrics.incr("warm_hits")
                 self.metrics.warm_latency.record(
                     time.perf_counter() - received_at)
@@ -561,7 +445,7 @@ class CompileGateway:
                 return
 
         if self._closing:
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_SHUTTING_DOWN,
                 "gateway is shutting down"))
             self.metrics.incr("rejected")
@@ -570,7 +454,7 @@ class CompileGateway:
         # Cold lane: admission control, then the fairness queue.
         if len(client.waiting) >= self.config.per_client_limit:
             self.metrics.incr("rejected")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_OVERLOADED,
                 f"client has {len(client.waiting)} unanswered cold requests "
                 f"(limit {self.config.per_client_limit})"))
@@ -600,7 +484,7 @@ class CompileGateway:
 
         if self._queued >= self.config.queue_limit:
             self.metrics.incr("rejected")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_OVERLOADED,
                 f"cold queue is full ({self._queued}/{self.config.queue_limit})"))
             return
@@ -634,7 +518,7 @@ class CompileGateway:
             waiter.cancelled = True
             del client.waiting[request.id]
             self.metrics.incr("cancelled")
-            await self._send(client, error_frame(
+            await client.send(error_frame(
                 "compile", request.id, E_CANCELLED, "cancelled by request"))
             job = self._cold.get(waiter.fingerprint)
             if job is not None and waiter in job.waiters:
@@ -654,18 +538,12 @@ class CompileGateway:
                     if not (c is client and r == request.id)]
                 if not any(c is client for c, _ in spec.subscribers):
                     spec.interested.discard(client)
-                if not spec.interested and not spec.withdrawn:
-                    self._withdraw_spec(spec)
+                self._withdraw_spec(spec)
                 state = "upgrade-cancelled"
-        await self._send(client, {
+        await client.send({
             "op": "cancel", "id": request.id, "ok": True, "state": state})
 
-    def _disconnect(self, client: _Client) -> None:
-        if client not in self._clients:
-            return
-        self._clients.discard(client)
-        client.closed = True
-        self.metrics.incr("disconnects")
+    async def _disconnect(self, client: _Client) -> None:
         cancelled = 0
         for waiter in client.waiting.values():
             if not waiter.cancelled:
@@ -695,8 +573,7 @@ class CompileGateway:
             spec.interested.discard(client)
             spec.subscribers = [
                 (c, r) for c, r in spec.subscribers if c is not client]
-            if not spec.interested and not spec.withdrawn:
-                self._withdraw_spec(spec)
+            self._withdraw_spec(spec)
         client.upgrades.clear()
 
     def _prune_job(self, job: _ColdJob) -> None:
@@ -706,11 +583,7 @@ class CompileGateway:
         if job.waiters:
             return
         if job.dispatched:
-            # Cooperative: the worker notices at its next pass boundary.
-            try:
-                Path(job.cancel_path).touch()
-            except OSError:
-                pass
+            _raise_cancel_flag(job.cancel_path)
             return
         # Undispatched and nobody waiting: reap it now so it stops
         # consuming queue_limit capacity against other clients.
@@ -796,9 +669,7 @@ class CompileGateway:
                 if spec is not None:
                     spec.dispatched = True
                     self._in_flight += 1
-                    task = asyncio.create_task(self._run_spec_job(spec))
-                    self._job_tasks.add(task)
-                    task.add_done_callback(self._job_tasks.discard)
+                    self._spawn(self._run_spec_job(spec))
                     continue
                 self._work.clear()
                 if self._closing:
@@ -807,9 +678,60 @@ class CompileGateway:
             job.dispatched = True
             self._in_flight += 1
             self.metrics.queue_wait.record(time.perf_counter() - job.created_at)
-            task = asyncio.create_task(self._run_job(job))
-            self._job_tasks.add(task)
-            task.add_done_callback(self._job_tasks.discard)
+            self._spawn(self._run_job(job))
+
+    def _shared_store(self, pid: int) -> bool:
+        """Whether the worker ``pid`` wrote the shared store itself."""
+        return pid != os.getpid() and self.cache.root is not None
+
+    async def _compile(self, payload: Tuple,
+                       spec: Optional[_SpecJob] = None,
+                       ) -> Tuple[Optional[Tuple], Optional[str]]:
+        """Run one worker compile in the slot the dispatcher reserved,
+        rebuilding a broken pool and retrying up to ``dispatch_retries``
+        times.  Frees the slot, withdraws the job's cancel flag, and
+        absorbs a shared-store worker's cache counters.  A background
+        ``spec`` job is a preemption target while it runs.  Returns
+        ``(outcome, failure)``, exactly one of them ``None``."""
+        loop = asyncio.get_running_loop()
+        outcome = failure = None
+        if spec is not None:
+            self._spec_running.add(spec)
+        try:
+            for _attempt in range(self.config.dispatch_retries + 1):
+                epoch = self._pool_epoch
+                try:
+                    # Thread mode runs the very same worker entry point in
+                    # this process: batch._WORKER_CACHE is never initialized
+                    # here, so it compiles cache-less and the parent's put
+                    # keeps the stats single-counted.
+                    executor = self._pool if self._pool is not None \
+                        else self._thread_pool
+                    outcome = await loop.run_in_executor(
+                        executor, _worker_compile, payload)
+                    failure = None
+                    break
+                except BrokenProcessPool:
+                    await self._rebuild_pool(epoch)
+                    failure = "worker pool kept breaking under this job"
+                except Exception as exc:  # compile bug / bad program
+                    failure = f"{type(exc).__name__}: {exc}"
+                    break
+        finally:
+            self._spec_running.discard(spec)
+            self._in_flight -= 1
+            self._slot_free.set()
+            self._work.set()
+        await loop.run_in_executor(None, _withdraw_cancel_flag, payload[3])
+        if outcome is not None:
+            _fp, _text, _elapsed, _metrics, stats_delta, pid = outcome
+            self._seen_worker_pids.add(pid)
+            if self._shared_store(pid):
+                # Its counter movement is real store activity whether or
+                # not the compile finished: absorb it exactly once,
+                # cancelled jobs included.
+                self.cache.stats.absorb(stats_delta)
+        return outcome, failure
 
     async def _run_job(self, job: _ColdJob) -> None:
         loop = asyncio.get_running_loop()
@@ -817,48 +739,14 @@ class CompileGateway:
                    job.cancel_path)
         if job.tier != TIER_FULL:
             payload += (job.tier,)
-        outcome: Optional[Tuple] = None
-        failure: Optional[str] = None
-        try:
-            for attempt in range(self.config.dispatch_retries + 1):
-                epoch = self._pool_epoch
-                try:
-                    # Thread mode runs the very same worker entry point in
-                    # this process: batch._WORKER_CACHE is never initialized
-                    # here, so it compiles cache-less and the parent's put
-                    # below keeps the stats single-counted.
-                    executor = self._pool if self._pool is not None \
-                        else self._thread_pool
-                    outcome = await loop.run_in_executor(
-                        executor, _worker_compile, payload)
-                    break
-                except BrokenProcessPool:
-                    await self._rebuild_pool(epoch)
-                    if attempt == self.config.dispatch_retries:
-                        failure = "worker pool kept breaking under this job"
-                except Exception as exc:  # compile bug / bad program
-                    failure = f"{type(exc).__name__}: {exc}"
-                    break
-        finally:
-            self._in_flight -= 1
-            self._slot_free.set()
-            self._work.set()
-
-        await loop.run_in_executor(None, _withdraw_cancel_flag, job.cancel_path)
-
+        outcome, failure = await self._compile(payload)
         if outcome is None:
             self._drop_cold(job)
             await self._finish_job(job, None, 0.0, None, failed=failure
                                    or "dispatch failed")
             return
 
-        _fp, text, elapsed, result_metrics, stats_delta, pid = outcome
-        self._seen_worker_pids.add(pid)
-        if pid != os.getpid() and self.cache.root is not None:
-            # Shared-store worker: its counter movement is real store
-            # activity whether or not the compile finished — absorb it
-            # exactly once, cancelled jobs included.
-            self.cache.stats.absorb(stats_delta)
+        _fp, text, elapsed, result_metrics, _stats_delta, pid = outcome
         if text is None:
             # The worker honored the cancel flag.  If someone attached
             # after the flag was withdrawn too late, compile again for
@@ -874,10 +762,10 @@ class CompileGateway:
             await self._finish_job(job, None, elapsed, None, cancelled=True)
             return
 
-        if pid != os.getpid() and self.cache.root is not None:
+        if self._shared_store(pid):
             # Shared-store worker: bytes are already on disk and counted
-            # (absorbed above) — just make the key hot here (memory-only,
-            # loop-safe).
+            # (absorbed in _compile) — just make the key hot here
+            # (memory-only, loop-safe).
             self.cache.promote(job.fingerprint, text)
         elif job.tier != TIER_FULL:
             # Tiered publish: rank-checked so the fast artifact can never
@@ -929,12 +817,12 @@ class CompileGateway:
             if cancelled:
                 waiter.cancelled = True
                 self.metrics.incr("cancelled")
-                await self._send(waiter.client, error_frame(
+                await waiter.client.send(error_frame(
                     "compile", waiter.request_id, E_CANCELLED,
                     "compile cancelled"))
             elif failed is not None:
                 self.metrics.incr("failed")
-                await self._send(waiter.client, error_frame(
+                await waiter.client.send(error_frame(
                     "compile", waiter.request_id, E_COMPILE, failed))
             else:
                 frame = self._result_frame(
@@ -948,7 +836,7 @@ class CompileGateway:
                 )
                 self.metrics.incr("completed")
                 self.metrics.cold_latency.record(now - waiter.admitted_at)
-                await self._send(waiter.client, frame)
+                await waiter.client.send(frame)
 
     async def _rebuild_pool(self, epoch: int) -> None:
         async with self._pool_lock:
@@ -1029,15 +917,14 @@ class CompileGateway:
         return None
 
     def _withdraw_spec(self, job: _SpecJob) -> None:
-        """Last interested client left: mark the job withdrawn.  Queued
-        jobs die (and count) at pop time; a running one is flagged
-        through the same cooperative cancel file as a cold compile."""
+        """Withdraw the job once no client is interested.  Queued jobs die
+        (and count) at pop time; a running one is flagged through the
+        same cooperative cancel file as a cold compile."""
+        if job.interested or job.withdrawn:
+            return
         job.withdrawn = True
         if job.dispatched:
-            try:
-                Path(job.cancel_path).touch()
-            except OSError:
-                pass
+            _raise_cancel_flag(job.cancel_path)
 
     def _preempt_specs(self) -> None:
         """Flag every running background upgrade to yield its slot to
@@ -1046,10 +933,7 @@ class CompileGateway:
         the job requeues behind the cold queue."""
         for job in list(self._spec_running):
             job.preempted = True
-            try:
-                Path(job.cancel_path).touch()
-            except OSError:
-                pass
+            _raise_cancel_flag(job.cancel_path)
 
     def _drop_spec(self, job: _SpecJob) -> None:
         """Retire a background job's dedupe entry and id subscriptions."""
@@ -1061,38 +945,17 @@ class CompileGateway:
 
     async def _run_spec_job(self, job: _SpecJob) -> None:
         loop = asyncio.get_running_loop()
-        self._spec_running.add(job)
         payload = (job.fingerprint, job.program_dict, job.options,
                    job.cancel_path, "opt3")
-        outcome: Optional[Tuple] = None
         try:
-            for attempt in range(self.config.dispatch_retries + 1):
-                epoch = self._pool_epoch
-                try:
-                    executor = self._pool if self._pool is not None \
-                        else self._thread_pool
-                    outcome = await loop.run_in_executor(
-                        executor, _worker_compile, payload)
-                    break
-                except BrokenProcessPool:
-                    await self._rebuild_pool(epoch)
-                except Exception:
-                    break   # compile bug: the opt-1 answer already stands
+            # A failed upgrade drops: the opt-1 answer already stands.
+            outcome, _failure = await self._compile(payload, spec=job)
         except asyncio.CancelledError:
             # close() tore the task down mid-flight: account the job so
             # the speculative ledger reconciles across a shutdown.
             self.metrics.incr("spec_dropped")
             self._drop_spec(job)
             raise
-        finally:
-            self._spec_running.discard(job)
-            self._in_flight -= 1
-            self._slot_free.set()
-            self._work.set()
-
-        await loop.run_in_executor(None, _withdraw_cancel_flag,
-                                   job.cancel_path)
-
         if outcome is None:
             self._drop_spec(job)
             self.metrics.incr("spec_dropped")
@@ -1100,10 +963,6 @@ class CompileGateway:
             return
 
         _fp, text, elapsed, _result_metrics, stats_delta, pid = outcome
-        self._seen_worker_pids.add(pid)
-        shared = pid != os.getpid() and self.cache.root is not None
-        if shared:
-            self.cache.stats.absorb(stats_delta)
         if text is None:
             # The worker honored the cancel flag (withdrawal or cold-lane
             # preemption).  Withdrawn jobs end here; preempted ones with
@@ -1124,7 +983,7 @@ class CompileGateway:
             await self._notify_upgrade(job, ok=False, state="dropped")
             return
 
-        if shared:
+        if self._shared_store(pid):
             # The worker ran the compare-and-swap against the shared
             # store itself; its absorbed counter delta says how it went.
             landed = stats_delta.get("upgraded", 0) > 0
@@ -1158,7 +1017,7 @@ class CompileGateway:
                 frame["upgrade_ms"] = round(upgrade_ms or 0.0, 3)
             else:
                 frame["state"] = state
-            await self._send(client, frame)
+            await client.send(frame)
 
     # ------------------------------------------------------------------
     # Resolution / response assembly
@@ -1231,20 +1090,6 @@ class CompileGateway:
             frame["artifact"] = json.loads(text)
         return frame
 
-    async def _send(self, client: _Client, frame: Dict) -> bool:
-        if client.closed:
-            return False
-        async with client.send_lock:
-            if client.closed:
-                return False
-            try:
-                client.writer.write(encode_frame(frame))
-                await client.writer.drain()
-                return True
-            except (ConnectionError, RuntimeError, OSError):
-                client.closed = True
-                return False
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -1256,6 +1101,9 @@ class CompileGateway:
             return sorted(self._pool._processes.keys())
         except AttributeError:  # private layout changed: fall back
             return sorted(self._seen_worker_pids)
+
+    async def stats_payload(self) -> Dict:
+        return self.stats()
 
     def stats(self) -> Dict:
         snap = self.metrics.snapshot()
@@ -1300,6 +1148,16 @@ class CompileGateway:
 # Client
 # ----------------------------------------------------------------------
 
+def _compile_frame(request_id: str, spec: Dict, want: str,
+                   tenant: Optional[str], want_upgrade: bool) -> Dict:
+    frame = {"op": "compile", "id": request_id, "spec": spec, "want": want}
+    if tenant is not None:
+        frame["tenant"] = tenant
+    if want_upgrade:
+        frame["want_upgrade"] = True
+    return frame
+
+
 class GatewayClient:
     """Asyncio client for the gateway protocol (CLI, benchmark, tests).
 
@@ -1320,13 +1178,17 @@ class GatewayClient:
         self._stash: "OrderedDict[str, Dict]" = OrderedDict()
         self.hello: Optional[Dict] = None
 
+    @staticmethod
+    def _key(op: Optional[str], request_id) -> str:
+        """Stash key of a frame: its id, except that the ``upgrade`` push
+        and the ``cancel`` ack, which share an id with the compile
+        response they trail, are keyed apart so none can shadow another."""
+        if op in ("upgrade", "cancel"):
+            return f"{op}:{request_id}"
+        return str(request_id)
+
     def _stash_frame(self, frame: Dict) -> None:
-        key = str(frame.get("id"))
-        if frame.get("op") == "upgrade":
-            # An upgrade push shares its id with the compile response it
-            # trails; key it apart so neither can shadow the other.
-            key = f"upgrade:{key}"
-        self._stash[key] = frame
+        self._stash[self._key(frame.get("op"), frame.get("id"))] = frame
         while len(self._stash) > self.STASH_LIMIT:
             self._stash.popitem(last=False)
 
@@ -1334,73 +1196,63 @@ class GatewayClient:
     async def connect(cls, socket_path: Optional[str] = None,
                       host: str = "127.0.0.1", port: int = 0,
                       timeout: float = 10.0) -> "GatewayClient":
-        if socket_path:
-            opening = asyncio.open_unix_connection(
-                socket_path, limit=MAX_FRAME_BYTES)
-        else:
-            opening = asyncio.open_connection(
-                host, port, limit=MAX_FRAME_BYTES)
-        reader, writer = await asyncio.wait_for(opening, timeout)
+        reader, writer, hello = await open_frame_stream(
+            socket_path, host, port, timeout)
         client = cls(reader, writer)
-        client.hello = await asyncio.wait_for(client._read_frame(), timeout)
+        client.hello = hello
         return client
 
     async def _read_frame(self) -> Dict:
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("gateway closed the connection")
-        return json.loads(line)
+        return await read_frame(self._reader)
 
     async def _send(self, frame: Dict) -> None:
         self._writer.write(encode_frame(frame))
         await self._writer.drain()
 
+    async def _wait(self, op: Optional[str], request_id, what: str,
+                    timeout: float) -> Dict:
+        """The frame keyed ``(op, request_id)``, from the stash or the
+        wire; every other frame read meanwhile is stashed for its own
+        caller.  ``TimeoutError`` once ``timeout`` seconds pass."""
+        key = self._key(op, request_id)
+        if key in self._stash:
+            return self._stash.pop(key)
+        deadline = time.monotonic() + timeout
+        error = f"no {what} for id {str(request_id)!r}"
+        while True:
+            frame = await self._read_by(deadline, error)
+            if self._key(frame.get("op"), frame.get("id")) == key:
+                return frame
+            self._stash_frame(frame)
+
+    async def _read_by(self, deadline: float, error: str) -> Dict:
+        """The next frame, or ``TimeoutError(error)`` at ``deadline``."""
+        try:
+            return await asyncio.wait_for(
+                self._read_frame(), max(deadline - time.monotonic(), 0.0))
+        except asyncio.TimeoutError:
+            raise TimeoutError(error) from None
+
     async def request(self, frame: Dict, timeout: float = 300.0) -> Dict:
         """One round trip; tolerates interleaved responses to other ids."""
         await self._send(frame)
-        want_id = str(frame.get("id"))
-        if want_id in self._stash:
-            return self._stash.pop(want_id)
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"no response for id {want_id!r}")
-            response = await asyncio.wait_for(self._read_frame(), remaining)
-            if (str(response.get("id")) == want_id
-                    and response.get("op") != "upgrade"):
-                return response
-            self._stash_frame(response)
+        return await self._wait(frame.get("op"), frame.get("id"),
+                                "response", timeout)
 
     async def compile(self, spec: Dict, request_id: str = "c1",
                       want: str = "metrics", timeout: float = 300.0,
                       tenant: Optional[str] = None,
                       want_upgrade: bool = False) -> Dict:
-        frame = {"op": "compile", "id": request_id, "spec": spec, "want": want}
-        if tenant is not None:
-            frame["tenant"] = tenant
-        if want_upgrade:
-            frame["want_upgrade"] = True
-        return await self.request(frame, timeout=timeout)
+        return await self.request(
+            _compile_frame(request_id, spec, want, tenant, want_upgrade),
+            timeout=timeout)
 
     async def wait_upgrade(self, request_id: str,
                            timeout: float = 300.0) -> Dict:
         """Block until the ``upgrade`` push frame for ``request_id``
         arrives (the request must have been sent with ``want_upgrade``)."""
-        key = f"upgrade:{request_id}"
-        if key in self._stash:
-            return self._stash.pop(key)
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"no upgrade frame for id {request_id!r}")
-            frame = await asyncio.wait_for(self._read_frame(), remaining)
-            if (frame.get("op") == "upgrade"
-                    and str(frame.get("id")) == str(request_id)):
-                return frame
-            self._stash_frame(frame)
+        return await self._wait("upgrade", request_id, "upgrade frame",
+                                timeout)
 
     async def stats(self, timeout: float = 30.0) -> Dict:
         response = await self.request({"op": "stats", "id": "_stats"},
@@ -1414,14 +1266,7 @@ class GatewayClient:
     async def cancel(self, request_id: str, timeout: float = 30.0) -> Dict:
         """Cancel a compile; returns the cancel acknowledgement frame."""
         await self._send({"op": "cancel", "id": request_id})
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            response = await asyncio.wait_for(self._read_frame(), remaining)
-            if response.get("op") == "cancel" and \
-                    str(response.get("id")) == str(request_id):
-                return response
-            self._stash_frame(response)
+        return await self._wait("cancel", request_id, "cancel ack", timeout)
 
     async def run_specs(self, specs: List[Dict], want: str = "metrics",
                         window: int = 32, id_prefix: str = "q",
@@ -1438,40 +1283,22 @@ class GatewayClient:
         latencies: List[float] = [0.0] * len(specs)
         sent_at: Dict[str, Tuple[int, float]] = {}
         next_index = 0
-        outstanding = 0
         deadline = time.monotonic() + timeout
-
-        async def send_next():
-            nonlocal next_index, outstanding
-            rid = f"{id_prefix}{next_index}"
-            sent_at[rid] = (next_index, time.perf_counter())
-            frame = {"op": "compile", "id": rid,
-                     "spec": specs[next_index], "want": want}
-            if tenant is not None:
-                frame["tenant"] = tenant
-            if want_upgrade:
-                frame["want_upgrade"] = True
-            await self._send(frame)
-            next_index += 1
-            outstanding += 1
-
-        while next_index < len(specs) and outstanding < window:
-            await send_next()
-        while outstanding:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("corpus run timed out")
-            response = await asyncio.wait_for(self._read_frame(), remaining)
-            rid = str(response.get("id"))
-            if rid not in sent_at or response.get("op") == "upgrade":
+        while next_index < len(specs) or sent_at:
+            while next_index < len(specs) and len(sent_at) < window:
+                rid = f"{id_prefix}{next_index}"
+                sent_at[rid] = (next_index, time.perf_counter())
+                await self._send(_compile_frame(
+                    rid, specs[next_index], want, tenant, want_upgrade))
+                next_index += 1
+            response = await self._read_by(deadline, "corpus run timed out")
+            rid = self._key(response.get("op"), response.get("id"))
+            if rid not in sent_at:
                 self._stash_frame(response)
                 continue
             index, t0 = sent_at.pop(rid)
             results[index] = response
             latencies[index] = time.perf_counter() - t0
-            outstanding -= 1
-            if next_index < len(specs):
-                await send_next()
         return results, latencies
 
     async def close(self) -> None:
@@ -1480,32 +1307,3 @@ class GatewayClient:
             await self._writer.wait_closed()
         except Exception:
             pass
-
-
-def prepare_unix_path(path: str) -> None:
-    """Make ``path`` bindable: remove a *stale* socket file, but raise
-    ``OSError(EADDRINUSE)`` if a live gateway is already listening there.
-    A path that exists but is not a socket (a typo'd data file) is never
-    touched — the bind fails instead of the file being deleted."""
-    import errno
-    import socket as socket_module
-    import stat
-
-    if not os.path.exists(path):
-        return
-    if not stat.S_ISSOCK(os.stat(path).st_mode):
-        raise OSError(
-            errno.EEXIST,
-            f"{path} exists and is not a socket; refusing to replace it")
-    probe = socket_module.socket(socket_module.AF_UNIX,
-                                 socket_module.SOCK_STREAM)
-    try:
-        probe.settimeout(0.5)
-        probe.connect(path)
-    except (ConnectionRefusedError, socket_module.timeout, OSError):
-        os.unlink(path)  # stale: nobody home
-    else:
-        raise OSError(errno.EADDRINUSE,
-                      f"a gateway is already listening on {path}")
-    finally:
-        probe.close()

@@ -2,8 +2,10 @@
 
 Every frame — request or response — is one JSON object on one line
 (``\\n``-terminated, UTF-8).  The framing layer here is transport-free:
-pure encode/parse functions the asyncio gateway, the CLI client, the
-benchmark, and raw-socket tests all share.
+pure encode/parse functions the asyncio servers, the CLI client, the
+benchmark, and raw-socket tests all share.  The transport both servers
+run it over -- listener, hello, read loop, framing rules, the
+ping/stats/shutdown verbs -- is :mod:`repro.service.server`.
 
 Requests (client → server)::
 
@@ -32,9 +34,7 @@ Responses (server → client)::
 
 Error codes are the ``E_*`` constants below.  A malformed line gets an
 ``ok: false`` / ``bad-frame`` response with ``id: null`` and the
-connection stays open (line framing survives bad payloads); only an
-oversized frame closes the connection, since the byte stream can no
-longer be trusted to resynchronize.
+connection stays open; only an oversized frame closes it.
 
 Speculative compilation (``--speculate``) adds one field and one
 server-push verb.  A compile request may set ``"want_upgrade": true``;

@@ -198,6 +198,31 @@ class TestServeErrors:
         finally:
             squatter.close()
 
+    @pytest.mark.parametrize("occupant", ["file", "listener"])
+    def test_unbindable_router_path_launches_no_node(
+            self, tmp_path, capsys, occupant):
+        """serve-cluster checks its router path before it starts the
+        node fleet: a path that is busy or not a socket exits 2 and no
+        node is ever launched (the supervisor's logs/ never appears)."""
+        state = tmp_path / "state"
+        path = str(tmp_path / "router.sock")
+        squatter = None
+        if occupant == "file":
+            with open(path, "w") as handle:
+                handle.write("not a socket")
+        else:
+            squatter = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            squatter.bind(path)
+            squatter.listen(1)
+        try:
+            assert main(["serve-cluster", str(state), "--socket", path,
+                         "--nodes", "1", "--workers", "0"]) == 2
+            assert "cannot bind cluster router" in capsys.readouterr().err
+            assert not (state / "logs").exists()
+        finally:
+            if squatter is not None:
+                squatter.close()
+
     def test_stale_unix_socket_is_reclaimed(self, tmp_path):
         """A dead gateway's leftover socket file must not wedge restarts:
         prepare_unix_path unlinks it when nothing is listening."""

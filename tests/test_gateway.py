@@ -584,6 +584,60 @@ class TestCancellation:
                        cancel=lambda: next(fired, True))
 
 
+class TestClientWaits:
+    def test_cancel_ack_and_compile_answer_are_stashed_apart(self, tmp_path):
+        """A cancel ack shares its id with the compile answer it trails;
+        frames read while waiting for something else must keep both, and
+        cancel() must find its ack in the stash."""
+        async def scenario():
+            gateway = await make_gateway(tmp_path)
+            client = await GatewayClient.connect(port=gateway.port)
+            await client._send({"op": "compile", "id": "victim",
+                                "spec": {"text": "{(XXXXX, 1.0), 0.5};"}})
+            await client._send({"op": "cancel", "id": "victim"})
+            # The gateway answers frames in order: the victim's cancelled
+            # compile and its cancel ack both arrive before the pong.
+            assert (await client.ping())["ok"]
+            ack = await client.cancel("victim", timeout=10)
+            assert ack["op"] == "cancel"
+            assert ack["state"] in ("cancelled", "in-flight")
+            answer = client._stash.pop("victim")
+            assert answer["op"] == "compile"
+            assert answer["code"] == E_CANCELLED
+            await client.close()
+            await gateway.close(drain=False)
+
+        run(scenario())
+
+    def test_every_wait_times_out_naming_the_id(self):
+        async def silent(reader, writer):
+            writer.write(encode_frame({"op": "hello", "proto": 1,
+                                       "server": "silent"}))
+            await writer.drain()
+            await reader.read()
+
+        async def scenario():
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await GatewayClient.connect(port=port)
+            try:
+                with pytest.raises(TimeoutError,
+                                   match="no cancel ack for id 'r9'"):
+                    await client.cancel("r9", timeout=0.2)
+                with pytest.raises(TimeoutError,
+                                   match="no upgrade frame for id 'r9'"):
+                    await client.wait_upgrade("r9", timeout=0.2)
+                with pytest.raises(TimeoutError,
+                                   match="no response for id '_ping'"):
+                    await client.ping(timeout=0.2)
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+
 class TestShutdownVerb:
     def test_disabled_by_default(self, tmp_path):
         async def scenario():
