@@ -722,6 +722,7 @@ class CompileGateway(FrameServer):
             self._in_flight -= 1
             self._slot_free.set()
             self._work.set()
+        # payload[3] is the job's cancel-flag path.
         await loop.run_in_executor(None, _withdraw_cancel_flag, payload[3])
         if outcome is not None:
             _fp, _text, _elapsed, _metrics, stats_delta, pid = outcome
