@@ -266,18 +266,26 @@ def _cmd_compile_batch(args) -> int:
         print(
             f"cache: hits={stats['hits']} (memory {stats['memory_hits']}, "
             f"disk {stats['disk_hits']}) misses={stats['misses']} "
-            f"puts={stats['puts']} evictions={stats['evictions']} "
-            f"merged={stats['merged']}"
+            f"puts={stats['puts']} evictions={stats['evictions']}"
         )
     if args.out:
         print(f"wrote {len(batch.entries)} artifact rows to {args.out}")
     return 0
 
 
-def _cmd_verify(args) -> int:
-    """Verify stored service artifacts against their fingerprinted programs."""
+def _judge_cached_specs(args, judge, headers, summary) -> int:
+    """The spec loop shared by ``verify`` and ``check SPECS --cache``.
+
+    Reads the spec file, resolves and fingerprints each spec, probes the
+    cache at ``args.cache`` and decodes the artifact it holds.
+    ``judge(job, result, error)`` gets the decoded result (``None`` when
+    missing or undecodable) and the decode error, and returns an outcome
+    (``"ok"``, ``"failed"`` or ``"missing"``) plus the row's status
+    cells.  ``summary(tally, total)`` words the closing count line.
+    Exits 2 on a bad spec file or line, 1 on a failure or (without
+    ``--allow-missing``) a missing artifact, else 0.
+    """
     from .service import CompileCache, loads_artifact, resolve_spec
-    from .verify import verify_result
 
     specs = _read_specs(args.specs)
     if specs is None:
@@ -285,7 +293,7 @@ def _cmd_verify(args) -> int:
 
     cache = CompileCache(args.cache)
     rows = []
-    verified = missing = failed = 0
+    tally = {"ok": 0, "failed": 0, "missing": 0}
     for index, spec in enumerate(specs):
         try:
             job = resolve_spec(spec)
@@ -294,36 +302,21 @@ def _cmd_verify(args) -> int:
             return 2
         fingerprint = job.fingerprint()
         stored = cache.get(fingerprint)
-        if stored is None:
-            missing += 1
-            rows.append([index, job.label, fingerprint[:12], "missing", "-", "-"])
-            continue
-        try:
-            result = loads_artifact(stored)
-        except (ValueError, KeyError, TypeError) as exc:
-            failed += 1
-            rows.append([index, job.label, fingerprint[:12], "corrupt", "-", str(exc)])
-            continue
-        report = verify_result(job.program, result)
-        if report.ok:
-            verified += 1
-            status, note = "ok", f"{report.gadget_count} gadgets"
-        else:
-            failed += 1
-            status, note = "FAIL", report.mismatch.describe()
-        rows.append(
-            [index, job.label, fingerprint[:12], status,
-             f"{report.seconds * 1e3:.1f}ms", note]
-        )
+        result = error = None
+        if stored is not None:
+            try:
+                result = loads_artifact(stored)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                error = exc
+        outcome, cells = judge(job, result, error)
+        tally[outcome] += 1
+        rows.append([index, job.label, fingerprint[:12], *cells])
 
-    print(format_table(["#", "Job", "Fingerprint", "Status", "Time", "Detail"], rows))
-    print(
-        f"verified={verified} failed={failed} missing={missing} "
-        f"of {len(specs)} artifact(s)"
-    )
-    if failed:
+    print(format_table(headers, rows))
+    print(summary(tally, len(specs)))
+    if tally["failed"]:
         return 1
-    if missing and not args.allow_missing:
+    if tally["missing"] and not args.allow_missing:
         print(
             "some artifacts are missing from the cache; compile them first "
             "(compile-batch) or pass --allow-missing",
@@ -331,6 +324,31 @@ def _cmd_verify(args) -> int:
         )
         return 1
     return 0
+
+
+def _cmd_verify(args) -> int:
+    """Verify stored service artifacts against their fingerprinted programs."""
+    from .verify import verify_result
+
+    def judge(job, result, error):
+        if error is not None:
+            return "failed", ["corrupt", "-", str(error)]
+        if result is None:
+            return "missing", ["missing", "-", "-"]
+        report = verify_result(job.program, result)
+        elapsed = f"{report.seconds * 1e3:.1f}ms"
+        if report.ok:
+            return "ok", ["ok", elapsed, f"{report.gadget_count} gadgets"]
+        return "failed", ["FAIL", elapsed, report.mismatch.describe()]
+
+    return _judge_cached_specs(
+        args, judge,
+        ["#", "Job", "Fingerprint", "Status", "Time", "Detail"],
+        lambda tally, total: (
+            f"verified={tally['ok']} failed={tally['failed']} "
+            f"missing={tally['missing']} of {total} artifact(s)"
+        ),
+    )
 
 
 def _cmd_check(args) -> int:
@@ -374,69 +392,36 @@ def _cmd_check(args) -> int:
               file=sys.stderr)
         return 2
 
-    from .service import CompileCache, loads_artifact, resolve_spec
     from .service.batch import _option_kwargs
 
-    specs = _read_specs(args.specs)
-    if specs is None:
-        return 2
-
-    cache = CompileCache(args.cache)
-    rows = []
-    failed = missing = 0
-    for index, spec in enumerate(specs):
-        try:
-            job = resolve_spec(spec)
-        except ValueError as exc:
-            print(f"bad job spec on line {index}: {exc}", file=sys.stderr)
-            return 2
+    def judge(job, result, error):
         # The input program is checked regardless of cache state: a
         # malformed program poisons every artifact derived from it.
         report = check_program(job.program, subject=job.label)
-        fingerprint = job.fingerprint()
-        stored = cache.get(fingerprint)
-        if stored is None:
+        if error is not None:
+            return "failed", ["FAIL", "artifact.decode",
+                              f"cannot rebuild artifact: {error}"]
+        if result is None:
             if report.ok:
-                missing += 1
-                rows.append([index, job.label, fingerprint[:12],
-                             "missing", "-", "no stored artifact"])
-                continue
+                return "missing", ["missing", "-", "no stored artifact"]
         else:
-            try:
-                result = loads_artifact(stored)
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                failed += 1
-                rows.append([index, job.label, fingerprint[:12],
-                             "FAIL", "artifact.decode",
-                             f"cannot rebuild artifact: {exc}"])
-                continue
             coupling = _option_kwargs(job.options)["coupling"]
             report.merge(check_result(result, coupling=coupling))
         if report.ok:
             note = f"{len(report.warnings)} warning(s)" if report.warnings else "-"
-            rows.append([index, job.label, fingerprint[:12], "ok", "-", note])
-        else:
-            failed += 1
-            first = report.errors[0]
-            rows.append([index, job.label, fingerprint[:12], "FAIL",
-                         first.invariant,
-                         f"{first.location}: {first.message}"])
-    print(format_table(
-        ["#", "Job", "Fingerprint", "Status", "Invariant", "Detail"], rows))
-    print(
-        f"checked={len(specs) - missing} failed={failed} missing={missing} "
-        f"of {len(specs)} spec(s)"
+            return "ok", ["ok", "-", note]
+        first = report.errors[0]
+        return "failed", ["FAIL", first.invariant,
+                          f"{first.location}: {first.message}"]
+
+    return _judge_cached_specs(
+        args, judge,
+        ["#", "Job", "Fingerprint", "Status", "Invariant", "Detail"],
+        lambda tally, total: (
+            f"checked={total - tally['missing']} failed={tally['failed']} "
+            f"missing={tally['missing']} of {total} spec(s)"
+        ),
     )
-    if failed:
-        return 1
-    if missing and not args.allow_missing:
-        print(
-            "some artifacts are missing from the cache; compile them first "
-            "(compile-batch) or pass --allow-missing",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 async def _serve_until_signal(server, label: str, banner) -> int:

@@ -24,11 +24,9 @@ from .trotter import (
     trotterize,
 )
 from .scheduling import (
-    LayerProfile,
     Schedule,
     do_schedule,
     gco_schedule,
-    layer_operator_overlap,
     schedule_depth_estimate,
     schedule_to_program,
 )
@@ -68,12 +66,10 @@ __all__ = [
     "controlled_program_circuit",
     "controlled_rz_gates",
     "DEFAULT_WINDOW",
-    "LayerProfile",
     "do_schedule",
     "ft_compile",
     "ft_synthesize",
     "gco_schedule",
-    "layer_operator_overlap",
     "most_overlap_sort",
     "naive_program_circuit",
     "pauli_evolution_circuit",

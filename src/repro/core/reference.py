@@ -55,7 +55,7 @@ def _operator_profile(blocks: Sequence[PauliBlock]) -> Dict[int, set]:
 def scalar_layer_operator_overlap(
     block: PauliBlock, layer: Sequence[PauliBlock]
 ) -> int:
-    """Seed ``layer_operator_overlap``: per-qubit label-set intersection."""
+    """Seed Overlap() of Algorithm 1: per-qubit label-set intersection."""
     block_profile = _operator_profile([block])
     layer_profile = _operator_profile(layer)
     return sum(

@@ -29,7 +29,7 @@ so the invariant can be checked (``multiset_of_terms`` is preserved).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -38,12 +38,10 @@ from ..pauli.symplectic import popcount
 
 __all__ = [
     "Schedule",
-    "LayerProfile",
     "gco_schedule",
     "do_schedule",
     "schedule_to_program",
     "schedule_depth_estimate",
-    "layer_operator_overlap",
 ]
 
 Schedule = List[List[PauliBlock]]
@@ -67,66 +65,6 @@ def schedule_to_program(schedule: Schedule, name: str = "") -> PauliProgram:
 # ----------------------------------------------------------------------
 # Depth-oriented scheduling (Algorithm 1)
 # ----------------------------------------------------------------------
-
-def _layer_profile(layer: Sequence[PauliBlock]) -> np.ndarray:
-    """Accumulated packed operator profile of a layer (OR of block profiles)."""
-    profile = layer[0].view.op_profile.copy()
-    for block in layer[1:]:
-        profile |= block.view.op_profile
-    return profile
-
-
-class LayerProfile:
-    """Incrementally accumulated operator profile of a growing layer.
-
-    External callers that probe many candidate blocks against the same
-    layer (analysis sweeps, tests, the streaming frontier) previously paid
-    one :func:`_layer_profile` rebuild — O(layer) packed ORs — *per query*.
-    A ``LayerProfile`` accumulates the OR once and answers every
-    subsequent overlap query with a single vectorized popcount.
-    """
-
-    __slots__ = ("profile",)
-
-    def __init__(self, layer: Sequence[PauliBlock] = ()):
-        self.profile: np.ndarray = None
-        for block in layer:
-            self.add(block)
-
-    def add(self, block: PauliBlock) -> "LayerProfile":
-        """Fold one more block into the accumulated profile."""
-        if self.profile is None:
-            self.profile = block.view.op_profile.copy()
-        else:
-            self.profile |= block.view.op_profile
-        return self
-
-    def overlap(self, block: PauliBlock) -> int:
-        """Operator overlap of ``block`` with the accumulated layer."""
-        if self.profile is None:
-            return 0
-        return block.view.operator_overlap(self.profile)
-
-
-def layer_operator_overlap(
-    block: PauliBlock,
-    layer: Sequence[PauliBlock],
-    profile: Optional[np.ndarray] = None,
-) -> int:
-    """Number of qubits where ``block`` and ``layer`` share an identical
-    non-identity operator (the Overlap() of Algorithm 1 line 5).
-
-    ``profile`` short-circuits the per-call layer rebuild: pass the packed
-    accumulated profile (``LayerProfile(layer).profile``) when querying
-    many blocks against one layer, and the rebuild cost is paid once
-    instead of per query.
-    """
-    if profile is not None:
-        return block.view.operator_overlap(profile)
-    if not layer:
-        return 0
-    return block.view.operator_overlap(_layer_profile(layer))
-
 
 def do_schedule(program: PauliProgram) -> Schedule:
     """Depth-oriented scheduling (Algorithm 1).

@@ -4,10 +4,12 @@
 job up front, answers what it can from the shared cache, **dedupes**
 identical fingerprints (a heavy-traffic stream is dominated by repeats of
 near-identical kernels), and shards only the unique cache misses across a
-``ProcessPoolExecutor``.  Each worker keeps a private on-disk cache under
-``<root>/workers/``, and the parent folds those back into the shared store
-after the pool drains (:meth:`~repro.service.cache.CompileCache.merge_from`),
-so a artifact compiled by any worker is visible to every later batch.
+``ProcessPoolExecutor``.  Every worker opens the shared store itself and
+publishes what it compiles there (atomic temp-file + ``os.replace``, so
+concurrent writers are safe); the parent only makes those keys hot in its
+memory front and folds the workers' counter deltas into its stats, so an
+artifact compiled by any worker is visible to every later batch.  The
+gateway's process pool runs the same worker entry point.
 
 Job spec schema (one JSON object per job)::
 
@@ -33,7 +35,6 @@ Job spec schema (one JSON object per job)::
 from __future__ import annotations
 
 import os
-import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -177,36 +178,23 @@ _WORKER_CACHE: Optional[CompileCache] = None
 _WORKER_STATS_BASE: Dict[str, int] = {}
 
 
-def _worker_init(cache_root: Optional[str], memory_entries: int,
-                 store: str = "private") -> None:
-    """Open this worker's cache.
-
-    ``store="private"`` (batch mode) gives each worker its own store under
-    ``<root>/workers/`` that the parent merges back after the pool drains;
-    ``store="shared"`` (gateway mode) points every worker directly at the
-    shared root — the atomic temp-file + ``os.replace`` publish makes
-    concurrent writers safe, and nothing needs merging afterwards.
-    """
+def _worker_init(cache_root: Optional[str], memory_entries: int) -> None:
+    """Open this worker's handle on the shared store (none when the
+    parent's cache is memory-only: the parent then publishes itself)."""
     global _WORKER_CACHE, _WORKER_STATS_BASE
     _WORKER_STATS_BASE = {}
-    if cache_root is None:
-        _WORKER_CACHE = None
-    elif store == "shared":
-        _WORKER_CACHE = CompileCache(cache_root, memory_entries=memory_entries)
-    else:
-        _WORKER_CACHE = CompileCache(
-            os.path.join(cache_root, "workers", f"worker-{os.getpid()}"),
-            memory_entries=memory_entries,
-        )
+    _WORKER_CACHE = (
+        None if cache_root is None
+        else CompileCache(cache_root, memory_entries=memory_entries)
+    )
 
 
 def _worker_stats_delta() -> Dict[str, int]:
     """This worker cache's counter movement since the previous report.
 
-    Shipping deltas with every result (rather than discarding worker
-    stats, as the merge used to) keeps the batch/gateway accounting
-    exact: a worker whose LRU front fills mid-run reports those
-    evictions instead of silently dropping them.
+    Shipping deltas with every result keeps the batch/gateway accounting
+    exact: the parent absorbs them into the shared store's stats, so a
+    worker's puts and the evictions of its LRU front are counted once.
     """
     global _WORKER_STATS_BASE
     if _WORKER_CACHE is None:
@@ -236,14 +224,15 @@ def _worker_compile(payload: Tuple) -> Tuple[str, Optional[str], float,
     recompile: a full-effort compile whose artifact is published as a
     compare-and-swap *upgrade* of the request fingerprint.
 
-    Tiered payloads bypass ``compile_program``'s own cache plumbing and
-    publish explicitly under the *request* fingerprint: the fast pass
-    alters compile options (restarts, peephole level), so the compiler's
-    internally derived fingerprint would differ from the key the gateway
-    serves under, and the upgrade pass must go through the cache's CAS
-    (``upgrade``) so a concurrent full-effort publish is never clobbered
-    and the parent can detect landed upgrades from the worker's
-    ``upgraded`` counter delta.
+    Every tier compiles without ``compile_program``'s own cache plumbing
+    (the parent already probed the store, so that lookup is the only one
+    counted) and publishes explicitly under the *request* fingerprint:
+    ``put`` for a full compile, the rank-checked ``put_tiered`` for the
+    fast pass (its altered options would derive a different key inside
+    the compiler), and the compare-and-swap ``upgrade`` for the background
+    recompile, so a concurrent full-effort publish is never clobbered and
+    the parent can detect landed upgrades from the worker's ``upgraded``
+    counter delta.
 
     Returns ``(fingerprint, artifact_or_None, seconds, metrics_or_None,
     worker_stats_delta, pid)``; the artifact is ``None`` when the job was
@@ -264,24 +253,21 @@ def _worker_compile(payload: Tuple) -> Tuple[str, Optional[str], float,
     program = program_from_dict(program_dict)
     start = time.perf_counter()
     try:
-        result = compile_program(
-            program,
-            cache=None if tier is not None else _WORKER_CACHE,
-            cancel=cancel,
-            **kwargs,
-        )
+        result = compile_program(program, cache=None, cancel=cancel,
+                                 **kwargs)
     except CompilationCancelled:
         return (fingerprint, None, time.perf_counter() - start, None,
                 _worker_stats_delta(), os.getpid())
     elapsed = time.perf_counter() - start
-    if result.fingerprint is None:
-        result.fingerprint = fingerprint
+    result.fingerprint = fingerprint
     text = dumps_artifact(result)
-    if tier is not None and _WORKER_CACHE is not None:
+    if _WORKER_CACHE is not None:
         if tier == "opt3":
             _WORKER_CACHE.upgrade(fingerprint, text)
-        else:
+        elif tier == "opt1":
             _WORKER_CACHE.put_tiered(fingerprint, text, result.tier)
+        else:
+            _WORKER_CACHE.put(fingerprint, text)
     return (fingerprint, text, elapsed, result.metrics,
             _worker_stats_delta(), os.getpid())
 
@@ -314,11 +300,10 @@ class BatchResult:
     workers: int
     wall_seconds: float
     cache_stats: Optional[Dict] = None
-    merged_artifacts: int = 0
     unique_jobs: int = 0
     dispatched_jobs: int = 0
-    #: Aggregate counter movement across the pool's worker-side caches
-    #: (private stores in batch mode, the shared store in gateway mode).
+    #: Aggregate counter movement across the pool's worker-side handles
+    #: on the shared store (already absorbed into ``cache_stats``).
     worker_stats: Optional[Dict] = None
     #: Jobs completed per worker pid (empty for the serial path).
     per_worker: Dict[int, int] = field(default_factory=dict)
@@ -332,7 +317,6 @@ class BatchResult:
             "deduped": sum(1 for e in self.entries if e.deduped),
             "workers": self.workers,
             "wall_seconds": self.wall_seconds,
-            "merged_artifacts": self.merged_artifacts,
         }
         if self.cache_stats is not None:
             out["cache"] = self.cache_stats
@@ -346,20 +330,16 @@ def compile_batch(
     cache: Optional[CompileCache] = None,
     workers: int = 1,
     worker_memory_entries: int = 64,
-    worker_store: str = "private",
 ) -> BatchResult:
     """Compile a stream of job specs, deduped and sharded across workers.
 
     ``workers <= 1`` compiles serially in-process (no pool overhead), still
-    with fingerprint dedupe and cache reuse.  ``worker_store`` selects how
-    pool workers see the disk store: ``"private"`` stores merged back after
-    the pool drains (the batch default), or ``"shared"`` — every worker
-    writes the shared root directly (atomic publishes, nothing to merge),
-    with the workers' counter movement folded into ``cache.stats`` since
-    they are operations on that same store.
+    with fingerprint dedupe and cache reuse.  Pool workers publish into the
+    shared disk store themselves; their counter movement is folded into
+    ``cache.stats``, since those are operations on that same store.  With
+    a memory-only cache the parent publishes what the pool returns.
+    Either way the batch-level probe is the only lookup counted per job.
     """
-    if worker_store not in ("private", "shared"):
-        raise ValueError(f"unknown worker_store {worker_store!r}")
     start = time.perf_counter()
     jobs = [resolve_spec(spec) for spec in specs]
     fingerprints = [job.fingerprint() for job in jobs]
@@ -383,7 +363,6 @@ def compile_batch(
                 continue
         pending.append(index)
 
-    merged = 0
     worker_stats: Dict[str, int] = {}
     per_worker: Dict[int, int] = {}
     if pending and workers > 1:
@@ -395,7 +374,7 @@ def compile_batch(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(cache_root, worker_memory_entries, worker_store),
+            initargs=(cache_root, worker_memory_entries),
         ) as pool:
             for fp, text, elapsed, _metrics, delta, pid in pool.map(
                     _worker_compile, payloads):
@@ -404,31 +383,15 @@ def compile_batch(
                 per_worker[pid] = per_worker.get(pid, 0) + 1
                 for key, value in delta.items():
                     worker_stats[key] = worker_stats.get(key, 0) + value
-        # Fold the workers' private stores into the shared one *before* the
-        # parent's own puts (so `merged` reflects the pool's output), then
-        # drop them — their content now lives in the shared store.
-        if (cache is not None and cache.root is not None
-                and worker_store == "private"):
-            workers_dir = cache.root / "workers"
-            if workers_dir.is_dir():
-                for worker_root in sorted(workers_dir.iterdir()):
-                    if worker_root.is_dir():
-                        merged += cache.merge_from(worker_root)
-                shutil.rmtree(workers_dir, ignore_errors=True)
         if cache is not None:
-            shared_disk = worker_store == "shared" and cache.root is not None
-            if shared_disk:
-                # The workers' puts/evictions happened *on this store*;
-                # fold them into its stats instead of dropping them.
-                cache.stats.absorb(worker_stats)
+            cache.stats.absorb(worker_stats)
             for index in pending:
                 fp = fingerprints[index]
-                if shared_disk:
-                    # Already on disk, already counted — just make it hot.
+                if cache_root is not None:
+                    # Already on disk, already counted: just make it hot.
                     cache.promote(fp, artifact_by_fp[fp])
                 else:
-                    # adopt(): the merge above already placed these on disk.
-                    cache.adopt(fp, artifact_by_fp[fp])
+                    cache.put(fp, artifact_by_fp[fp])
     elif pending:
         from ..core.compiler import compile_program
 
@@ -464,7 +427,6 @@ def compile_batch(
         workers=max(1, workers),
         wall_seconds=time.perf_counter() - start,
         cache_stats=cache.stats.as_dict() if cache is not None else None,
-        merged_artifacts=merged,
         unique_jobs=len(first_index),
         dispatched_jobs=len(pending),
         worker_stats=worker_stats or None,

@@ -7,9 +7,9 @@ Artifacts are keyed by the hex fingerprint of their compilation
   without touching the filesystem);
 * an optional on-disk store laid out git-style — ``root/ab/cdef...json``,
   the first byte of the fingerprint as a fan-out directory — written via
-  temp-file + :func:`os.replace` so concurrent writers (batch workers
-  sharing a store, or several processes on one machine) can never expose a
-  torn artifact.  Writes are idempotent: content-addressing means any two
+  temp-file + :func:`os.replace` so concurrent writers (compile workers
+  publishing into the shared store, or several processes on one machine)
+  can never expose a torn artifact.  Writes are idempotent: content-addressing means any two
   writers of one key write identical bytes.
 
 Every lookup outcome is counted (:class:`CacheStats`); the CLI's
@@ -55,10 +55,10 @@ class CacheStats:
     """Counters for one :class:`CompileCache` instance's lifetime.
 
     Increments go through :meth:`add` under an internal lock, so several
-    threads (gateway handlers, batch mergers) sharing one cache can never
+    threads (gateway handlers, executor hops) sharing one cache can never
     lose or double-count an update; :meth:`absorb` folds another
-    instance's counters in (used to account worker-process stores back
-    into the store they share or report against).
+    instance's counters in (used to account compile workers' operations
+    on the shared store back into the parent's handle on it).
     """
 
     memory_hits: int = 0
@@ -66,7 +66,6 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     evictions: int = 0
-    merged: int = 0
     discards: int = 0
     #: Disk hits served by pulling the artifact through from a peer's
     #: store (cluster replication); every ``pulled`` is also counted in
@@ -164,7 +163,7 @@ class CompileCache:
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, str]" = OrderedDict()
         self._lock = threading.Lock()
-        #: Serializes *mutations* of the disk tier (put/adopt/discard and
+        #: Serializes *mutations* of the disk tier (put/discard and
         #: the tiered compare-and-swap) within this process, so a discard
         #: can never unlink bytes a concurrent publisher just wrote and an
         #: upgrade's read-compare-write is atomic.  Separate from
@@ -249,7 +248,7 @@ class CompileCache:
         full-tier copy is found, since nothing can rank higher.  The
         local publish uses the exclusive link so two nodes pulling one
         key into one store never double-write, and a memory-only cache
-        simply adopts the bytes into its LRU front.
+        simply keeps the bytes in its LRU front.
         """
         # Deferred import: keep the cache importable without the artifact
         # codec's circuit stack (the contention battery's subprocess
@@ -295,33 +294,12 @@ class CompileCache:
             self.stats.add(puts=1)
             self._remember(fingerprint, text)
 
-    def adopt(self, fingerprint: str, text: str) -> None:
-        """Like :meth:`put`, but skips the disk write when the key is
-        already stored — content-addressing makes any existing bytes
-        identical.  Used by the batch service to promote just-merged
-        artifacts into the memory front without rewriting them.
-
-        Publishes through the exclusive link (no exists()-then-write
-        window), so N racing adopters of one key perform one disk write
-        and count exactly one ``put`` between them.
-        """
-        created = False
-        if self.root is not None:
-            with self._disk_lock:
-                created = self._write_disk(fingerprint, text, exclusive=True)
-        with self._lock:
-            if self.root is None:
-                created = fingerprint not in self._memory
-            if created:
-                self.stats.add(puts=1)
-            self._remember(fingerprint, text)
-
     def promote(self, fingerprint: str, text: str) -> None:
         """Insert into the memory front only — no disk IO, no put counted.
 
         For artifacts that already live in the shared disk store because a
-        worker process wrote them there (shared-store mode): the write was
-        counted by the worker, the parent just wants the hot key resident.
+        compile worker process wrote them there: the write was counted by
+        the worker, the parent just wants the hot key resident.
         """
         with self._lock:
             self._remember(fingerprint, text)
@@ -446,8 +424,9 @@ class CompileCache:
 
         ``exclusive=True`` publishes via ``link`` (fails on an existing
         key instead of rewriting it) and returns whether *this* call
-        created the entry — the primitive that makes concurrent merge
-        counts exact: two racing mergers of one key get one ``True``.
+        created the entry — the primitive that makes concurrent
+        pull-through counts exact: two racing pullers of one key get one
+        ``True``.
         """
         path = self._path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -543,33 +522,3 @@ class CompileCache:
             except OSError:
                 continue
         return removed
-
-    def merge_from(self, other_root: os.PathLike) -> int:
-        """Adopt every artifact of another on-disk store not already held.
-
-        Used to fold batch workers' private stores back into the shared
-        one; returns the number of artifacts copied.  Exact under
-        contention: the copy publishes with an exclusive link, so two
-        processes merging the same key into one store count one copy
-        between them, and a source entry deleted mid-merge is skipped
-        rather than half-copied.
-        """
-        if self.root is None:
-            raise ValueError("cannot merge into a memory-only cache")
-        other = CompileCache(other_root, memory_entries=1)
-        copied = 0
-        for fingerprint in other.iter_fingerprints():
-            path = self._path(fingerprint)
-            if path.exists():
-                continue
-            try:
-                text = other._path(fingerprint).read_text()
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            with self._disk_lock:
-                created = self._write_disk(fingerprint, text, exclusive=True)
-            if created:
-                copied += 1
-        if copied:
-            self.stats.add(merged=copied)
-        return copied

@@ -47,7 +47,7 @@ Artifact replication is *pull-through* at the store layer (see
 :meth:`repro.service.cache.CompileCache.pull_through`): each node's
 cache lists its peers' store directories as a replica set, so a miss on
 the shard owner probes the replicas before compiling and publishes what
-it finds with the exclusive-link merge.  Because replication is
+it finds with the exclusive-link publish.  Because replication is
 filesystem-level, a dead node's already-published artifacts remain
 servable by whoever inherits its ranges.
 """
@@ -96,6 +96,19 @@ __all__ = [
     "ClusterSupervisor",
     "plan_cluster",
 ]
+
+#: How many *additional* nodes a forward may fail over to after its
+#: first node dies under it.
+FORWARD_RETRIES = 2
+#: Deadline, in seconds, of a health ping or a stats fan-out to a node.
+HEALTH_TIMEOUT = 5.0
+#: Consecutive ping failures before a live trunk is declared dead (an
+#: EOF/reset on the trunk fails the node immediately).
+HEALTH_FAILURES = 2
+#: Deadline, in seconds, of one trunk connect plus its hello.
+CONNECT_TIMEOUT = 2.0
+#: Bound on the router's spec-to-fingerprint memo.
+FINGERPRINT_MEMO_ENTRIES = 4096
 
 
 # ----------------------------------------------------------------------
@@ -224,18 +237,8 @@ class ClusterConfig:
     #: subject to the per-connection cap.
     tenant_quotas: Dict[str, int] = field(default_factory=dict)
     default_tenant_quota: Optional[int] = None
-    #: How many *additional* nodes a forward may fail over to after its
-    #: first node dies under it.
-    forward_retries: int = 2
     health_interval: float = 1.0
-    health_timeout: float = 5.0
-    #: Consecutive ping failures before a live trunk is declared dead
-    #: (an EOF/reset on the trunk fails the node immediately).
-    health_failures: int = 2
-    connect_timeout: float = 2.0
-    fingerprint_memo_entries: int = 4096
     allow_shutdown: bool = False
-    drain_timeout: float = 30.0
 
 
 def plan_cluster(state_dir: os.PathLike, nodes: int = 3, workers: int = 1,
@@ -454,19 +457,18 @@ class ClusterRouter(FrameServer):
         trunk = node.trunk
         try:
             await self._node_request(
-                node, {"op": "ping"}, timeout=self.config.health_timeout)
+                node, {"op": "ping"}, timeout=HEALTH_TIMEOUT)
             node.failures = 0
         except (ConnectionError, asyncio.TimeoutError, OSError):
             node.failures += 1
-            if node.failures >= self.config.health_failures:
+            if node.failures >= HEALTH_FAILURES:
                 await self._drop_trunk(node, trunk)
 
     async def _connect_node(self, node: _Node) -> bool:
         spec = node.spec
         try:
             reader, writer, _hello = await open_frame_stream(
-                spec.socket_path, spec.host, spec.port,
-                self.config.connect_timeout)
+                spec.socket_path, spec.host, spec.port, CONNECT_TIMEOUT)
         except (OSError, asyncio.TimeoutError, ValueError):
             node.failures += 1
             return False
@@ -670,8 +672,7 @@ class ClusterRouter(FrameServer):
                 await self._finish(forward, "cancelled", [])
                 return
             owner = self.ring.owner(forward.fingerprint)
-            if owner is None or forward.attempts \
-                    > self.config.forward_retries:
+            if owner is None or forward.attempts > FORWARD_RETRIES:
                 await self._finish(forward, "rejected", [error_frame(
                     "compile", forward.request_id, E_UNAVAILABLE,
                     "no healthy node owns this shard" if owner is None else
@@ -774,7 +775,7 @@ class ClusterRouter(FrameServer):
         fingerprint = await asyncio.get_running_loop().run_in_executor(
             None, _spec_fingerprint, spec)
         self._fp_memo[key] = fingerprint
-        while len(self._fp_memo) > self.config.fingerprint_memo_entries:
+        while len(self._fp_memo) > FINGERPRINT_MEMO_ENTRIES:
             self._fp_memo.popitem(last=False)
         return fingerprint
 
@@ -822,7 +823,7 @@ class ClusterRouter(FrameServer):
                 return node, None
             try:
                 response = await self._node_request(
-                    node, {"op": "stats"}, timeout=self.config.health_timeout)
+                    node, {"op": "stats"}, timeout=HEALTH_TIMEOUT)
             except (ConnectionError, asyncio.TimeoutError, OSError):
                 return node, None
             return node, response.get("stats")

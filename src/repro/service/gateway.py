@@ -23,7 +23,7 @@ Request flow::
          in-flight dedupe by fingerprint (followers attach)
                           │
                           ▼
-        process-pool workers (shared-store mode) ──→ stream responses
+        process-pool workers (publish to the store) ──→ stream responses
 
 Properties the test battery holds the gateway to:
 
@@ -105,6 +105,14 @@ from .server import Connection, FrameServer, open_frame_stream, read_frame
 
 __all__ = ["GatewayConfig", "CompileGateway", "GatewayClient"]
 
+#: LRU front of each pool worker's handle on the shared store.
+WORKER_MEMORY_ENTRIES = 64
+#: Bounds on the spec-resolution and result-metrics memos.
+RESOLVE_MEMO_ENTRIES = 4096
+METRICS_MEMO_ENTRIES = 4096
+#: Re-dispatch attempts when the process pool breaks under a job.
+DISPATCH_RETRIES = 2
+
 
 @dataclass
 class GatewayConfig:
@@ -117,7 +125,8 @@ class GatewayConfig:
     port: int = 0
     cache_root: Optional[str] = None
     memory_entries: int = 256
-    #: ``>= 1``: a process pool of that width in shared-store mode.
+    #: ``>= 1``: a process pool of that width; workers publish into the
+    #: shared store themselves.
     #: ``0``: compile in one in-process thread (no pool — cheap to start,
     #: used by tests and tiny deployments; cancellation still works).
     workers: int = 1
@@ -125,15 +134,9 @@ class GatewayConfig:
     queue_limit: int = 64
     #: Cap on one client's unanswered cold requests.
     per_client_limit: int = 16
-    worker_memory_entries: int = 64
-    resolve_memo_entries: int = 4096
-    metrics_memo_entries: int = 4096
     #: Honor the ``shutdown`` verb (off by default: a local admin signal
     #: should stop the daemon, not any client that can open the socket).
     allow_shutdown: bool = False
-    #: Re-dispatch attempts when the process pool breaks under a job.
-    dispatch_retries: int = 2
-    drain_timeout: float = 30.0
     #: Cluster replication: peer nodes' store directories probed (pull-
     #: through) when the local disk tier misses, before compiling.
     peer_stores: Tuple[str, ...] = ()
@@ -322,8 +325,7 @@ class CompileGateway(FrameServer):
             initializer=_worker_init,
             initargs=(
                 str(self.cache.root) if self.cache.root is not None else None,
-                self.config.worker_memory_entries,
-                "shared",
+                WORKER_MEMORY_ENTRIES,
             ),
         )
 
@@ -688,7 +690,7 @@ class CompileGateway(FrameServer):
                        spec: Optional[_SpecJob] = None,
                        ) -> Tuple[Optional[Tuple], Optional[str]]:
         """Run one worker compile in the slot the dispatcher reserved,
-        rebuilding a broken pool and retrying up to ``dispatch_retries``
+        rebuilding a broken pool and retrying up to ``DISPATCH_RETRIES``
         times.  Frees the slot, withdraws the job's cancel flag, and
         absorbs a shared-store worker's cache counters.  A background
         ``spec`` job is a preemption target while it runs.  Returns
@@ -698,13 +700,13 @@ class CompileGateway(FrameServer):
         if spec is not None:
             self._spec_running.add(spec)
         try:
-            for _attempt in range(self.config.dispatch_retries + 1):
+            for _attempt in range(DISPATCH_RETRIES + 1):
                 epoch = self._pool_epoch
                 try:
                     # Thread mode runs the very same worker entry point in
                     # this process: batch._WORKER_CACHE is never initialized
-                    # here, so it compiles cache-less and the parent's put
-                    # keeps the stats single-counted.
+                    # here, so the worker publishes nothing and _run_job's
+                    # put does.
                     executor = self._pool if self._pool is not None \
                         else self._thread_pool
                     outcome = await loop.run_in_executor(
@@ -774,8 +776,8 @@ class CompileGateway(FrameServer):
             await loop.run_in_executor(
                 None, self.cache.put_tiered, job.fingerprint, text, job.tier)
         else:
-            # Thread-mode compile or private store: the put publishes to
-            # disk, so it takes the executor hop.
+            # Thread-mode compile or memory-only store: the put may
+            # publish to disk, so it takes the executor hop.
             await loop.run_in_executor(
                 None, self.cache.put, job.fingerprint, text)
         # Only now drop the dedupe entry: the artifact is resident, so a
@@ -1041,7 +1043,7 @@ class CompileGateway(FrameServer):
         entry = await asyncio.get_running_loop().run_in_executor(
             None, self._resolve_uncached, spec)
         self._resolve_memo[key] = entry
-        while len(self._resolve_memo) > self.config.resolve_memo_entries:
+        while len(self._resolve_memo) > RESOLVE_MEMO_ENTRIES:
             self._resolve_memo.popitem(last=False)
         return entry
 
@@ -1057,7 +1059,7 @@ class CompileGateway(FrameServer):
             return
         self._metrics_memo[fingerprint] = result_metrics
         self._metrics_memo.move_to_end(fingerprint)
-        while len(self._metrics_memo) > self.config.metrics_memo_entries:
+        while len(self._metrics_memo) > METRICS_MEMO_ENTRIES:
             self._metrics_memo.popitem(last=False)
 
     def _result_frame(self, request_id: str, want: str, fingerprint: str,

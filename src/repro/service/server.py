@@ -46,6 +46,9 @@ __all__ = [
     "unix_listener_alive",
 ]
 
+#: How long a draining close waits for in-flight work, in seconds.
+DRAIN_TIMEOUT = 30.0
+
 
 class Connection:
     """One peer connection, owned by the event loop.  ``send`` writes
@@ -134,13 +137,13 @@ class FrameServer:
     # -- teardown helpers (each subclass's close() sequences them) -------
     async def _quiesce(self, drain: bool) -> None:
         """Mark the server closing and stop accepting; with ``drain``,
-        wait up to ``drain_timeout`` while ``_busy()``."""
+        wait up to ``DRAIN_TIMEOUT`` seconds while ``_busy()``."""
         self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
+            deadline = time.monotonic() + DRAIN_TIMEOUT
             while self._busy() and time.monotonic() < deadline:
                 await asyncio.sleep(0.02)
 

@@ -2,7 +2,7 @@
 
 The store's contract under contention: N threads sharing one
 :class:`CompileCache` plus M separate *processes* opening the same disk
-root may interleave get/put/discard/merge arbitrarily and
+root may interleave get/put/discard arbitrarily and
 
 * never expose a torn artifact — every successful read is byte-identical
   to what some writer wrote for that key (content-addressing makes that
@@ -10,8 +10,7 @@ root may interleave get/put/discard/merge arbitrarily and
 * never lose a write — after the storm, every key that was ever put is
   readable from the shared root;
 * never miscount — each cache's stats ledger balances exactly against
-  the operations performed on it, and merge counts are exact even when
-  two mergers race on the same key.
+  the operations performed on it.
 
 Values are derived deterministically from keys so corruption is
 detectable: ``value_for(key)`` embeds the key and enough padding to span
@@ -154,48 +153,6 @@ class TestThreadContention:
         assert cache.sweep_stale_tmp(max_age_seconds=0.0) == 1
         assert not fresh.exists() and live_pid.exists()
 
-    def test_racing_adopts_count_exactly_one_put(self, tmp_path):
-        """Regression: ``adopt`` used an ``exists()``-then-write probe, so
-        two adopters racing through that window both wrote the key and
-        both counted a ``put``.  Routed through the exclusive-link
-        publish, N racers perform one disk write and count exactly one
-        ``put`` between them — even across separate cache fronts sharing
-        the root, where no in-process lock can help."""
-        fronts = [CompileCache(tmp_path) for _ in range(4)]
-        key = key_for(3)
-        racers = 8
-        barrier = threading.Barrier(racers)
-
-        def adopter(n: int):
-            barrier.wait()
-            fronts[n % len(fronts)].adopt(key, value_for(key))
-
-        pool = [threading.Thread(target=adopter, args=(n,))
-                for n in range(racers)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        assert sum(front.stats.puts for front in fronts) == 1
-        # Every front promoted the key regardless of who won the write.
-        for front in fronts:
-            assert front.get(key) == value_for(key)
-            assert front.stats.puts + front.stats.hits >= 1
-        assert not list(tmp_path.rglob("*.tmp"))
-
-    def test_adopt_of_existing_key_counts_nothing(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        key = key_for(4)
-        cache.put(key, value_for(key))
-        assert cache.stats.puts == 1
-        cache.adopt(key, value_for(key))
-        assert cache.stats.puts == 1          # existing bytes, no new put
-        # Memory-only mode: same exactness without a disk tier.
-        mem = CompileCache()
-        mem.adopt(key, value_for(key))
-        mem.adopt(key, value_for(key))
-        assert mem.stats.puts == 1
-
     def test_stats_absorb_is_atomic_across_threads(self):
         """Concurrent absorb() calls must not lose increments."""
         total = CacheStats()
@@ -266,28 +223,3 @@ class TestProcessContention:
         for key in seen:
             assert survivor.get(key) == value_for(key)
         assert not list(tmp_path.rglob("*.tmp"))
-
-    def test_racing_merges_count_each_copy_once(self, tmp_path):
-        """Two threads merging the same source store into one destination:
-        the artifacts land once and the merged counters sum to exactly the
-        number of new keys (the exclusive-link publish keeps the count
-        exact under the race)."""
-        source = CompileCache(tmp_path / "source")
-        for i in range(25):
-            source.put(key_for(i), value_for(key_for(i)))
-
-        dest = CompileCache(tmp_path / "dest")
-        dest.put(key_for(0), value_for(key_for(0)))   # 1 pre-existing key
-        counts = []
-
-        def merge():
-            counts.append(dest.merge_from(tmp_path / "source"))
-
-        pool = [threading.Thread(target=merge) for _ in range(2)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        assert sum(counts) == 24
-        assert dest.stats.merged == 24
-        assert set(dest.iter_fingerprints()) == {key_for(i) for i in range(25)}

@@ -84,6 +84,11 @@ class TestVerifyErrors:
         assert main(["compile-batch", specs, "--cache", cache_dir]) == 0
         assert main(["verify", specs, "--cache", cache_dir]) == 0
 
+    def test_unresolvable_spec_exits_2(self, tmp_path, capsys):
+        specs = write_specs(tmp_path / "bad.jsonl", [{"label": "keyless"}])
+        assert main(["verify", specs, "--cache", str(tmp_path / "c")]) == 2
+        assert "bad job spec on line 0" in capsys.readouterr().err
+
 
 class TestCheckErrors:
     """Exit-code pins for the static-analysis subcommand: 0 = every

@@ -1,13 +1,13 @@
 """Replication consistency tests for the store-layer pull-through.
 
 Cluster nodes replicate lazily: a node missing a fingerprint probes its
-peers' content-addressed stores and adopts what it finds (publishing
-locally with the exclusive-link merge).  The contract under test:
+peers' content-addressed stores and keeps what it finds (publishing
+locally with the exclusive link).  The contract under test:
 
 * a pulled artifact is **byte-identical** to what the peer holds, and
   the ledger counts it as a disk hit (``pulled`` rides along, so
   ``hits + misses == lookups`` is unchanged);
-* racing pulls/merges into one store never lose or tear a write —
+* racing pulls and puts into one store never lose or tear a write —
   content addressing plus the exclusive link make the publish
   first-writer-wins and exact;
 * a node dying mid-publish leaves only a ``.tmp`` orphan that the sweep
@@ -159,41 +159,43 @@ class TestRacingPublishes:
         assert not list((tmp_path / "own").rglob("*.tmp"))
 
     def test_pulls_racing_a_merge_lose_nothing(self, tmp_path):
-        """A bulk ``merge_from`` and per-key pull-throughs hammering one
-        destination concurrently: all keys land, byte-identical, and no
-        key is ever double-*created* — the exclusive link gives exactly
-        one writer the publish, so ``merged`` never counts a key the pull
-        already published.  (The serving-side ``pulled`` counter may
-        legitimately overlap ``merged`` on a key when the merge lands
-        between the puller's local probe and its peer read: the puller
-        really did serve the peer's bytes.)"""
+        """A publisher ``put``-ting every key and per-key pull-throughs
+        hammering one destination concurrently: all keys land,
+        byte-identical, with no temp droppings.  Content addressing makes
+        the two writers' bytes for a key identical, so whichever lands
+        last changes nothing.  (``pulled`` may overlap ``puts`` on a key
+        when the put lands between the puller's local probe and its peer
+        read: the puller really did serve the peer's bytes.)"""
         seeded_store(tmp_path / "peer", count=24)
         dest = CompileCache(tmp_path / "own",
                             peer_roots=[tmp_path / "peer"])
-        merge_counts = []
+        errors = []
 
-        def merger():
-            merge_counts.append(dest.merge_from(tmp_path / "peer"))
+        def publisher():
+            for i in range(24):
+                key = key_for(i)
+                dest.put(key, value_for(key))
 
         def puller():
             for i in range(24):
                 key = key_for(i)
-                text = dest.get(key)
-                assert text is None or text == value_for(key)
+                if dest.get(key) != value_for(key):
+                    errors.append(key)
 
-        threads = [threading.Thread(target=merger),
+        threads = [threading.Thread(target=publisher),
                    threading.Thread(target=puller)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+        assert not errors
         for i in range(24):
             key = key_for(i)
             assert dest.get(key) == value_for(key)
-        # Every key was accounted for by at least one side, neither side
-        # over-counts its universe, and nothing was lost.
-        assert merge_counts[0] + dest.stats.pulled >= 24
-        assert 0 <= merge_counts[0] <= 24
+        # Every put is counted once, and every lookup hit: the puller
+        # found each key in the store or pulled it from the peer.
+        assert dest.stats.puts == 24
+        assert dest.stats.misses == 0 and dest.stats.lookups == 48
         assert 0 <= dest.stats.pulled <= 24
         assert not list((tmp_path / "own").rglob("*.tmp"))
 

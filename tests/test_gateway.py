@@ -975,6 +975,11 @@ class TestProcessMode:
             # Shared-store accounting: the worker's put was absorbed, the
             # parent only promoted (no double-counted put).
             assert stats["cache"]["puts"] == 1
+            # The parent's probe is the only lookup per request: the
+            # worker compiles cache-less, so the cold miss counts once.
+            assert stats["cache"]["misses"] == 1
+            assert stats["cache"]["lookups"] == 2
+            assert stats["cache"]["hit_rate"] == 0.5
             await client.close()
             await gateway.close()
             # Clean shutdown leaves no pool workers behind.

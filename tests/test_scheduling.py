@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core import (
     do_schedule,
     gco_schedule,
-    layer_operator_overlap,
     schedule_depth_estimate,
     schedule_to_program,
 )
@@ -99,12 +98,12 @@ class TestLayerOverlap:
     def test_counts_matching_ops(self):
         block_a = PauliBlock(["ZZI"])
         block_b = PauliBlock(["ZII"])
-        assert layer_operator_overlap(block_b, [block_a]) == 1
+        assert block_b.view.operator_overlap(block_a.view.op_profile) == 1
 
     def test_mismatched_ops_do_not_count(self):
         block_a = PauliBlock(["ZZI"])
         block_b = PauliBlock(["XXI"])
-        assert layer_operator_overlap(block_b, [block_a]) == 0
+        assert block_b.view.operator_overlap(block_a.view.op_profile) == 0
 
 
 @given(
@@ -184,6 +183,6 @@ def test_do_schedule_matches_scalar_reference(block_labels):
 def test_layer_overlap_matches_scalar_reference(block_labels, layer_labels):
     block = PauliBlock(block_labels)
     layer = [PauliBlock(layer_labels)]
-    assert layer_operator_overlap(block, layer) == scalar_layer_operator_overlap(
-        block, layer
-    )
+    assert block.view.operator_overlap(
+        layer[0].view.op_profile
+    ) == scalar_layer_operator_overlap(block, layer)

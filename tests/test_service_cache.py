@@ -239,17 +239,6 @@ class TestCompileCache:
         ).from_cache
         assert result.fingerprint in cache
 
-    def test_merge_from_worker_store(self, tmp_path):
-        main = CompileCache(tmp_path / "main")
-        worker = CompileCache(tmp_path / "worker")
-        worker.put("ab" + "1" * 62, "payload")
-        main.put("cd" + "2" * 62, "existing")
-        assert main.merge_from(tmp_path / "worker") == 1
-        assert main.get("ab" + "1" * 62) == "payload"
-        assert main.stats.merged == 1
-        # Idempotent: nothing new to copy the second time.
-        assert main.merge_from(tmp_path / "worker") == 0
-
     def test_tiered_get_split_preserves_stats(self, tmp_path):
         """``get_memory``/``get_disk`` (the gateway's loop-safe split)
         must together count exactly what the composite ``get`` counts:
@@ -535,11 +524,14 @@ class TestBatchService:
         assert cache.stats.misses == 2   # unchanged: no second-pass misses
 
     def test_worker_stores_are_merged_and_cleaned(self, tmp_path):
+        """Pool workers publish straight into the shared store: the
+        unique artifacts land there and no per-worker store is left."""
         from repro.service import compile_batch
 
         cache = CompileCache(tmp_path)
         batch = compile_batch(self.SPECS, cache=cache, workers=2)
-        assert batch.merged_artifacts == batch.dispatched_jobs == 2
+        assert batch.dispatched_jobs == 2
+        assert cache.stats.puts == 2
         assert not (cache.root / "workers").exists()
         # The shared store holds exactly the unique artifacts.
         assert len(list(cache.iter_fingerprints())) == 2
@@ -551,7 +543,7 @@ class TestBatchService:
     ]
 
     def test_merge_reports_worker_eviction_stats_exactly(self, tmp_path):
-        """Regression: the merge used to throw the workers' cache counters
+        """Regression: the batch once threw the workers' cache counters
         away, silently dropping the evictions a full LRU front produced
         mid-run.  With a front of 1 every worker put beyond its first
         evicts, so the aggregate must show puts == dispatched and at least
@@ -571,28 +563,34 @@ class TestBatchService:
         assert sum(batch.per_worker.values()) == 5
 
     def test_shared_worker_store_folds_stats_and_skips_merge(self, tmp_path):
-        """worker_store="shared": workers write the shared root directly;
-        their puts surface in cache.stats exactly once (absorbed, not
-        re-counted by a parent adopt) and nothing needs merging."""
+        """Workers write the shared root directly; their puts surface in
+        cache.stats exactly once (absorbed, not re-counted by the parent)
+        and the batch-level probe is the only lookup: one miss per job,
+        not a second one from a worker-side probe."""
         from repro.service import compile_batch
 
         cache = CompileCache(tmp_path)
-        batch = compile_batch(
-            self.MANY_SPECS, cache=cache, workers=2, worker_store="shared",
-        )
-        assert batch.merged_artifacts == 0
+        batch = compile_batch(self.MANY_SPECS, cache=cache, workers=2)
         assert not (cache.root / "workers").exists()
+        assert "misses" not in batch.worker_stats   # workers never probe
         assert cache.stats.puts == 5          # worker puts, absorbed once
-        assert cache.stats.misses == 5 * 2    # parent probe + worker probe
+        assert cache.stats.misses == 5
+        assert cache.stats.lookups == 5
         assert len(list(cache.iter_fingerprints())) == 5
         # Artifacts are hot in the parent front without a second disk write.
         rerun = compile_batch(self.MANY_SPECS, cache=cache, workers=1)
         assert all(entry.cached for entry in rerun.entries)
         assert cache.stats.memory_hits == 5
 
-    def test_worker_store_validation(self, tmp_path):
+    def test_memory_only_pool_publishes_in_the_parent(self):
+        """With no disk store the workers hold nothing to publish into, so
+        the parent puts each returned artifact itself, once."""
         from repro.service import compile_batch
 
-        with pytest.raises(ValueError):
-            compile_batch(self.SPECS, cache=CompileCache(tmp_path),
-                          workers=2, worker_store="psychic")
+        cache = CompileCache()
+        batch = compile_batch(self.SPECS, cache=cache, workers=2)
+        assert batch.worker_stats is None
+        assert cache.stats.misses == 2 and cache.stats.puts == 2
+        rerun = compile_batch(self.SPECS, cache=cache, workers=2)
+        assert all(e.cached or e.deduped for e in rerun.entries)
+        assert cache.stats.memory_hits == 2

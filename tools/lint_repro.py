@@ -68,12 +68,12 @@ BLOCKING_NAMES = {"open", "input"}
 BLOCKING_METHODS = {
     "read_text", "write_text", "read_bytes", "write_bytes",
     "touch", "rmdir", "iterdir", "glob", "rglob",
-    "sweep_stale_tmp", "merge_from", "_write_disk", "get_disk",
+    "sweep_stale_tmp", "_write_disk", "get_disk",
     # CompileCache mutators (disk I/O under the publish lock).  `discard`
     # is deliberately absent: set.discard() is ubiquitous in async code
     # and would drown the signal — its disk path is caught via
     # _write_disk/read_text inside the cache itself.
-    "put", "put_tiered", "upgrade", "adopt", "pull_through",
+    "put", "put_tiered", "upgrade", "pull_through",
 }
 
 # --- RS104 tables ----------------------------------------------------------
