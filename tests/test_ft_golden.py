@@ -17,8 +17,12 @@ small programs run the whole cross product.  The large ones pin the raw
 synthesis (level 0) under every scheduler and policy, and the cleanup
 levels on a few combinations.  Direct ``ft_synthesize`` cases cover
 identity strings inside the term list, single-qubit strings, repeated
-adjacent strings, and a nested-shared-set list where the one-sided
-predictor beats the pairwise DP.
+adjacent strings, a nested-shared-set list where the one-sided predictor
+beats the pairwise DP, and adjacent equal strings of opposite coefficient.
+The same hand-made lists also compile through ``ft_compile`` at the
+cleanup levels, one string per block under scheduler ``none`` so the list
+order holds; the opposite-coefficient list makes rotation merge drop a
+rotation and the cancellation cascade down both chains.
 
 Regenerate the corpus only when an output change is intended::
 
@@ -36,7 +40,7 @@ from typing import Callable, Dict, List, Optional
 import pytest
 
 from repro.core import ft_compile, ft_synthesize
-from repro.ir import PauliProgram
+from repro.ir import PauliBlock, PauliProgram
 from repro.pauli import PauliString
 from repro.workloads import build_benchmark
 from repro.workloads.random_hamiltonian import scale_random_program
@@ -89,6 +93,8 @@ _SMALL = ("Ising-1D", "Heisen-2D", "UCCSD-8", "REG-20-4")
 
 @functools.lru_cache(maxsize=None)
 def _program(name: str) -> PauliProgram:
+    if name.startswith(_LIST_PREFIX):
+        return _list_program(_SYNTH_LISTS[name[len(_LIST_PREFIX):]])
     return _PROGRAMS[name]()
 
 
@@ -118,15 +124,39 @@ def _compile_cases() -> Dict[str, Dict]:
         add(program, scheduler, "onesided", None)
     add("Rand-30", "do", "paired", None)
     add("N2", "gco", "paired", None)
+    # The hand-made term lists, in list order, at every cleanup level.
+    for name in _SYNTH_LISTS:
+        for policy in POLICIES:
+            for level in LEVELS[1:]:
+                add(_LIST_PREFIX + name, "none", policy, level)
     return cases
 
 
-COMPILE_CASES = _compile_cases()
-
-
 def _terms(labels: List[str], coefficient: float = 0.3):
-    return [(PauliString.from_label(label), coefficient * (k + 1))
-            for k, label in enumerate(labels)]
+    """Terms with coefficients 0.3, 0.6, ...; a label written ``-P``
+    is ``P`` with the previous term's coefficient negated."""
+    terms = []
+    for k, label in enumerate(labels):
+        if label.startswith("-"):
+            terms.append((PauliString.from_label(label[1:]), -terms[-1][1]))
+        else:
+            terms.append((PauliString.from_label(label), coefficient * (k + 1)))
+    return terms
+
+
+def _list_program(labels: List[str]) -> PauliProgram:
+    """One block per term, so scheduler ``none`` keeps the list order.
+
+    An identity string joins the block before it (no list starts with
+    one): a block of identity strings alone is an invalid program, and the
+    flow drops identity strings when it flattens the schedule."""
+    blocks: List[List] = []
+    for term in _terms(labels):
+        if term[0].is_identity:
+            blocks[-1].append(term)
+        else:
+            blocks.append([term])
+    return PauliProgram([PauliBlock(block) for block in blocks])
 
 
 _SYNTH_LISTS: Dict[str, List[str]] = {
@@ -142,7 +172,17 @@ _SYNTH_LISTS: Dict[str, List[str]] = {
     "nested-onesided-wins": ["XIZZ", "ZZZZ", "ZZXZ", "ZZIZ"],
     "mixed-5q": ["ZXIXZ", "XZZZX", "XIIZZ", "XIZZZ", "ZXXZZ", "IIIII",
                  "YYIII"],
+    # Equal neighbours of opposite coefficient: their rotations merge to
+    # zero, the chains between the outer strings cancel down to the
+    # leaves, and the outer equal strings then meet.
+    "opposite-adjacent": ["ZXYZ", "XXYZ", "-XXYZ", "ZXYZ", "IYYX", "IYYX",
+                          "-IYYX", "ZZIZ", "-ZZIZ"],
 }
+
+#: Program-name prefix of the hand-made term lists in ``COMPILE_CASES``.
+_LIST_PREFIX = "list:"
+
+COMPILE_CASES = _compile_cases()
 
 SYNTH_CASES: Dict[str, Dict] = {
     f"synth/{name}/{policy}": dict(labels=labels, policy=policy)
