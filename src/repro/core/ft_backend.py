@@ -23,7 +23,20 @@ The pass works in three stages:
    more operators — only cancelled a junction when both sides happened to
    pick each other, and its greedy choices were dominated by the DP set.)
    Planning and emission are array-native (see :func:`ft_synthesize`).
-3. **Peephole cleanup** to realize the cancellations in the gate counts.
+3. **Peephole cleanup** of what is left.  The raw emission
+   (:func:`ft_synthesize`, and the flow at peephole level 0) still holds
+   every junction's inverse pairs.  When a peephole level follows, the
+   flow synthesizes the *residue* instead: each junction leaves out the
+   basis-change pairs on qubits where both terms carry the same X or Y
+   operator and the CNOT pairs of the common chain prefix, which the
+   cancel rule would remove anyway.  Junctions between equal strings keep
+   their pairs: their rotations meet and merge there.  The synthesis
+   reports the *seams*, the gates whose successor on a wire belongs to
+   another term, and the peephole step starts its worklist there.  The
+   output is gate-identical to running the level's rules on the raw
+   emission.  Where that could fail, because a commute fires or two
+   rotations merge to nothing and the cascade reaches other junctions
+   in another order, the step runs on the raw emission instead.
 
 The emitted ``(string, coefficient)`` order is recorded so tests can verify
 unitary equivalence against the exact product of exponentials.
@@ -179,12 +192,42 @@ def ft_synthesize(
     their predicted ``(CNOTs, basis gates)`` is strictly greater.
 
     Planning runs on one :class:`PauliTable` sweep and the gates go
-    straight into :class:`GateTape` columns.
+    straight into :class:`GateTape` columns.  The output is the raw
+    emission: every junction's inverse pairs are still in it.
     """
+    return _synthesize(terms, num_qubits, junction_policy, residue=False)[0]
+
+
+def _synthesize_residue(
+    terms: List[Tuple[PauliString, float]],
+    num_qubits: int,
+    junction_policy: str = "paired",
+) -> Tuple[QuantumCircuit, List[int]]:
+    """:func:`ft_synthesize` without the gate pairs its junctions cancel
+    by construction, plus the seams: the slots of the gates whose
+    successor on one of their wires belongs to another term.
+
+    Every left-out pair is adjacent and inverse once the pairs nested
+    inside it are gone, and the seams are the only slots where a rule can
+    fire on the residue before a rewrite does.  A peephole level run from
+    the seams reaches the raw emission's fixpoint unless it commutes a
+    CNOT pair or merges two rotations to nothing: those rewrites can
+    unwind into other junctions in another order than on the raw
+    emission, so callers rerun the raw emission when one fires.
+    """
+    return _synthesize(terms, num_qubits, junction_policy, residue=True)
+
+
+def _synthesize(
+    terms: List[Tuple[PauliString, float]],
+    num_qubits: int,
+    junction_policy: str,
+    residue: bool,
+) -> Tuple[QuantumCircuit, Optional[List[int]]]:
     if junction_policy not in ("paired", "onesided"):
         raise ValueError(f"unknown junction policy {junction_policy!r}")
     if not terms:
-        return QuantumCircuit(num_qubits)
+        return QuantumCircuit(num_qubits), []
     sweep = _TermSweep([string for string, _ in terms])
     if sweep.cols.size and sweep.cols.max() >= num_qubits:
         raise ValueError(f"qubit {sweep.cols.max()} out of range for a "
@@ -199,7 +242,8 @@ def ft_synthesize(
         if sweep.predicted_cancellation(chains) <= sweep.predicted_cancellation(paired):
             chains = paired
     angles = -2.0 * np.array([c for _, c in terms], dtype=np.float64)
-    return QuantumCircuit.from_tape(sweep.emit(chains, angles, num_qubits))
+    tape, seams = sweep.emit(chains, angles, num_qubits, residue)
+    return QuantumCircuit.from_tape(tape), seams
 
 
 #: Which neighbour a term's chain puts first: none, previous, next.
@@ -273,30 +317,46 @@ class _TermSweep:
                                       (side == _NEXT) & self.shared_prev)
         return np.argsort(3 * self.rows + rank, kind="stable")
 
-    def predicted_cancellation(self, chains: np.ndarray) -> Tuple[int, int]:
-        """Exact ``(CNOTs, basis gates)`` the peephole pass cancels at the
-        junctions of a chain set: along the longest common prefix of two
-        adjacent chains whose qubits carry the same operator on both sides,
-        ``2 (p - 1)`` CNOTs plus two basis changes per X/Y prefix qubit."""
+    def junction_prefix(self, chains: np.ndarray) -> np.ndarray:
+        """Per chain entry: whether it lies in the longest common prefix of
+        its term's chain and the next term's chain whose qubits carry the
+        same operator on both sides.  A prefix of ``p`` qubits is a nest of
+        inverse pairs around the junction: two basis changes per X/Y qubit
+        and the ``p - 1`` leaf-end chain CNOTs on either side."""
         rows, pos = self.rows, self.pos
         chain = self.cols[chains]
         after = np.minimum(rows + 1, self.num_terms - 1)
         paired = self.shared_next[chains] & (pos < self.weights[after])
         partner = np.where(paired, self.starts[after] + pos, 0)
         misses = np.cumsum(~(paired & (chain == chain[partner])))
-        in_prefix = misses == np.concatenate(([0], misses))[self.starts[rows]]
-        prefix = np.bincount(rows[in_prefix], minlength=self.num_terms)
+        return misses == np.concatenate(([0], misses))[self.starts[rows]]
+
+    def predicted_cancellation(self, chains: np.ndarray) -> Tuple[int, int]:
+        """The ``(CNOTs, basis gates)`` of a chain set's junction prefixes
+        (:meth:`junction_prefix`): ``2 (p - 1)`` CNOTs plus two basis
+        changes per X/Y prefix qubit.  The CNOT count is exactly what the
+        cancel rule removes at the junctions.  The basis count is not: the
+        rule also removes the basis pairs on shared X/Y qubits outside the
+        prefix, which this does not count (the policy choice reads it)."""
+        in_prefix = self.junction_prefix(chains)
+        prefix = np.bincount(self.rows[in_prefix], minlength=self.num_terms)
         cnot = 2 * int((prefix[prefix > 0] - 1).sum())
         return cnot, 2 * int(np.count_nonzero(in_prefix & self.x[chains]))
 
-    def emit(self, chains: np.ndarray, angles: np.ndarray,
-             num_qubits: int) -> GateTape:
+    def emit(self, chains: np.ndarray, angles: np.ndarray, num_qubits: int,
+             residue: bool = False) -> Tuple[GateTape, Optional[List[int]]]:
         """Every term's sandwich as tape columns: basis changes on the
         support ascending, chain CNOTs leaf to root, the rotation on the
-        root, then the mirror image."""
+        root, then the mirror image.
+
+        With ``residue``, every junction leaves out its basis-change pairs
+        on qubits where both terms carry the same X or Y operator and its
+        :meth:`junction_prefix` CNOT pairs, and the seams come back with
+        the tape (``None`` without ``residue``)."""
         rows, w, pos = self.rows, self.weights, self.pos
+        m = self.num_terms
         chain = self.cols[chains]
-        basis = np.bincount(rows[self.x], minlength=self.num_terms)
+        basis = np.bincount(rows[self.x], minlength=m)
         length = np.where(w > 0, 2 * basis + 2 * w - 1, 0)
         start = np.cumsum(length) - length
         total = int(length.sum())
@@ -304,27 +364,74 @@ class _TermSweep:
         q0 = np.empty(total, dtype=np.int64)
         q1 = np.full(total, NO_SLOT, dtype=np.int64)
         changed = np.flatnonzero(self.x)
-        term = rows[changed]
-        rank = np.arange(changed.size) - (np.cumsum(basis) - basis)[term]
-        for slot in (start[term] + rank, start[term] + length[term] - 1 - rank):
+        term_x = rows[changed]
+        rank = np.arange(changed.size) - (np.cumsum(basis) - basis)[term_x]
+        opening = start[term_x] + rank
+        closing = start[term_x] + length[term_x] - 1 - rank
+        for slot in (opening, closing):
             op[slot] = np.where(self.codes[changed] == ops.X, _OP_H, _OP_YH)
             q0[slot] = self.cols[changed]
         edge = np.flatnonzero(pos < w[rows] - 1)
         term = rows[edge]
         tree = start[term] + basis[term]
-        for slot in (tree + pos[edge], tree + 2 * w[term] - 2 - pos[edge]):
+        forward = tree + pos[edge]
+        mirror = tree + 2 * w[term] - 2 - pos[edge]
+        for slot in (forward, mirror):
             q0[slot] = chain[edge]
             q1[slot] = chain[edge + 1]
-        term = np.flatnonzero(w)
-        slot = start[term] + basis[term] + w[term] - 1
+        rotated = np.flatnonzero(w)
+        slot = start[rotated] + basis[rotated] + w[rotated] - 1
         op[slot] = _OP_RZ
-        q0[slot] = chain[self.starts[term] + w[term] - 1]
+        q0[slot] = chain[self.starts[rotated] + w[rotated] - 1]
+        seams = None
+        if residue:
+            prefix = np.bincount(rows[self.junction_prefix(chains)],
+                                 minlength=m)
+            # Across a junction of equal strings the rotations meet and may
+            # merge, even to nothing, which lets the cancellation run on
+            # into the next junctions.  The peephole reaches the raw
+            # emission's fixpoint only if it does that in the raw order,
+            # so these junctions keep their pairs.
+            cut = ~((prefix == w) & (prefix == np.append(w[1:], 0)))
+            keep = np.ones(total, dtype=bool)
+            # A term's closing gates meet the next term, its opening gates
+            # the previous one.
+            before = np.append(False, cut)
+            keep[opening[self.shared_prev[changed] & before[term_x]]] = False
+            keep[closing[self.shared_next[changed] & cut[term_x]]] = False
+            # A prefix of p qubits holds the first p - 1 chain edges.
+            edges = np.where(cut, prefix - 1, 0)
+            keep[mirror[pos[edge] < edges[term]]] = False
+            keep[forward[pos[edge] < np.append(0, edges)[term]]] = False
+            op, q0, q1 = op[keep], q0[keep], q1[keep]
+            slot = np.cumsum(keep)[slot] - 1
+            seams = _seams(q0, q1, np.repeat(np.arange(m), length)[keep],
+                           num_qubits)
         # Non-rotations share one 0.0 object, as gate-by-gate appends did.
-        param = [0.0] * total
-        for at, angle in zip(slot.tolist(), angles[term].tolist()):
+        param = [0.0] * op.size
+        for at, angle in zip(slot.tolist(), angles[rotated].tolist()):
             param[at] = angle
-        return GateTape.from_columns(num_qubits, op.tolist(), q0.tolist(),
+        tape = GateTape.from_columns(num_qubits, op.tolist(), q0.tolist(),
                                      q1.tolist(), param)
+        return tape, seams
+
+
+def _seams(q0: np.ndarray, q1: np.ndarray, owner: np.ndarray,
+           num_qubits: int) -> List[int]:
+    """Ascending slots whose successor on one of their wires has another
+    ``owner``."""
+    wires = np.column_stack((q0, q1)).ravel()  # slot s at 2 s and 2 s + 1
+    used = np.flatnonzero(wires != NO_SLOT)
+    key = wires[used]
+    if num_qubits <= np.iinfo(np.uint16).max:
+        key = key.astype(np.uint16)  # small keys sort by radix
+    # Stable, so each wire's gates stay in program order.
+    order = used[np.argsort(key, kind="stable")]
+    wires, slots = wires[order], order >> 1
+    crossing = (wires[:-1] == wires[1:]) & (owner[slots[:-1]] != owner[slots[1:]])
+    seam = np.zeros(q0.size, dtype=bool)
+    seam[slots[:-1][crossing]] = True
+    return np.flatnonzero(seam).tolist()
 
 
 def ft_compile(
@@ -348,7 +455,10 @@ def ft_compile(
     (``None`` = full fixpoint) restricts the cleanup to the level's rule
     subset — the speculative fast tier compiles at level 1
     (cancel+merge, no commute/fuse search).  The pass sequence is
-    :func:`repro.core.passes.pass_sequence`'s ``ft`` flow.
+    :func:`repro.core.passes.pass_sequence`'s ``ft`` flow: with a cleanup
+    level it synthesizes the residue (stage 3 of the module doc), so the
+    peephole only cleans the seams; the output equals the level's rules
+    run on :func:`ft_synthesize`'s raw emission.
     """
     run = passes.Pipeline.for_backend(
         "ft", scheduler, run_peephole, peephole_level,

@@ -49,7 +49,7 @@ from ..static.contracts import (
 )
 from ..static.invariants import debug_check
 from ..transpile import (
-    CouplingMap, Layout, optimize, route, run_rules, validate_routed,
+    CouplingMap, Layout, optimize, peephole, route, validate_routed,
 )
 from . import ft_backend, sc_backend
 from .cancellation import check_cancel
@@ -97,7 +97,9 @@ def pass_sequence(
     ``"generic-alltoall"`` (optimize only).  ``level`` picks the peephole
     rules (:func:`~repro.static.contracts.rules_for_level`); the SC and
     generic flows switch to their calibration-weighted passes when
-    ``noise_aware``.
+    ``noise_aware``.  The FT flow synthesizes the raw emission at level 0
+    and the residue (``ft_synthesize_residue``) when a level's rules
+    follow, so the peephole only cleans up the seams between terms.
     """
     rules = tuple(rules_for_level(level))
     if backend == "generic":
@@ -109,7 +111,8 @@ def pass_sequence(
         raise ValueError(f"unknown scheduler {scheduler!r}")
     schedule = f"schedule_{scheduler.replace('-', '_')}"
     if backend == "ft":
-        return (schedule, "ft_synthesize", *rules)
+        synthesize = "ft_synthesize_residue" if rules else "ft_synthesize"
+        return (schedule, synthesize, *rules)
     if backend == "sc":
         synthesize = "sc_synthesize_noise" if noise_aware else "sc_synthesize"
         return (schedule, synthesize, *rules, "validate_routed")
@@ -204,6 +207,15 @@ class PipelineResult:
     seed: int = 7
     attempt: int = 0
     streaming: bool = False
+    #: What the last step left the peephole (residue synthesis), or None.
+    seams: Optional["Seams"] = None
+
+
+class Seams(NamedTuple):
+    """A residue synthesis's hint to the peephole step right after it."""
+
+    slots: List[int]  # the worklist to start from
+    raw: Callable[[], QuantumCircuit]  # the raw emission it stands in for
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +245,16 @@ def _ft_synthesize(state: PipelineResult) -> None:
     state.circuit = ft_backend.ft_synthesize(
         state.emitted_terms, state.program.num_qubits,
         junction_policy=state.junction_policy)
+
+
+def _ft_synthesize_residue(state: PipelineResult) -> None:
+    terms = state.emitted_terms = ft_backend._flatten_schedule(
+        state.schedule, release=state.streaming)
+    num_qubits, policy = state.program.num_qubits, state.junction_policy
+    state.circuit, slots = ft_backend._synthesize_residue(
+        terms, num_qubits, junction_policy=policy)
+    state.seams = Seams(slots, lambda: ft_backend.ft_synthesize(
+        terms, num_qubits, junction_policy=policy))
 
 
 def _sc_synthesize(state: PipelineResult) -> None:
@@ -265,28 +287,39 @@ def _validate_routed(state: PipelineResult) -> None:
     validate_routed(state.circuit, state.coupling)
 
 
-#: Peephole rule contracts and their ``run_rules`` flags.  Consecutive
-#: rules run as one joint fixpoint (a single engine call).
+#: Peephole rule contracts and their engine flags.  Consecutive rules run
+#: as one joint fixpoint (a single engine call).
 _RULE_FLAGS = {
-    "peephole_cancel": "cancel",
-    "peephole_merge": "merge",
-    "peephole_commute": "commute",
-    "peephole_fuse": "fuse",
+    "peephole_cancel": "do_cancel",
+    "peephole_merge": "do_merge",
+    "peephole_commute": "do_commute",
+    "peephole_fuse": "do_fuse",
 }
 
 
 def _rules(names: Sequence[str]) -> Callable[[PipelineResult], None]:
     flags = {_RULE_FLAGS[name]: True for name in names}
 
-    def peephole(state: PipelineResult) -> None:
-        state.circuit, _ = run_rules(state.circuit, **flags)
+    def peephole_step(state: PipelineResult) -> None:
+        seams = state.seams
+        if seams is not None:
+            run = peephole._run(state.circuit, seeds=seams.slots, strict=True,
+                                **flags)
+            if run is not None:
+                state.circuit = run[0]
+                return
+            # A rewrite could end differently from the residue than from
+            # the raw emission: run the raw emission's fixpoint instead.
+            state.circuit = seams.raw()
+        state.circuit, _ = peephole._run(state.circuit, **flags)
 
-    return peephole
+    return peephole_step
 
 
 _PASSES: Dict[str, Callable[[PipelineResult], None]] = {
     **{f"schedule_{s.replace('-', '_')}": _scheduler(s) for s in SCHEDULERS},
     "ft_synthesize": _ft_synthesize,
+    "ft_synthesize_residue": _ft_synthesize_residue,
     "sc_synthesize": _sc_synthesize,
     "sc_synthesize_noise": _sc_synthesize,
     **{rule: _rules([rule]) for rule in _RULE_FLAGS},
@@ -371,7 +404,12 @@ _stock_plan = lru_cache(maxsize=128)(_plan)
 
 def _run_step(step: _Step, state: PipelineResult, name: str,
           cancel: Optional[Callable[[], bool]]) -> None:
+    seams = state.seams
     step.run(state)
+    if state.seams is seams:
+        # Seams hold for the circuit of the step that reported them, so
+        # they reach the next step only; any other step drops them.
+        state.seams = None
     check_cancel(cancel, f"after {step.label}")
     stage = f"{name}: {step.label}"
     if state.circuit is None:

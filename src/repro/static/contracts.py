@@ -189,6 +189,17 @@ def _contract_table() -> Dict[str, PassContract]:
                     "junction-aligned chains.",
     ))
     add(PassContract(
+        "ft_synthesize_residue",
+        requires=frozenset({"scheduled"}),
+        establishes=frozenset({"synthesized", "terms_recorded"}),
+        preserves=ir_only,
+        description="ft_synthesize without the inverse pairs its junctions "
+                    "cancel by construction (shared X/Y basis changes, "
+                    "common chain-prefix CNOTs); reports the seams between "
+                    "terms as the next peephole step's worklist, with the "
+                    "raw emission as that step's fallback.",
+    ))
+    add(PassContract(
         "sc_synthesize",
         requires=frozenset({"scheduled"}),
         establishes=frozenset({

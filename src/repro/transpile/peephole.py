@@ -15,10 +15,11 @@ equivalents), rebuilt as *local rules* over the
 
 Instead of re-deriving wire sequences and position dicts on every sweep,
 the engine keeps one dirty-site worklist: it is seeded with every gate
-once, and a rewrite re-seeds only the edited neighborhood (the spliced-in
-wire neighbours, plus the transparent run behind the edit so a newly
-unblocked CNOT walk is revisited).  Every firing strictly shrinks
-``(gate count, swap count)`` lexicographically, so the fixpoint is
+once (or with the seams a synthesis pass reports, the only sites where a
+rule can fire on its output), and a rewrite re-seeds only the edited
+neighborhood (the spliced-in wire neighbours, plus the transparent run
+behind the edit so a newly unblocked CNOT walk is revisited).  Every
+firing strictly shrinks ``(gate count, swap count)`` lexicographically, so the fixpoint is
 O(gates + rewrites) rather than O(sweeps * gates * wires).
 
 The public functions keep the seed signatures — each returns
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..circuit import QuantumCircuit
 from ..circuit.gates import OP, OPCODES, OP_INVERSE, OP_ROTATION
@@ -94,12 +95,20 @@ def _engine(
     do_merge: bool,
     do_commute: bool,
     do_fuse: bool,
-) -> Tuple[int, int, int, int]:
+    seeds: Optional[Sequence[int]] = None,
+    strict: bool = False,
+) -> Optional[Tuple[int, int, int, int]]:
     """Run the enabled rules to a joint fixpoint on ``tape`` (in place).
+
+    ``seeds`` are the live slots the worklist starts from, in order;
+    ``None`` starts from every live slot.  They must include every slot
+    where a rule can fire on the tape as given.
 
     Returns ``(cancelled, merged, commuted, fused)`` rewrite counts with the
     seed passes' units: removed gates for cancel/merge/commute, fusion
-    firings for fuse.
+    firings for fuse.  With ``strict``, returns ``None`` (leaving the tape
+    half rewritten) instead of making a rewrite whose result can depend on
+    the worklist order: a commute, or a merge that drops both rotations.
     """
     tape.ensure_links()
     ops = tape.op
@@ -110,9 +119,11 @@ def _engine(
     prv0, prv1 = tape.prv0, tape.prv1
     n = len(ops)
     pending = bytearray(n)
-    queue = deque(tape.iter_slots())
+    queue = deque(tape.iter_slots() if seeds is None else seeds)
     for slot in queue:
         pending[slot] = 1
+    # No rule creates a SWAP, so without one on entry fuse never fires.
+    do_fuse = do_fuse and tape.counts[_OP_SWAP] > 0
     # Fuse never shrinks the gate count, so it must not steal a rewrite
     # from the shrinking rules (e.g. fusing the swap of [swap, cx, cx]
     # would destroy the pending cx/cx cancellation).  It therefore runs
@@ -254,6 +265,8 @@ def _engine(
                         angle_s = params[succ] if _IS_ROTATION[op_s] else _FIXED_ANGLE[op_s]
                         total = math.remainder(angle_g + angle_s, _TWO_PI)
                         if abs(total) < 1e-12:
+                            if strict:
+                                return None
                             remove(g)
                             remove(succ)
                             merged += 2
@@ -280,6 +293,8 @@ def _engine(
                     and q0s[j_c] == a
                     and q1s[j_c] == b
                 ):
+                    if strict:
+                        return None
                     remove(g)
                     remove(j_c)
                     commuted += 2
@@ -294,9 +309,14 @@ def _run(
     do_merge: bool = False,
     do_commute: bool = False,
     do_fuse: bool = False,
-) -> Tuple[QuantumCircuit, Tuple[int, int, int, int]]:
+    seeds: Optional[Sequence[int]] = None,
+    strict: bool = False,
+) -> Optional[Tuple[QuantumCircuit, Tuple[int, int, int, int]]]:
     tape = circuit.tape.copy()
-    counts = _engine(tape, do_cancel, do_merge, do_commute, do_fuse)
+    counts = _engine(tape, do_cancel, do_merge, do_commute, do_fuse, seeds,
+                     strict)
+    if counts is None:
+        return None
     out = QuantumCircuit.from_tape(tape.compact(), name=circuit.name)
     return out, counts
 

@@ -91,7 +91,7 @@ class TestDriver:
             frozenset({"ir_valid"}), Pipeline("ft").goal)
         assert split == 1
         assert [s.label for s in steps] == [
-            "schedule_gco", "ft_synthesize",
+            "schedule_gco", "ft_synthesize_residue",
             "peephole_cancel+peephole_merge+peephole_commute+peephole_fuse"]
 
     def test_level3_is_optimize(self, program):

@@ -16,10 +16,14 @@ Stages (``--stage all`` runs every one):
 * ``conjugate`` — the batched Clifford tape conjugation sweep;
 * ``ft-synth``  — :func:`~repro.core.ft_synthesize` alone on the Rand-30
   paper terms (gco order), the compile-ft corpus's largest program;
-* ``peephole``  — the full peephole fixpoint on that synthesized circuit,
-  the largest FT layer once synthesis is array-native.
+* ``peephole``  — the full peephole fixpoint (``optimize()``) on that
+  synthesized raw circuit;
+* ``ft-flow``   — the level-3 FT flow's synthesize and peephole steps on
+  the same terms, as ``compile_program`` runs them: the residue synthesis
+  and the peephole started from its seams.  Prints the raw and residue
+  gate counts first.
 
-``ft-synth`` and ``peephole`` ignore ``--qubits``/``--terms``.
+``ft-synth``, ``peephole`` and ``ft-flow`` ignore ``--qubits``/``--terms``.
 
 Run::
 
@@ -29,6 +33,7 @@ Run::
     PYTHONPATH=src python tools/profile_kernels.py --stage ft \\
         --dump ft.pstats       # then e.g. snakeviz ft.pstats elsewhere
     PYTHONPATH=src python tools/profile_kernels.py --stage peephole
+    PYTHONPATH=src python tools/profile_kernels.py --stage ft-flow
 """
 
 from __future__ import annotations
@@ -40,14 +45,16 @@ import sys
 import time
 from typing import Callable, Dict
 
-from repro.core import ft_compile, ft_synthesize
+from repro.core import ft_backend, ft_compile, ft_synthesize
+from repro.core.passes import pass_sequence, run_pipeline
+from repro.core.scheduling import gco_schedule
 from repro.core.streaming import scan_blocks, stream_schedule
 from repro.ir import PauliProgram
 from repro.transpile import optimize
 from repro.workloads import build_benchmark, scale_random_program
 
 #: Stages run on the Rand-30 paper program instead of the scale workload.
-RAND30_STAGES = ("ft-synth", "peephole")
+RAND30_STAGES = ("ft-synth", "peephole", "ft-flow")
 
 
 def _drain(layers) -> int:
@@ -89,10 +96,16 @@ def _rand30_stages() -> Dict[str, Callable[[], object]]:
     program = build_benchmark("Rand-30", "paper")
     frontend = ft_compile(program, run_peephole=False)
     terms, raw = frontend.emitted_terms, frontend.circuit
-    print(f"Rand-30: {len(terms)} terms, {raw.size} gates before peephole")
+    residue, _ = ft_backend._synthesize_residue(terms, program.num_qubits)
+    print(f"Rand-30: {len(terms)} terms, {raw.size} gates before peephole "
+          f"({residue.size} in the residue emission)")
+    # The stock level-3 flow after its schedule step, which runs once here.
+    schedule = gco_schedule(program)
+    flow = [lambda _: schedule, *pass_sequence("ft", "gco", 3)[1:]]
     return {
         "ft-synth": lambda: ft_synthesize(terms, program.num_qubits),
         "peephole": lambda: optimize(raw),
+        "ft-flow": lambda: run_pipeline(flow, program),
     }
 
 
