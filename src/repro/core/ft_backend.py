@@ -349,10 +349,11 @@ class _TermSweep:
         support ascending, chain CNOTs leaf to root, the rotation on the
         root, then the mirror image.
 
-        With ``residue``, every junction leaves out its basis-change pairs
-        on qubits where both terms carry the same X or Y operator and its
-        :meth:`junction_prefix` CNOT pairs, and the seams come back with
-        the tape (``None`` without ``residue``)."""
+        With ``residue``, every junction between two different strings
+        leaves out its basis-change pairs on qubits where both terms carry
+        the same X or Y operator and its :meth:`junction_prefix` CNOT
+        pairs, and the seams come back with the tape (``None`` without
+        ``residue``)."""
         rows, w, pos = self.rows, self.weights, self.pos
         m = self.num_terms
         chain = self.cols[chains]
@@ -392,6 +393,7 @@ class _TermSweep:
             # into the next junctions.  The peephole reaches the raw
             # emission's fixpoint only if it does that in the raw order,
             # so these junctions keep their pairs.
+            # cut[t]: the junction of terms t and t + 1 leaves its pairs out.
             cut = ~((prefix == w) & (prefix == np.append(w[1:], 0)))
             keep = np.ones(total, dtype=bool)
             # A term's closing gates meet the next term, its opening gates

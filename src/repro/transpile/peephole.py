@@ -19,8 +19,9 @@ once (or with the seams a synthesis pass reports, the only sites where a
 rule can fire on its output), and a rewrite re-seeds only the edited
 neighborhood (the spliced-in wire neighbours, plus the transparent run
 behind the edit so a newly unblocked CNOT walk is revisited).  Every
-firing strictly shrinks ``(gate count, swap count)`` lexicographically, so the fixpoint is
-O(gates + rewrites) rather than O(sweeps * gates * wires).
+firing strictly shrinks ``(gate count, swap count)`` lexicographically,
+so the fixpoint is O(gates + rewrites) rather than
+O(sweeps * gates * wires).
 
 The public functions keep the seed signatures — each returns
 ``(new_circuit, rewrite_count)`` and :func:`optimize` runs all rules to a
