@@ -9,8 +9,7 @@ Two families, both on the paper-scale UCCSD-8 and REG-20-4 workloads:
 * **transpile stages** — the tape-based worklist ``optimize`` and the
   incremental SABRE ``route`` (plus the full level-3
   optimize/route/re-optimize composition) against the seed
-  rebuild-the-world implementations kept in
-  :mod:`repro.transpile.reference`.
+  rebuild-the-world implementations kept in ``tests/oracles/transpile.py``.
 
 Output equality/equivalence is asserted before timing, and the
 pairwise-consistent junction planner is checked for CNOT non-regression
@@ -35,6 +34,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -42,13 +42,18 @@ import numpy as np
 from repro.circuit.statevector import equivalent_up_to_global_phase, simulate
 from repro.core import ft_compile
 from repro.core.ft_backend import most_overlap_sort
-from repro.core.reference import scalar_do_schedule, scalar_most_overlap_sort
 from repro.core.scheduling import do_schedule
 from repro.ir import PauliProgram
 from repro.pauli import PauliString
 from repro.transpile import manhattan_65, optimize, route
-from repro.transpile.reference import seed_optimize, seed_route
 from repro.workloads import build_benchmark
+
+# The scalar oracles live in tests/oracles/, shared with the equivalence
+# tests so the two cannot drift; put tests/ on the path the way
+# tests/conftest.py does.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.scheduling import scalar_do_schedule, scalar_most_overlap_sort  # noqa: E402
+from oracles.transpile import seed_optimize, seed_route  # noqa: E402
 
 WORKLOADS = ("UCCSD-8", "REG-20-4")
 TABLE2_FT = ("Ising-1D", "Ising-2D", "Heisen-1D", "Heisen-2D", "N2", "Rand-30")
@@ -58,8 +63,7 @@ _EQUIV_MAX_QUBITS = 12
 
 
 # ----------------------------------------------------------------------
-# Harness (the scalar oracle lives in repro.core.reference, shared with
-# the equivalence tests so the two cannot drift)
+# Harness
 # ----------------------------------------------------------------------
 
 def _time(fn, repeats: int) -> float:

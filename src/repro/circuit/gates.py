@@ -120,10 +120,6 @@ class Gate:
     def num_qubits(self) -> int:
         return len(self.qubits)
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.name in TWO_QUBIT_GATES
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gate):
             return NotImplemented

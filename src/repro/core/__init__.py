@@ -9,7 +9,6 @@ from .controlled import (
     controlled_rz_gates,
 )
 from .ft_backend import (
-    FTResult,
     ft_compile,
     ft_synthesize,
     most_overlap_sort,
@@ -49,7 +48,6 @@ __all__ = [
     "CompilationCancelled",
     "CompilationResult",
     "EmbeddedTree",
-    "FTResult",
     "Pipeline",
     "PipelineResult",
     "SCResult",

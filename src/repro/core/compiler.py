@@ -280,19 +280,12 @@ def compile_program(
     debug_check("compile: input program", program=program)
 
     if backend == "ft":
-        ft_result = ft_compile(
+        run = ft_compile(
             program, scheduler=resolved_scheduler, run_peephole=run_peephole,
             cancel=cancel, peephole_level=peephole_level,
         )
-        result = CompilationResult(
-            circuit=ft_result.circuit,
-            backend="ft",
-            scheduler=resolved_scheduler,
-            emitted_terms=ft_result.emitted_terms,
-            device=device_name,
-        )
     else:
-        sc_result = sc_compile(
+        run = sc_compile(
             program,
             coupling,
             scheduler=resolved_scheduler,
@@ -302,15 +295,15 @@ def compile_program(
             cancel=cancel,
             peephole_level=peephole_level,
         )
-        result = CompilationResult(
-            circuit=sc_result.circuit,
-            backend="sc",
-            scheduler=resolved_scheduler,
-            emitted_terms=sc_result.emitted_terms,
-            initial_layout=sc_result.initial_layout,
-            final_layout=sc_result.final_layout,
-            device=device_name,
-        )
+    result = CompilationResult(
+        circuit=run.circuit,
+        backend=backend,
+        scheduler=resolved_scheduler,
+        emitted_terms=run.emitted_terms,
+        initial_layout=run.initial_layout,
+        final_layout=run.final_layout,
+        device=device_name,
+    )
     result.fingerprint = fingerprint
     result.tier = tier
     result.pipeline = key.name

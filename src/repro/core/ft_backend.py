@@ -62,7 +62,6 @@ from .scheduling import Schedule, do_schedule, gco_schedule
 from .streaming import stream_schedule
 
 __all__ = [
-    "FTResult",
     "most_overlap_sort",
     "plan_junctions",
     "ft_synthesize",
@@ -74,18 +73,6 @@ _OP_H, _OP_YH, _OP_RZ, _OP_CX = OP["h"], OP["yh"], OP["rz"], OP["cx"]
 #: Above this many terms, the greedy chain computes overlap rows on demand
 #: instead of materializing the full (m, m) overlap matrix.
 _MATRIX_LIMIT = 4096
-
-
-class FTResult:
-    """Output of the FT pass: circuit plus the emitted term order."""
-
-    def __init__(
-        self,
-        circuit: QuantumCircuit,
-        emitted_terms: List[Tuple[PauliString, float]],
-    ):
-        self.circuit = circuit
-        self.emitted_terms = emitted_terms
 
 
 def most_overlap_sort(strings: List[Tuple[PauliString, float]]) -> List[Tuple[PauliString, float]]:
@@ -443,7 +430,7 @@ def ft_compile(
     junction_policy: str = "paired",
     cancel: Optional[Callable[[], bool]] = None,
     peephole_level: Optional[int] = None,
-) -> FTResult:
+) -> passes.PipelineResult:
     """Full FT flow: schedule, adaptively synthesize, peephole-optimize.
 
     ``scheduler`` is ``"gco"`` (gate-count-oriented, the FT default),
@@ -460,9 +447,10 @@ def ft_compile(
     :func:`repro.core.passes.pass_sequence`'s ``ft`` flow: with a cleanup
     level it synthesizes the residue (stage 3 of the module doc), so the
     peephole only cleans the seams; the output equals the level's rules
-    run on :func:`ft_synthesize`'s raw emission.
+    run on :func:`ft_synthesize`'s raw emission.  Returns the driver's
+    :class:`~repro.core.passes.PipelineResult` (``circuit``,
+    ``emitted_terms``).
     """
-    run = passes.Pipeline.for_backend(
+    return passes.Pipeline.for_backend(
         "ft", scheduler, run_peephole, peephole_level,
     ).run(program, cancel=cancel, junction_policy=junction_policy)
-    return FTResult(run.circuit, run.emitted_terms)

@@ -496,7 +496,7 @@ def sc_compile(
     seed: int = 7,
     cancel: Optional[Callable[[], bool]] = None,
     peephole_level: Optional[int] = None,
-) -> SCResult:
+) -> passes.PipelineResult:
     """Full SC flow: schedule, tree-embedded synthesis, peephole cleanup.
 
     ``scheduler`` accepts ``"do"`` (default), ``"gco"``, ``"none"``, and
@@ -512,11 +512,10 @@ def sc_compile(
     (see :mod:`repro.core.cancellation`).  ``peephole_level`` (``None``
     = full fixpoint) restricts the cleanup to the level's rule subset —
     the speculative fast tier compiles at level 1.  The pass sequence is
-    :func:`repro.core.passes.pass_sequence`'s ``sc`` flow.
+    :func:`repro.core.passes.pass_sequence`'s ``sc`` flow; the return
+    value is the driver's :class:`~repro.core.passes.PipelineResult`.
     """
-    run = passes.Pipeline.for_backend(
+    return passes.Pipeline.for_backend(
         "sc", scheduler, run_peephole, peephole_level, edge_error,
     ).run(program, coupling=coupling, edge_error=edge_error,
           restarts=restarts, seed=seed, cancel=cancel)
-    return SCResult(run.circuit, run.initial_layout, run.final_layout,
-                    run.emitted_terms, run.transition_swaps)

@@ -39,7 +39,7 @@ only limits how far ahead the scheduler may look for the best primary.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -339,8 +339,6 @@ def streaming_do_schedule(
 _STREAM_SCHEDULERS = {
     "gco-stream": streaming_gco_schedule,
     "do-stream": streaming_do_schedule,
-    "gco": streaming_gco_schedule,
-    "do": streaming_do_schedule,
 }
 
 
@@ -354,8 +352,8 @@ def stream_schedule(
     scheduler: str,
     window: int = DEFAULT_WINDOW,
 ) -> Iterator[List[PauliBlock]]:
-    """Dispatch to a streaming scheduler by name (``gco[-stream]`` /
-    ``do[-stream]``), returning the incremental layer iterator."""
+    """Dispatch to a streaming scheduler by name (``gco-stream`` /
+    ``do-stream``), returning the incremental layer iterator."""
     try:
         fn = _STREAM_SCHEDULERS[scheduler]
     except KeyError:

@@ -4,30 +4,11 @@ from .blocks import BlockView, PauliBlock, WeightedString
 from .parser import format_program, parse_program
 from .program import PauliProgram
 
-#: Names that now live in the static-analysis layer.  The old
-#: ``ir.validation`` module was folded into ``repro.static.invariants``
-#: (one validation entry point); these lazy re-exports keep
-#: ``from repro.ir import validate_program`` working without making the
-#: low-level IR package eagerly import the higher static layer.
-_STATIC_REEXPORTS = ("Diagnostic", "ValidationReport", "validate_program")
-
-
-def __getattr__(name):
-    if name in _STATIC_REEXPORTS:
-        from .. import static
-
-        return getattr(static, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BlockView",
     "PauliBlock",
     "PauliProgram",
     "WeightedString",
-    "Diagnostic",
-    "ValidationReport",
     "format_program",
     "parse_program",
-    "validate_program",
 ]

@@ -16,7 +16,7 @@ constraints").
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -306,9 +306,6 @@ class PauliBlock:
                 block._sorted = block
                 self._sorted = block
         return self._sorted
-
-    def with_strings(self, strings: Sequence[WeightedString]) -> "PauliBlock":
-        return PauliBlock(strings, self.parameter, self.name)
 
     def canonical_bytes(self) -> bytes:
         """Order-insensitive canonical encoding of this block's semantics.

@@ -150,18 +150,6 @@ class NoiseModel:
             raise ValueError(f"no calibration for edge {edge}")
         return 3.0 * -math.log(1.0 - rate)
 
-    @property
-    def is_uniform(self) -> bool:
-        """True when every two-qubit edge carries the same error rate.
-
-        A uniform model contains no routing signal: every path of equal
-        hop count has equal reliability, so the noise-aware passes fall
-        back to plain hop distance (which also keeps them gate-identical
-        to the distance-only reference, see the router tests).
-        """
-        rates = set(self.two_qubit_error.values())
-        return len(rates) <= 1
-
     # ------------------------------------------------------------------
     # Serialization (device registry snapshots + cache identity)
     # ------------------------------------------------------------------

@@ -34,7 +34,9 @@ Job spec schema (one JSON object per job)::
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -180,13 +182,29 @@ _WORKER_STATS_BASE: Dict[str, int] = {}
 
 def _worker_init(cache_root: Optional[str], memory_entries: int) -> None:
     """Open this worker's handle on the shared store (none when the
-    parent's cache is memory-only: the parent then publishes itself)."""
+    parent's cache is memory-only: the parent then publishes itself), and
+    exit with the parent.
+
+    A SIGKILLed parent never shuts its pool down, so without the watch an
+    orphaned worker idles on for ever, holding its memory and, through its
+    live pid, the ``pub-<pid>-*.tmp`` files ``sweep_stale_tmp`` would reap.
+    The parent's sentinel fires on its death under spawn and fork alike.
+    """
     global _WORKER_CACHE, _WORKER_STATS_BASE
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with, args=(parent,),
+                         name="parent-watch", daemon=True).start()
     _WORKER_STATS_BASE = {}
     _WORKER_CACHE = (
         None if cache_root is None
         else CompileCache(cache_root, memory_entries=memory_entries)
     )
+
+
+def _exit_with(parent) -> None:
+    parent.join()
+    os._exit(1)
 
 
 def _worker_stats_delta() -> Dict[str, int]:

@@ -38,17 +38,14 @@ from .contracts import (
     rules_for_level,
 )
 from .invariants import (
-    Diagnostic,
     InvariantIssue,
     InvariantReport,
     InvariantViolation,
-    ValidationReport,
     check_program,
     check_result,
     check_tape,
     debug_check,
     debug_invariants_enabled,
-    validate_program,
 )
 
 __all__ = [
@@ -61,15 +58,12 @@ __all__ = [
     "contract_for",
     "preserves_all_except",
     "rules_for_level",
-    "Diagnostic",
     "InvariantIssue",
     "InvariantReport",
     "InvariantViolation",
-    "ValidationReport",
     "check_program",
     "check_result",
     "check_tape",
     "debug_check",
     "debug_invariants_enabled",
-    "validate_program",
 ]

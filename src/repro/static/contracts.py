@@ -39,8 +39,6 @@ __all__ = [
     "contract_for",
     "register_callable",
     "rules_for_level",
-    "TIER_LEVELS",
-    "pipeline_for_tier",
 ]
 
 #: The closed property vocabulary.  Contracts may only mention these
@@ -465,7 +463,7 @@ class PipelineChecker:
 
 
 # ---------------------------------------------------------------------------
-# Peephole levels and serving tiers
+# Peephole levels
 # ---------------------------------------------------------------------------
 
 def rules_for_level(level: int) -> List[str]:
@@ -480,31 +478,3 @@ def rules_for_level(level: int) -> List[str]:
         rules.append("peephole_fuse")
     return rules
 
-
-#: Serving-layer artifact quality tiers mapped onto the peephole
-#: optimization level whose shipped pipeline produced them.  The
-#: gateway's speculative lane answers at ``opt1`` and upgrades to
-#: ``full``; that upgrade is monotone because :func:`rules_for_level`
-#: gives each level a superset of the rules below it, so a higher-tier
-#: recompile can only add simplifications, never lose the guarantees the
-#: fast artifact already carried.
-TIER_LEVELS: Dict[str, int] = {
-    "opt0": 0, "opt1": 1, "opt2": 2, "opt3": 3, "full": 3,
-}
-
-
-def pipeline_for_tier(backend: str, scheduler: str, tier: str) -> str:
-    """Name of the shipped pipeline that produces a ``tier``-quality
-    artifact for ``backend`` (``ft``/``sc``) under ``scheduler``.
-
-    This is the serving layer's provenance hook: an artifact stamped
-    ``tier="opt1"`` was compiled by the pipeline this function names, and
-    the tests assert that pipeline is shipped (and contract-valid), so a
-    tier string in the cache always corresponds to a statically validated
-    pass sequence.
-    """
-    if tier not in TIER_LEVELS:
-        raise ValueError(
-            f"unknown tier {tier!r}; expected one of {sorted(TIER_LEVELS)}"
-        )
-    return f"{backend}-{scheduler}-opt{TIER_LEVELS[tier]}"

@@ -30,9 +30,7 @@ sweep: export ``REPRO_CHECK_INVARIANTS=1`` and every backend validates
 its tape after each pass, raising :class:`InvariantViolation` at the
 first broken stage.
 
-``validate_program`` remains the single program-validation entry point
-(``repro.ir`` lazily re-exports it); it is now an alias of
-:func:`check_program`.
+:func:`check_program` is the single program-validation entry point.
 """
 
 from __future__ import annotations
@@ -40,23 +38,20 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..circuit.gates import OP_ROTATION, OP_SINGLE, OP_TWO, OPCODES
 from ..circuit.tape import NO_SLOT, GateTape
 
 __all__ = [
-    "Diagnostic",
     "InvariantIssue",
     "InvariantReport",
     "InvariantViolation",
-    "ValidationReport",
     "check_program",
     "check_result",
     "check_tape",
     "debug_check",
     "debug_invariants_enabled",
-    "validate_program",
 ]
 
 #: Environment flag: when truthy, the compile paths run :func:`debug_check`
@@ -77,13 +72,6 @@ class InvariantIssue:
         return f"[{self.severity}] {self.invariant} @ {self.location}: {self.message}"
 
 
-def Diagnostic(severity: str, block_index: int, message: str) -> InvariantIssue:
-    """Legacy ``ir.validation.Diagnostic`` constructor, kept for
-    compatibility: builds a program-structure :class:`InvariantIssue`."""
-    location = f"block {block_index}" if block_index >= 0 else "program"
-    return InvariantIssue(severity, "program.structure", location, message)
-
-
 @dataclass
 class InvariantReport:
     """All findings from one check run over one subject."""
@@ -93,11 +81,6 @@ class InvariantReport:
 
     def add(self, severity: str, invariant: str, location: str, message: str) -> None:
         self.issues.append(InvariantIssue(severity, invariant, location, message))
-
-    @property
-    def diagnostics(self) -> List[InvariantIssue]:
-        """Legacy alias for :attr:`issues` (the old ValidationReport name)."""
-        return self.issues
 
     @property
     def errors(self) -> List[InvariantIssue]:
@@ -123,10 +106,6 @@ class InvariantReport:
         if not self.issues:
             return f"{self.subject} OK"
         return "\n".join(str(issue) for issue in self.issues)
-
-
-#: Legacy alias: the old ``ir.validation.ValidationReport``.
-ValidationReport = InvariantReport
 
 
 class InvariantViolation(ValueError):
@@ -314,8 +293,8 @@ def check_program(program, subject: str = "Pauli IR program") -> InvariantReport
     """Structural sweep over a ``PauliProgram`` (duck-typed: any iterable
     of blocks with ``parameter`` and weighted strings works).
 
-    Subsumes the retired ``ir.validation.validate_program``: the legacy
-    well-formedness diagnostics keep their severities and wording, with
+    Subsumes the retired ``ir/validation.py``: its well-formedness
+    diagnostics keep their severities and wording, with
     coefficient-finiteness and symplectic-width checks on top.
     """
     report = InvariantReport(subject=subject)
@@ -408,11 +387,6 @@ def _check_symplectic_widths(block, where: str, report: InvariantReport) -> None
                 f"packed {name} rows have shape {tuple(rows.shape)}, expected "
                 f"({len(block)}, {expected_bytes})",
             )
-
-
-#: The single program-validation entry point (legacy name preserved;
-#: ``repro.ir`` re-exports it lazily).
-validate_program = check_program
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ O(sweeps * gates * wires).
 The public functions keep the seed signatures — each returns
 ``(new_circuit, rewrite_count)`` and :func:`optimize` runs all rules to a
 joint fixpoint.  The original rebuild-the-world implementations live on
-unchanged in :mod:`repro.transpile.reference` as the equivalence oracle.
+unchanged in ``tests/oracles/transpile.py`` as the equivalence oracle.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ front layer is maintained incrementally as gates are emitted (instead of
 re-scanning every wire per step), and swap candidates are scored against
 a flat logical-to-physical array with no per-candidate layout copies.  The
 decision sequence — and therefore the routed circuit — is identical to the
-seed implementation kept in :mod:`repro.transpile.reference`, which the
+seed implementation kept in ``tests/oracles/transpile.py``, which the
 tests assert gate-for-gate.
 """
 

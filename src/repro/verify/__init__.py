@@ -10,17 +10,20 @@ effective ``(PauliString, angle)`` gadget sequence in time polynomial in
 gates and qubits, which turns "verify a 30-qubit Trotter step" into
 milliseconds.
 
-Three layers:
+Two layers do the verification:
 
-* :mod:`repro.verify.clifford` — the vectorized, bit-packed Clifford
-  conjugation engine (whole-table word ops per gate) shared with the
-  baseline tableau code;
 * :mod:`repro.verify.gadgets` — gadget extraction: peel every rotation
   in a :class:`~repro.circuit.circuit.QuantumCircuit` back through the
-  Cliffords preceding it, plus the residual Clifford frame;
+  Cliffords preceding it (one int-bitmask sweep), plus the residual
+  Clifford frame;
 * :mod:`repro.verify.equivalence` — canonicalization and comparison of
   gadget sequences against the scheduled source program, with a precise
   first-divergence mismatch report.
+
+:mod:`repro.verify.clifford` is the TK baseline's bit-packed tableau
+engine (whole-table word ops per gate, used by
+:mod:`repro.baselines.tableau`), not the verifier's; the extractor takes
+only its :class:`~repro.verify.clifford.SignedPauli` record type.
 """
 
 from .clifford import SignedPauli, SignedPauliTable, conjugate_rows

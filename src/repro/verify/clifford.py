@@ -1,4 +1,4 @@
-"""Vectorized, bit-packed Clifford conjugation engine.
+"""Vectorized, bit-packed Clifford conjugation engine for the TK baseline.
 
 A :class:`SignedPauliTable` holds ``m`` signed Pauli operators on ``n``
 qubits as bit-packed symplectic X/Z matrices (same packing as
@@ -6,15 +6,14 @@ qubits as bit-packed symplectic X/Z matrices (same packing as
 of byte ``i // 8``) plus a per-row phase bit.  Conjugating the whole table
 by a Clifford gate ``P -> g P g^dagger`` touches only the byte column(s)
 of the gate's qubits — a handful of word-wide XOR/AND ops over all rows at
-once, instead of the per-row per-qubit Python loop of the old
-``baselines.tableau.TrackedPauli``.
+once, instead of a per-row per-qubit Python loop.
 
 Both directions are supported (``apply`` conjugates by ``g``,
-``apply_inverse`` by ``g^dagger``).  This is the shared conjugation
-primitive behind :mod:`repro.baselines.tableau` (simultaneous
-diagonalization) and the matrix-validated reference the gadget
-extractor's int-bitmask sweep (:mod:`repro.verify.gadgets`) is
-cross-checked against.
+``apply_inverse`` by ``g^dagger``).  This is the tableau engine behind
+:mod:`repro.baselines.tableau` (the TK baseline's simultaneous
+diagonalization).  The verifier does not run it: its Pauli propagation
+is the int-bitmask sweep in :mod:`repro.verify.gadgets`, which imports
+only :class:`SignedPauli` from here.
 
 The sign conventions are the standard CHP/tableau update rules; the
 scalar tables they replace are kept as a reference implementation in
@@ -32,7 +31,7 @@ from ..circuit.gates import OP, OP_ROTATION
 from ..circuit.tape import NO_SLOT
 from ..pauli import PauliString
 
-__all__ = ["SignedPauli", "SignedPauliTable", "conjugate_rows", "conjugate_tape"]
+__all__ = ["SignedPauli", "SignedPauliTable", "conjugate_rows"]
 
 _OP_ID = OP["id"]
 _OP_X = OP["x"]
@@ -129,152 +128,6 @@ def conjugate_rows(
         raise ValueError(f"unknown Clifford opcode {op}")
 
 
-class _ConjugationScratch:
-    """Reusable ``(m,)`` work buffers for :func:`conjugate_tape`.
-
-    ``conjugate_rows`` allocates three to five fresh ``(m,)`` temporaries
-    per gate; over a 10^5-gate tape against a large table that is the
-    dominant conjugation cost.  The scratch pins four buffers and every
-    gate reuses them via ``out=`` ufunc calls, so a whole-tape sweep does
-    zero per-gate allocation.
-    """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, num_rows: int):
-        self.a = np.empty(num_rows, dtype=np.uint8)
-        self.b = np.empty(num_rows, dtype=np.uint8)
-        self.c = np.empty(num_rows, dtype=np.uint8)
-        self.d = np.empty(num_rows, dtype=np.uint8)
-
-
-def _column_bit(m: np.ndarray, j: int, s: int, out: np.ndarray) -> np.ndarray:
-    """``out = (m[:, j] >> s) & 1`` without allocating."""
-    np.right_shift(m[:, j], s, out=out)
-    out &= 1
-    return out
-
-
-def conjugate_tape(
-    x: np.ndarray,
-    z: np.ndarray,
-    phase: np.ndarray,
-    gates: Iterable,
-    scratch: "_ConjugationScratch" = None,
-) -> None:
-    """Conjugate every row by a whole gate sequence, allocation-free.
-
-    ``gates`` yields ``(op, q0, q1)`` triples (``q1`` ignored for
-    single-qubit gates; pass :data:`~repro.circuit.tape.NO_SLOT`).  The
-    semantics per gate are identical to :func:`conjugate_rows`; the
-    difference is purely mechanical — all per-gate temporaries live in one
-    preallocated :class:`_ConjugationScratch`, reused across the sweep.
-    """
-    if scratch is None:
-        scratch = _ConjugationScratch(x.shape[0])
-    a, b, c = scratch.a, scratch.b, scratch.c
-    for op, q0, q1 in gates:
-        j0, s0 = q0 >> 3, q0 & 7
-        if op == _OP_H:
-            xq = _column_bit(x, j0, s0, a)
-            zq = _column_bit(z, j0, s0, b)
-            np.bitwise_and(xq, zq, out=c)
-            phase ^= c
-            np.bitwise_xor(xq, zq, out=c)
-            c <<= s0
-            x[:, j0] ^= c
-            z[:, j0] ^= c
-        elif op == _OP_S:
-            xq = _column_bit(x, j0, s0, a)
-            zq = _column_bit(z, j0, s0, b)
-            np.bitwise_and(xq, zq, out=c)
-            phase ^= c
-            xq <<= s0
-            z[:, j0] ^= xq
-        elif op == _OP_SDG:
-            xq = _column_bit(x, j0, s0, a)
-            zq = _column_bit(z, j0, s0, b)
-            zq ^= 1
-            np.bitwise_and(xq, zq, out=c)
-            phase ^= c
-            xq <<= s0
-            z[:, j0] ^= xq
-        elif op == _OP_YH:
-            xq = _column_bit(x, j0, s0, a)
-            zq = _column_bit(z, j0, s0, b)
-            np.bitwise_xor(zq, 1, out=c)
-            c &= xq
-            phase ^= c
-            zq <<= s0
-            x[:, j0] ^= zq
-        elif op == _OP_X:
-            phase ^= _column_bit(z, j0, s0, a)
-        elif op == _OP_Z:
-            phase ^= _column_bit(x, j0, s0, a)
-        elif op == _OP_Y:
-            np.bitwise_xor(x[:, j0], z[:, j0], out=a)
-            a >>= s0
-            a &= 1
-            phase ^= a
-        elif op == _OP_CX:
-            j1, s1 = q1 >> 3, q1 & 7
-            xc = _column_bit(x, j0, s0, a)
-            zt = _column_bit(z, j1, s1, b)
-            xt = _column_bit(x, j1, s1, c)
-            zc = _column_bit(z, j0, s0, scratch.d)
-            # phase ^= xc & zt & (xt ^ zc ^ 1)
-            xt ^= zc
-            xt ^= 1
-            xt &= xc
-            xt &= zt
-            phase ^= xt
-            xc <<= s1
-            x[:, j1] ^= xc
-            zt <<= s0
-            z[:, j0] ^= zt
-        elif op == _OP_CZ:
-            j1, s1 = q1 >> 3, q1 & 7
-            xa = _column_bit(x, j0, s0, a)
-            xb = _column_bit(x, j1, s1, b)
-            za = _column_bit(z, j0, s0, c)
-            zb = _column_bit(z, j1, s1, scratch.d)
-            # phase ^= xa & xb & (za ^ zb)
-            za ^= zb
-            za &= xa
-            za &= xb
-            phase ^= za
-            xb <<= s0
-            z[:, j0] ^= xb
-            xa <<= s1
-            z[:, j1] ^= xa
-        elif op == _OP_SWAP:
-            j1, s1 = q1 >> 3, q1 & 7
-            np.right_shift(x[:, j0], s0, out=a)
-            np.right_shift(x[:, j1], s1, out=b)
-            a ^= b
-            a &= 1
-            np.left_shift(a, s0, out=b)
-            x[:, j0] ^= b
-            a <<= s1
-            x[:, j1] ^= a
-            np.right_shift(z[:, j0], s0, out=a)
-            np.right_shift(z[:, j1], s1, out=b)
-            a ^= b
-            a &= 1
-            np.left_shift(a, s0, out=b)
-            z[:, j0] ^= b
-            a <<= s1
-            z[:, j1] ^= a
-        elif op == _OP_ID:
-            pass
-        elif op in OP_ROTATION:
-            raise ValueError(
-                "rotations are not Clifford; peel them as gadgets instead"
-            )
-        else:
-            raise ValueError(f"unknown Clifford opcode {op}")
-
-
 @dataclass(frozen=True)
 class SignedPauli:
     """An immutable ``sign * PauliString`` pair (``sign`` is +1 or -1).
@@ -359,22 +212,6 @@ class SignedPauliTable:
     def apply_inverse(self, op: int, q0: int, q1: int = NO_SLOT) -> None:
         """Conjugate every row by the inverse gate: ``P -> g^dagger P g``."""
         self.apply(_CONJ_INVERSE[op], q0, q1)
-
-    def apply_tape(self, gates: Iterable) -> None:
-        """Conjugate every row by a whole ``(op, q0, q1)`` gate sequence in
-        one allocation-free sweep (see :func:`conjugate_tape`)."""
-        conjugate_tape(
-            self.x, self.z, self.phase, gates,
-            scratch=_ConjugationScratch(self.num_rows),
-        )
-
-    def apply_tape_inverse(self, gates) -> None:
-        """Conjugate by the *inverse* of a gate sequence: gates reversed,
-        each replaced by its inverse Clifford.  ``gates`` must be a
-        reversible sequence (list/tuple), not a one-shot iterator."""
-        self.apply_tape(
-            (_CONJ_INVERSE[op], q0, q1) for op, q0, q1 in reversed(gates)
-        )
 
     # ------------------------------------------------------------------
     # Row queries

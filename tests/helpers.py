@@ -1,5 +1,8 @@
-"""Shared test utilities: exact references for compiled circuits."""
+"""Shared test utilities: exact references for compiled circuits, and
+process liveness for the serving tests."""
 
+import os
+import time
 from typing import List, Tuple
 
 import numpy as np
@@ -37,3 +40,31 @@ def layout_permutation(layout: Layout, num_qubits: int) -> np.ndarray:
             physical_index |= bit << p
         perm[physical_index, logical_index] = 1.0
     return perm
+
+
+def process_alive(pid: int) -> bool:
+    """Whether ``pid`` is still running.  A zombie counts as gone: it has
+    exited, and an orphan's zombie waits on whatever reaps for init."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return not os.path.isdir("/proc")
+    return state != "Z"
+
+
+def wait_until_gone(pids, timeout: float) -> list:
+    """Poll until none of ``pids`` is alive or ``timeout`` s pass; returns
+    the survivors."""
+    deadline = time.monotonic() + timeout
+    alive = [pid for pid in pids if process_alive(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = [pid for pid in alive if process_alive(pid)]
+    return alive

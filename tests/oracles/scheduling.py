@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..ir import PauliBlock, PauliProgram
-from ..pauli import PauliString
+from repro.ir import PauliBlock, PauliProgram
+from repro.pauli import PauliString
 
 __all__ = [
     "scalar_most_overlap_sort",

@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..circuit import Gate, QuantumCircuit
-from ..circuit.gates import ROTATION_GATES, inverse_gate
-from .coupling import CouplingMap
-from .layout import Layout, dense_initial_layout
+from repro.circuit import Gate, QuantumCircuit
+from repro.circuit.gates import ROTATION_GATES, inverse_gate
+from repro.transpile.coupling import CouplingMap
+from repro.transpile.layout import Layout, dense_initial_layout
 
 __all__ = [
     "seed_cancel_adjacent_pairs",

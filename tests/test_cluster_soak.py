@@ -13,7 +13,7 @@ takes:
   with compiles still in flight;
 * a killer that SIGKILLs a random *gateway node* every ~10 seconds
   (the supervisor restarts it; the router fails its ranges over in the
-  meantime).
+  meantime), after which the killed node's pool workers must exit too.
 
 The cluster must hold three promises through all of it:
 
@@ -41,6 +41,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import wait_until_gone
 from repro.service import GatewayClient
 
 pytestmark = pytest.mark.slow
@@ -168,7 +169,8 @@ def _one_session(socket_path: str, thread_id: int, base: int,
 
 def node_killer(socket_path: str, deadline: float, kills: list):
     """Every ~KILL_INTERVAL s, SIGKILL one gateway node, rotating through
-    the fleet; pids come from the cluster stats verb."""
+    the fleet; pids (the node's and its pool workers') come from the
+    cluster stats verb."""
     victim_index = 0
     while time.monotonic() < deadline:
         time.sleep(KILL_INTERVAL)
@@ -184,14 +186,15 @@ def node_killer(socket_path: str, deadline: float, kills: list):
                 name = names[index % len(names)]
                 section = stats["nodes"][name]
                 if section["stats"] is None:
-                    return None, None
-                return name, section["stats"]["pid"]
+                    return None, None, []
+                node = section["stats"]
+                return name, node["pid"], node["workers"]["pids"]
 
-            name, pid = asyncio.run(snipe(victim_index))
+            name, pid, workers = asyncio.run(snipe(victim_index))
             victim_index += 1
             if pid:
                 os.kill(pid, signal.SIGKILL)
-                kills.append((name, pid))
+                kills.append((name, pid, workers))
         except (ConnectionError, OSError, ProcessLookupError,
                 asyncio.TimeoutError, TimeoutError, KeyError):
             continue
@@ -242,6 +245,11 @@ def test_cluster_soak(tmp_path):
         assert ledger.ok > 20, f"suspiciously little traffic: {vars(ledger)}"
         assert ledger.errors == 0, vars(ledger)
         assert len(kills) >= 1, "fault injection never fired"
+        # A killed node's pool workers exit with it instead of idling on
+        # as orphans.
+        orphans = wait_until_gone(
+            [w for _, _, workers in kills for w in workers], timeout=10)
+        assert not orphans, f"pool workers outlived their node: {orphans}"
 
         # ------------------------------------------------------------------
         # Promise 2: byte-identical artifacts regardless of serving node.
@@ -282,7 +290,7 @@ def test_cluster_soak(tmp_path):
         assert router["outstanding"] == 0, router
         assert router["nodes_healthy"] == 3, router
         # The killed nodes really restarted: their trunks reconnected.
-        killed_names = {name for name, _ in kills if name}
+        killed_names = {name for name, _, _ in kills if name}
         for name in killed_names:
             assert final["nodes"][name]["connects"] >= 2, final["nodes"][name]
         # Each node's own ledger reconciles too.

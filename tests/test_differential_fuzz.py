@@ -9,8 +9,8 @@ block shapes) and compiles them through both backends at every generic
   compiler's emitted term order, must be statevector-equivalent to the
   compiled circuit at every opt level (programs up to 10 qubits, where the
   dense simulation stays cheap);
-* the **PR-2 reference engine** — the seed peephole/router implementations
-  kept in :mod:`repro.transpile.reference` must agree with the worklist
+* the **reference engine** — the seed peephole/router implementations
+  kept in ``tests/oracles/transpile.py`` must agree with the worklist
   engine on the same frontend emissions;
 * the **Pauli-propagation verifier** (:mod:`repro.verify`) — cross-checked
   against the statevector oracle on every small case, and the *only*
@@ -48,7 +48,7 @@ from repro.ir import PauliBlock, PauliProgram
 from repro.pauli import PauliString
 from repro.service import program_from_dict, program_to_dict
 from repro.transpile import linear, optimize, route, transpile
-from repro.transpile.reference import seed_optimize, seed_route
+from oracles.transpile import seed_optimize, seed_route
 from repro.verify import verify_circuit, verify_result
 
 CORPUS = Path(__file__).parent / "corpora" / "differential_regressions.jsonl"

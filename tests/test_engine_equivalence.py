@@ -2,7 +2,7 @@
 
 The worklist peephole engine and the incremental SABRE router replaced the
 seed rebuild-the-world implementations, which are kept verbatim in
-``repro.transpile.reference``.  These tests pin the contract:
+``tests/oracles/transpile.py``.  These tests pin the contract:
 
 * every peephole pass produces a circuit unitarily equivalent to the seed
   pass's output (and with the same gate counts at the fixpoint);
@@ -31,7 +31,7 @@ from repro.transpile import (
     route,
     trivial_layout,
 )
-from repro.transpile.reference import (
+from oracles.transpile import (
     seed_cancel_adjacent_pairs,
     seed_commutative_cancel,
     seed_fuse_swap_cx,

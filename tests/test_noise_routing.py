@@ -31,7 +31,7 @@ from repro.transpile import (
     route,
     validate_routed,
 )
-from repro.transpile.reference import seed_route
+from oracles.transpile import seed_route
 from repro.workloads import maxcut_program, regular_graph, uccsd_program
 
 

@@ -8,7 +8,7 @@ that no generator/compiler combination is broken.
 import pytest
 
 from repro.core import compile_program
-from repro.ir import validate_program
+from repro.static import check_program
 from repro.workloads import BENCHMARKS
 from repro.transpile import manhattan_65
 
@@ -20,7 +20,7 @@ def test_benchmark_builds_and_compiles(name):
     spec = BENCHMARKS[name]
     program = spec.build("small")
     assert program.num_strings > 0
-    assert validate_program(program).ok, name
+    assert check_program(program).ok, name
 
     if spec.backend == "sc":
         result = compile_program(program, backend="sc", coupling=_SC_COUPLING)

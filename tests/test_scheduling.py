@@ -10,7 +10,7 @@ from repro.core import (
     schedule_depth_estimate,
     schedule_to_program,
 )
-from repro.core.reference import (
+from oracles.scheduling import (
     scalar_do_schedule,
     scalar_layer_operator_overlap,
 )
@@ -137,8 +137,8 @@ def test_do_layers_are_qubit_disjoint_from_primary(labels):
 
 
 # ----------------------------------------------------------------------
-# Vectorized scheduler vs the scalar oracle (repro.core.reference keeps
-# the seed implementation, shared with benchmarks/bench_kernels.py)
+# Vectorized scheduler vs the scalar oracle (tests/oracles/scheduling.py
+# keeps the seed implementation, shared with benchmarks/bench_kernels.py)
 # ----------------------------------------------------------------------
 
 def _signature(schedule):

@@ -9,6 +9,7 @@ the generic transpile sequences validate for all levels.
 
 import pytest
 
+from repro.core import compile_program
 from repro.core.passes import (
     Pipeline, pass_sequence, run_pipeline, shipped_pipelines,
 )
@@ -24,7 +25,7 @@ from repro.static import (
     preserves_all_except,
     rules_for_level,
 )
-from repro.static.contracts import TIER_LEVELS, pipeline_for_tier, register_callable
+from repro.static.contracts import register_callable
 from repro.transpile import CouplingMap
 
 
@@ -179,11 +180,24 @@ class TestShippedPipelines:
             assert set(rules_for_level(level)) <= set(rules_for_level(level + 1))
 
     def test_every_tier_maps_to_a_shipped_pipeline(self):
+        # The provenance an artifact carries is the pipeline stamp
+        # compile_program writes; every tier it can compile at must stamp
+        # a shipped (and so statically proven) pipeline of that level.
         names = {p.name for p in shipped_pipelines()}
-        for tier in TIER_LEVELS:
-            for backend in ("ft", "sc"):
-                for scheduler in ("gco", "do"):
-                    assert pipeline_for_tier(backend, scheduler, tier) in names
+        line = CouplingMap([(0, 1), (1, 2)])
+        cases = [
+            ("opt3", dict(backend="ft")),
+            ("opt0", dict(backend="ft", run_peephole=False)),
+            ("opt1", dict(backend="ft", peephole_level=1)),
+            ("opt1", dict(backend="sc", coupling=line, peephole_level=1)),
+            ("opt1", dict(backend="sc", device="falcon-27", peephole_level=1)),
+        ]
+        for level, options in cases:
+            result = compile_program(small_program(), **options)
+            assert result.pipeline in names, options
+            assert result.pipeline.endswith(f"-{level}"), (result.pipeline, options)
+            noisy = "device" in options
+            assert ("-noise-" in result.pipeline) == noisy, result.pipeline
 
 
 class TestPassPipelineIntegration:

@@ -2,9 +2,9 @@
 
 Replaces the retired ``tests/test_validation.py``: the legacy program
 diagnostics (identity-only blocks, zero weights, duplicates, commuting
-warnings) keep their coverage through the ``validate_program`` alias,
-and the new named-invariant checks get corruption fixtures of their own
-— a compiled tape is broken one field at a time and the report must
+warnings) keep their coverage through :func:`check_program`, and the
+new named-invariant checks get corruption fixtures of their own — a
+compiled tape is broken one field at a time and the report must
 name exactly the invariant that broke.
 """
 
@@ -13,8 +13,9 @@ import math
 import pytest
 
 from repro.core import compile_program
-from repro.ir import Diagnostic, PauliBlock, PauliProgram, validate_program
+from repro.ir import PauliBlock, PauliProgram
 from repro.static import (
+    InvariantIssue,
     InvariantViolation,
     check_program,
     check_result,
@@ -53,51 +54,45 @@ def invariants(report):
 
 class TestValidateProgram:
     def test_clean_program_ok(self):
-        report = validate_program(program_of(PauliBlock(["ZZ", "XX"], 0.5)))
+        report = check_program(program_of(PauliBlock(["ZZ", "XX"], 0.5)))
         assert report.ok
-        assert not report.diagnostics
+        assert not report.issues
         assert str(report).endswith("OK")
 
     def test_identity_only_block_is_error(self):
-        report = validate_program(program_of(PauliBlock(["II"], 0.5)))
+        report = check_program(program_of(PauliBlock(["II"], 0.5)))
         assert not report.ok
         assert "identity" in report.errors[0].message
         assert report.errors[0].invariant == "program.structure"
 
     def test_zero_weight_is_error(self):
-        report = validate_program(program_of(PauliBlock([("ZZ", 0.0)], 0.5)))
+        report = check_program(program_of(PauliBlock([("ZZ", 0.0)], 0.5)))
         assert not report.ok
         assert "zero weight" in report.errors[0].message
 
     def test_duplicate_strings_warn(self):
-        report = validate_program(program_of(PauliBlock(["ZZ", "ZZ"], 0.5)))
+        report = check_program(program_of(PauliBlock(["ZZ", "ZZ"], 0.5)))
         assert report.ok
         assert any("duplicate" in d.message for d in report.warnings)
 
     def test_noncommuting_block_warns(self):
-        report = validate_program(program_of(PauliBlock(["XI", "ZI"], 0.5)))
+        report = check_program(program_of(PauliBlock(["XI", "ZI"], 0.5)))
         assert report.ok
         assert any("commute" in d.message for d in report.warnings)
 
     def test_zero_parameter_warns(self):
-        report = validate_program(program_of(PauliBlock(["ZZ"], 0.0)))
+        report = check_program(program_of(PauliBlock(["ZZ"], 0.0)))
         assert any("parameter is zero" in d.message for d in report.warnings)
 
     def test_raise_on_error(self):
-        report = validate_program(program_of(PauliBlock(["II"], 1.0)))
+        report = check_program(program_of(PauliBlock(["II"], 1.0)))
         with pytest.raises(ValueError):
             report.raise_on_error()
 
     def test_diagnostic_str(self):
-        d = Diagnostic("warning", 3, "something")
+        d = InvariantIssue("warning", "program.structure", "block 3", "something")
         assert "block 3" in str(d)
         assert "warning" in str(d)
-
-    def test_legacy_names_still_importable_from_ir(self):
-        from repro.ir import ValidationReport
-
-        report = ValidationReport(subject="thing")
-        assert report.ok and str(report) == "thing OK"
 
     def test_workload_generators_emit_clean_programs(self):
         from repro.workloads import (
@@ -114,7 +109,7 @@ class TestValidateProgram:
             build_benchmark("TSP-4", "small"),
             build_benchmark("N2", "small"),
         ):
-            report = validate_program(program)
+            report = check_program(program)
             assert report.ok, f"{program.name}: {report}"
 
 

@@ -13,7 +13,10 @@ Stages (``--stage all`` runs every one):
 * ``gco``       — full ``gco-stream`` drain;
 * ``do``        — full ``do-stream`` drain (frontier + padding loop);
 * ``ft``        — end-to-end ``ft_compile`` at opt 1 via ``gco-stream``;
-* ``conjugate`` — the batched Clifford tape conjugation sweep;
+* ``verify``    — :func:`~repro.verify.verify_result` on the workload's
+  ``compile_program(..., backend="ft", scheduler="gco-stream")`` result
+  (the compile runs outside the profile); ``--qubits 100 --terms 10000``
+  is the ScaleRand-100 shape;
 * ``ft-synth``  — :func:`~repro.core.ft_synthesize` alone on the Rand-30
   paper terms (gco order), the compile-ft corpus's largest program;
 * ``peephole``  — the full peephole fixpoint (``optimize()``) on that
@@ -34,6 +37,8 @@ Run::
         --dump ft.pstats       # then e.g. snakeviz ft.pstats elsewhere
     PYTHONPATH=src python tools/profile_kernels.py --stage peephole
     PYTHONPATH=src python tools/profile_kernels.py --stage ft-flow
+    PYTHONPATH=src python tools/profile_kernels.py --stage verify \\
+        --qubits 100 --terms 10000
 """
 
 from __future__ import annotations
@@ -45,12 +50,13 @@ import sys
 import time
 from typing import Callable, Dict
 
-from repro.core import ft_backend, ft_compile, ft_synthesize
+from repro.core import compile_program, ft_backend, ft_compile, ft_synthesize
 from repro.core.passes import pass_sequence, run_pipeline
 from repro.core.scheduling import gco_schedule
 from repro.core.streaming import scan_blocks, stream_schedule
 from repro.ir import PauliProgram
 from repro.transpile import optimize
+from repro.verify import verify_result
 from repro.workloads import build_benchmark, scale_random_program
 
 #: Stages run on the Rand-30 paper program instead of the scale workload.
@@ -61,23 +67,11 @@ def _drain(layers) -> int:
     return sum(len(layer) for layer in layers)
 
 
-def _conjugate_stage(program: PauliProgram) -> None:
-    """Whole-table tape conjugation: the verifier's inner sweep."""
-    from repro.circuit.gates import OP
-    from repro.circuit.tape import NO_SLOT
-    from repro.verify.clifford import SignedPauliTable
-
-    signed = SignedPauliTable.from_strings(
-        ws.string for ws, _ in program.all_weighted_strings()
-    )
-    n = program.num_qubits
-    tape = []
-    for _ in range(10):  # a deep entangling sweep, verifier-style
-        for q in range(n):
-            tape.append((OP["h"], q, NO_SLOT))
-            tape.append((OP["cx"], q, (q + 1) % n))
-            tape.append((OP["s"], q, NO_SLOT))
-    signed.apply_tape(tape)
+def _verify_stage(program: PauliProgram) -> Callable[[], object]:
+    """Compile now, outside the profile; return the verification to profile."""
+    result = compile_program(program, backend="ft", scheduler="gco-stream")
+    print(f"verify: {result.circuit.size} gates to verify")
+    return lambda: verify_result(program, result)
 
 
 def _stages(program: PauliProgram) -> Dict[str, Callable[[], object]]:
@@ -88,7 +82,6 @@ def _stages(program: PauliProgram) -> Dict[str, Callable[[], object]]:
         "ft": lambda: ft_compile(
             program, scheduler="gco-stream", run_peephole=True
         ),
-        "conjugate": lambda: _conjugate_stage(program),
     }
 
 
@@ -131,7 +124,7 @@ def main(argv=None) -> int:
     parser.add_argument("--terms", type=int, default=20_000)
     parser.add_argument(
         "--stage", default="do",
-        choices=["all", "build", "scan", "gco", "do", "ft", "conjugate",
+        choices=["all", "build", "scan", "gco", "do", "ft", "verify",
                  *RAND30_STAGES],
     )
     parser.add_argument(
@@ -159,6 +152,8 @@ def main(argv=None) -> int:
         print(f"workload: {program.num_blocks} blocks on "
               f"{program.num_qubits} qubits")
         selected.update(_stages(program))
+        if args.stage in ("all", "verify"):
+            selected["verify"] = _verify_stage(program)
     if args.stage == "all" or args.stage in RAND30_STAGES:
         selected.update(_rand30_stages())
     if args.stage != "all":
