@@ -49,14 +49,11 @@ def process_alive(pid: int) -> bool:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
-    except PermissionError:
-        return True
     try:
         with open(f"/proc/{pid}/stat") as stat:
-            state = stat.read().rsplit(")", 1)[1].split()[0]
-    except FileNotFoundError:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:  # reaped since the kill, or no procfs
         return not os.path.isdir("/proc")
-    return state != "Z"
 
 
 def wait_until_gone(pids, timeout: float) -> list:

@@ -12,7 +12,7 @@ Stages (``--stage all`` runs every one):
 * ``scan``      — the streaming scanner (compact keys + active lengths);
 * ``gco``       — full ``gco-stream`` drain;
 * ``do``        — full ``do-stream`` drain (frontier + padding loop);
-* ``ft``        — end-to-end ``ft_compile`` at opt 1 via ``gco-stream``;
+* ``ft``        — end-to-end ``ft_compile`` (full peephole) via ``gco-stream``;
 * ``verify``    — :func:`~repro.verify.verify_result` on the workload's
   ``compile_program(..., backend="ft", scheduler="gco-stream")`` result
   (the compile runs outside the profile); ``--qubits 100 --terms 10000``
