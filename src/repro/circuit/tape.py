@@ -13,15 +13,21 @@ Rows are append-only; removal marks a row dead and splices its wire links.
 peephole engine does this once, at the end of a fixpoint run).
 
 Slots (row indices) are stable across removals, so engines can hold slot
-handles in worklists without invalidation.  All columns are plain Python
-lists: the engines do scalar pointer-chasing, where list indexing beats
-numpy element access by a wide margin.
+handles in worklists without invalidation.  The columns are indexed one
+element at a time by engines that chase pointers, where list and
+``array`` indexing beat numpy element access by a wide margin.  The
+gate columns are Python lists.  The link columns are lists too, except
+on a tape whose links come ready-made from a vectorized producer (the FT
+residue emission): those hold ``array('q')``, 8 bytes a slot, because
+slot numbers are large ints and a list of them holds one int object per
+entry.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, List, Tuple
+from itertools import compress
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .gates import OP_ROTATION as _OP_ROTATION
 from .gates import OPCODES, Gate
@@ -34,7 +40,8 @@ NO_SLOT = -1
 class GateTape:
     """Structure-of-arrays gate storage with per-wire doubly-linked order.
 
-    Columns (parallel lists indexed by *slot*):
+    Columns (parallel sequences indexed by *slot*; see the module doc for
+    which can be arrays):
 
     * ``op`` — small-int opcode (index into :data:`~repro.circuit.gates.OPCODES`);
     * ``q0``, ``q1`` — qubit operands (``q1 == -1`` for one-qubit gates);
@@ -79,6 +86,25 @@ class GateTape:
         param: List[float],
     ) -> "GateTape":
         """Adopt pre-built columns (all rows live); links realize lazily."""
+        by_code = Counter(op)
+        counts = [by_code.get(code, 0) for code in range(len(OPCODES))]
+        return cls._adopt(num_qubits, op, q0, q1, param, counts)
+
+    @classmethod
+    def _adopt(
+        cls,
+        num_qubits: int,
+        op: List[int],
+        q0: List[int],
+        q1: List[int],
+        param: List[float],
+        counts: List[int],
+        links: Optional[Tuple[Sequence[int], ...]] = None,
+    ) -> "GateTape":
+        """Adopt columns whose per-opcode ``counts`` the producer already
+        has (all rows live), and, when given, its ready-made
+        ``links = (nxt0, prv0, nxt1, prv1, head, tail)``: exactly what
+        :meth:`ensure_links` would build."""
         tape = cls.__new__(cls)
         tape.num_qubits = num_qubits
         tape.op = op
@@ -88,15 +114,12 @@ class GateTape:
         n = len(op)
         tape.alive = [True] * n
         tape.alive_count = n
-        by_code = Counter(op)
-        tape.counts = [by_code.get(code, 0) for code in range(len(OPCODES))]
-        tape.nxt0 = []
-        tape.prv0 = []
-        tape.nxt1 = []
-        tape.prv1 = []
-        tape.head = []
-        tape.tail = []
-        tape._links_ready = False
+        tape.counts = counts
+        tape._links_ready = links is not None
+        if links is None:
+            links = [], [], [], [], [], []
+        (tape.nxt0, tape.prv0, tape.nxt1, tape.prv1,
+         tape.head, tape.tail) = links
         return tape
 
     # ------------------------------------------------------------------
@@ -344,14 +367,14 @@ class GateTape:
 
     def compact(self) -> "GateTape":
         """Dense copy with dead rows dropped (slot numbering changes)."""
-        live = list(self.iter_slots())
-        op, q0, q1, param = self.op, self.q0, self.q1, self.param
-        return GateTape.from_columns(
+        alive = self.alive
+        return GateTape._adopt(
             self.num_qubits,
-            [op[s] for s in live],
-            [q0[s] for s in live],
-            [q1[s] for s in live],
-            [param[s] for s in live],
+            list(compress(self.op, alive)),
+            list(compress(self.q0, alive)),
+            list(compress(self.q1, alive)),
+            list(compress(self.param, alive)),
+            list(self.counts),
         )
 
     def check_invariants(self) -> None:

@@ -36,7 +36,9 @@ The pass works in three stages:
    output is gate-identical to running the level's rules on the raw
    emission.  Where that could fail, because a commute fires or two
    rotations merge to nothing and the cascade reaches other junctions
-   in another order, the step runs on the raw emission instead.
+   in another order, the step runs on the raw emission instead.  One
+   stable sort of the residue's gates by wire yields both the seams and
+   the tape's per-wire links, so the peephole starts on a linked tape.
 
 The emitted ``(string, coefficient)`` order is recorded so tests can verify
 unitary equivalence against the exact product of exponentials.
@@ -44,12 +46,13 @@ unitary equivalence against the exact product of exponentials.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..circuit import QuantumCircuit
-from ..circuit.gates import OP
+from ..circuit.gates import OP, OPCODES
 from ..circuit.tape import NO_SLOT, GateTape
 from ..ir import PauliProgram
 from ..pauli import PauliString
@@ -340,7 +343,8 @@ class _TermSweep:
         leaves out its basis-change pairs on qubits where both terms carry
         the same X or Y operator and its :meth:`junction_prefix` CNOT
         pairs, and the seams come back with the tape (``None`` without
-        ``residue``)."""
+        ``residue``).  The residue tape comes with its wire links, from
+        the same wire sort that finds the seams."""
         rows, w, pos = self.rows, self.weights, self.pos
         m = self.num_terms
         chain = self.cols[chains]
@@ -371,7 +375,7 @@ class _TermSweep:
         slot = start[rotated] + basis[rotated] + w[rotated] - 1
         op[slot] = _OP_RZ
         q0[slot] = chain[self.starts[rotated] + w[rotated] - 1]
-        seams = None
+        seams = links = None
         if residue:
             prefix = np.bincount(rows[self.junction_prefix(chains)],
                                  minlength=m)
@@ -394,22 +398,26 @@ class _TermSweep:
             keep[forward[pos[edge] < np.append(0, edges)[term]]] = False
             op, q0, q1 = op[keep], q0[keep], q1[keep]
             slot = np.cumsum(keep)[slot] - 1
-            seams = _seams(q0, q1, np.repeat(np.arange(m), length)[keep],
-                           num_qubits)
+            seams, links = _seams_and_links(
+                q0, q1, np.repeat(np.arange(m), length)[keep], num_qubits)
         # Non-rotations share one 0.0 object, as gate-by-gate appends did.
         param = [0.0] * op.size
         for at, angle in zip(slot.tolist(), angles[rotated].tolist()):
             param[at] = angle
-        tape = GateTape.from_columns(num_qubits, op.tolist(), q0.tolist(),
-                                     q1.tolist(), param)
+        counts = np.bincount(op, minlength=len(OPCODES)).tolist()
+        tape = GateTape._adopt(num_qubits, op.tolist(), q0.tolist(),
+                               q1.tolist(), param, counts, links)
         return tape, seams
 
 
-def _seams(q0: np.ndarray, q1: np.ndarray, owner: np.ndarray,
-           num_qubits: int) -> List[int]:
-    """Ascending slots whose successor on one of their wires has another
-    ``owner``."""
-    wires = np.column_stack((q0, q1)).ravel()  # slot s at 2 s and 2 s + 1
+def _seams_and_links(
+    q0: np.ndarray, q1: np.ndarray, owner: np.ndarray, num_qubits: int,
+) -> Tuple[List[int], Tuple[array, ...]]:
+    """One stable sort of the gates by wire gives the seams, the ascending
+    slots whose successor on one of their wires has another ``owner``,
+    and the tape's wire links ``(nxt0, prv0, nxt1, prv1, head, tail)``
+    as ``array('q')`` columns."""
+    wires = np.column_stack((q0, q1)).ravel()  # operand k of slot s at 2 s + k
     used = np.flatnonzero(wires != NO_SLOT)
     key = wires[used]
     if num_qubits <= np.iinfo(np.uint16).max:
@@ -417,10 +425,27 @@ def _seams(q0: np.ndarray, q1: np.ndarray, owner: np.ndarray,
     # Stable, so each wire's gates stay in program order.
     order = used[np.argsort(key, kind="stable")]
     wires, slots = wires[order], order >> 1
-    crossing = (wires[:-1] == wires[1:]) & (owner[slots[:-1]] != owner[slots[1:]])
+    same = wires[:-1] == wires[1:]
+    crossing = same & (owner[slots[:-1]] != owner[slots[1:]])
     seam = np.zeros(q0.size, dtype=bool)
     seam[slots[:-1][crossing]] = True
-    return np.flatnonzero(seam).tolist()
+    # Per operand, its wire neighbours: the nxt0/nxt1 (prv0/prv1) columns
+    # interleaved the way ``wires`` is.
+    nxt = np.full(2 * q0.size, NO_SLOT, dtype=np.int64)
+    prv = np.full(2 * q0.size, NO_SLOT, dtype=np.int64)
+    nxt[order[:-1][same]] = slots[1:][same]
+    prv[order[1:][same]] = slots[:-1][same]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ~same
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = ~same
+    head = np.full(num_qubits, NO_SLOT, dtype=np.int64)
+    tail = np.full(num_qubits, NO_SLOT, dtype=np.int64)
+    head[wires[first]] = slots[first]
+    tail[wires[last]] = slots[last]
+    links = tuple(array("q", column.tobytes()) for column in
+                  (nxt[0::2], prv[0::2], nxt[1::2], prv[1::2], head, tail))
+    return np.flatnonzero(seam).tolist(), links
 
 
 def ft_compile(

@@ -298,18 +298,23 @@ _RULE_FLAGS = {
 
 
 def _rules(names: Sequence[str]) -> Callable[[PipelineResult], None]:
-    flags = {_RULE_FLAGS[name]: True for name in names}
+    flags = {flag: name in names for name, flag in _RULE_FLAGS.items()}
 
     def peephole_step(state: PipelineResult) -> None:
         seams = state.seams
         if seams is not None:
-            run = peephole._run(state.circuit, seeds=seams.slots, strict=True,
-                                **flags)
-            if run is not None:
-                state.circuit = run[0]
+            # The residue circuit is the pipeline's own: the synthesis step
+            # right before built it and nothing else holds it, so the
+            # engine rewrites its tape in place instead of on a copy.
+            tape = state.circuit.tape
+            if peephole._engine(tape, seeds=seams.slots, strict=True,
+                                **flags) is not None:
+                state.circuit = QuantumCircuit.from_tape(
+                    tape.compact(), name=state.circuit.name)
                 return
             # A rewrite could end differently from the residue than from
-            # the raw emission: run the raw emission's fixpoint instead.
+            # the raw emission: drop the half-rewritten residue and run
+            # the raw emission's fixpoint instead.
             state.circuit = seams.raw()
         state.circuit, _ = peephole._run(state.circuit, **flags)
 

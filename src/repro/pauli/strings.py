@@ -152,7 +152,7 @@ class PauliString:
 
     @property
     def is_identity(self) -> bool:
-        return all(c == ops.I for c in self._codes)
+        return not any(self._codes)  # ops.I is code 0
 
     def __len__(self) -> int:
         return len(self._codes)

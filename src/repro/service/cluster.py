@@ -865,6 +865,32 @@ class ClusterRouter(FrameServer):
 # Local fleet supervision
 # ----------------------------------------------------------------------
 
+#: What a supervised node runs: ``repro.cli`` under :func:`_serve_node`.
+_NODE_MAIN = ("import sys; from repro.service.cluster import _serve_node; "
+              "sys.exit(_serve_node(sys.argv[1:]))")
+
+
+def _serve_node(argv: List[str]) -> int:
+    """Run the ``repro.cli`` command ``argv`` as a supervised node, which
+    exits when its supervisor dies.
+
+    The node's stdin is a pipe whose only write end the supervisor holds
+    and never writes to, so end of file on it means the supervisor is
+    gone, SIGKILLed included.  Nothing is left to route to the node then,
+    so it exits at once; its pool workers follow through their own parent
+    watch (``service/batch.py::_worker_init``)."""
+    threading.Thread(target=_exit_at_eof, name="supervisor-watch",
+                     daemon=True).start()
+    from ..cli import main
+    return main(argv)
+
+
+def _exit_at_eof() -> None:
+    while os.read(0, 4096):
+        pass
+    os._exit(1)
+
+
 class ClusterSupervisor:
     """Run and babysit a local fleet of ``repro.cli serve`` nodes.
 
@@ -873,7 +899,8 @@ class ClusterSupervisor:
     every node and waits for its socket to accept, a monitor thread
     restarts any child that dies — which is exactly what the
     fault-injection soak exercises by SIGKILLing them — and ``stop()``
-    terminates the fleet cleanly.
+    terminates the fleet cleanly.  A node exits by itself when the
+    supervisor dies (:func:`_serve_node`).
     """
 
     def __init__(self, specs: Sequence[NodeSpec], restart: bool = True,
@@ -898,7 +925,7 @@ class ClusterSupervisor:
                 f"node {spec.name!r} needs socket_path and cache_root "
                 f"to be supervised")
         command = [
-            sys.executable, "-m", "repro.cli", "serve",
+            sys.executable, "-c", _NODE_MAIN, "serve",
             "--socket", spec.socket_path,
             "--cache", spec.cache_root,
             "--workers", str(spec.workers),
@@ -934,6 +961,7 @@ class ClusterSupervisor:
             log = None
         proc = subprocess.Popen(
             self._command(spec),
+            stdin=subprocess.PIPE,  # the node's watch on this process
             stdout=log if log is not None else subprocess.DEVNULL,
             stderr=subprocess.STDOUT,
             env=self._env(),
@@ -941,14 +969,16 @@ class ClusterSupervisor:
         )
         with self._lock:
             old_log = self._logs.pop(spec.name, None)
+            old_proc = self._procs.get(spec.name)
             self._procs[spec.name] = proc
             if log is not None:
                 self._logs[spec.name] = log
-        if old_log is not None:
-            try:
-                old_log.close()
-            except Exception:
-                pass
+        for stream in (old_log, old_proc and old_proc.stdin):
+            if stream is not None:
+                try:
+                    stream.close()
+                except Exception:
+                    pass
 
     def _wait_listening(self, spec: NodeSpec, deadline: float) -> None:
         while time.monotonic() < deadline:
@@ -1043,8 +1073,8 @@ class ClusterSupervisor:
         with self._lock:
             logs = dict(self._logs)
             self._logs.clear()
-        for log in logs.values():
+        for stream in [*logs.values(), *(p.stdin for p in procs.values())]:
             try:
-                log.close()
+                stream.close()
             except Exception:
                 pass

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit.tape import GateTape
 from repro.core import ft_backend, ft_synthesize
 from repro.core.passes import Pipeline, pass_sequence, run_pipeline
 from repro.ir import PauliBlock, PauliProgram
@@ -89,6 +90,7 @@ def _engine_flags(level):
 def _assert_seeded_engine_agrees(terms, n, policy):
     residue, seams = ft_backend._synthesize_residue(terms, n, policy)
     assert seams == sorted(set(seams))
+    _assert_links_as_built(residue.tape)
     for level in LEVELS:
         flags = _engine_flags(level)
         seeded = peephole._run(residue, seeds=seams, **flags)
@@ -103,6 +105,42 @@ def test_seam_seeded_engine_agrees_with_every_slot(case, policy):
     n, terms = case
     terms = [(PauliString.from_label(s), c) for s, c in terms]
     _assert_seeded_engine_agrees(terms, n, policy)
+
+
+def _assert_links_as_built(tape):
+    """``tape``'s ready-made links equal what :meth:`GateTape.ensure_links`
+    builds on a link-less tape with the same columns."""
+    assert tape._links_ready
+    bare = GateTape.from_columns(tape.num_qubits, list(tape.op),
+                                 list(tape.q0), list(tape.q1),
+                                 list(tape.param))
+    bare.ensure_links()
+    for column in ("nxt0", "prv0", "nxt1", "prv1", "head", "tail"):
+        assert list(getattr(tape, column)) == getattr(bare, column), column
+    assert tape.counts == bare.counts
+    tape.check_invariants()
+
+
+@given(_term_lists(programs=False), st.sampled_from(POLICIES))
+@settings(max_examples=80, deadline=None)
+def test_residue_tape_comes_with_the_links_ensure_links_builds(case,
+                                                              policy):
+    n, terms = case
+    terms = [(PauliString.from_label(s), c) for s, c in terms]
+    residue, _ = ft_backend._synthesize_residue(terms, n, policy)
+    _assert_links_as_built(residue.tape)
+
+
+def test_wide_residue_tape_links():
+    # More qubits than a uint16 sort key holds: the wire sort takes the
+    # wide-key path.
+    n = 70000
+    strings = [PauliString.from_sparse(n, {0: "X", 69999: "Z", 40000: "Y"}),
+               PauliString.from_sparse(n, {0: "X", 69999: "Z"}),
+               PauliString.from_sparse(n, {12: "Y", 69999: "Z"})]
+    residue, _ = ft_backend._synthesize_residue(
+        [(string, 0.1 * k + 0.2) for k, string in enumerate(strings)], n)
+    _assert_links_as_built(residue.tape)
 
 
 @pytest.mark.parametrize("name", ["UCCSD-8", "Heisen-2D", "Rand-12"])

@@ -165,3 +165,28 @@ def test_tape_invariants_hold_under_mutation(data):
         qc.truncate(cut)
         assert list(qc.gates) == kept
         qc.tape.check_invariants()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_compact_after_removals_matches_per_slot_copy(data):
+    qc = _random_circuit(data, max_gates=30)
+    tape = qc.tape.copy()
+    live = list(tape.iter_slots())
+    for slot in data.draw(st.lists(st.sampled_from(live), unique=True)
+                          if live else st.just([])):
+        tape.remove(slot)
+    dense = tape.compact()
+    live = list(tape.iter_slots())
+    assert dense.op == [tape.op[s] for s in live]
+    assert dense.q0 == [tape.q0[s] for s in live]
+    assert dense.q1 == [tape.q1[s] for s in live]
+    assert dense.param == [tape.param[s] for s in live]
+    assert dense.alive == [True] * len(live)
+    assert dense.alive_count == len(live)
+    recount = [0] * len(dense.counts)
+    for code in dense.op:
+        recount[code] += 1
+    assert dense.counts == recount
+    assert dense.counts is not tape.counts
+    dense.check_invariants()

@@ -42,6 +42,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PauliString([])
 
+    @pytest.mark.parametrize("label, expected", [
+        ("I", True), ("IIII", True), ("IXII", False), ("ZIII", False),
+        ("IIIY", False), ("I" * 100, True), ("I" * 99 + "X", False),
+        ("X" + "I" * 99, False), ("I" * 50 + "Z" + "I" * 49, False),
+    ])
+    def test_is_identity(self, label, expected):
+        assert PauliString.from_label(label).is_identity is expected
+        assert PauliString(ops.LABEL_TO_CODE[c] for c in label).is_identity \
+            is expected
+
     def test_bad_code_rejected(self):
         with pytest.raises(ValueError):
             PauliString([7])
