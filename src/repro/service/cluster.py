@@ -40,8 +40,8 @@ Pieces:
   cluster-wide sum.
 * :class:`ClusterSupervisor` — synchronous process manager for local
   node fleets (`repro.cli serve` children): start, wait-ready, restart
-  on death, stop.  The fault-injection soak SIGKILLs the children it
-  manages.
+  on death, stop; the children exit when the supervisor dies.  The
+  fault-injection soak SIGKILLs the children it manages.
 
 Artifact replication is *pull-through* at the store layer (see
 :meth:`repro.service.cache.CompileCache.pull_through`): each node's
