@@ -1,9 +1,9 @@
 """Cluster nodes exit when the supervisor that launched them dies.
 
 ``repro serve-cluster`` runs its gateway nodes as child processes in
-their own sessions.  A SIGKILLed supervisor runs no shutdown, so each
-node watches its stdin, a pipe only the supervisor writes to
-(``service/cluster.py::_serve_node``), and exits at its end of file;
+their own process groups.  A SIGKILLed supervisor runs no shutdown, so
+each node watches its stdin, a pipe whose write end only the supervisor
+holds (``service/cluster.py::_serve_node``), and exits at its end of file;
 the node's pool workers then follow through their own parent watch.
 This test runs a real two-node cluster, compiles once, kills the
 supervisor and requires every node and worker gone soon after.
