@@ -213,13 +213,23 @@ class GateTape:
     def remove(self, slot: int) -> None:
         """Kill a live row and splice it out of its wire lists."""
         self.ensure_links()
+        self._splice(slot)
+
+    def _splice(self, slot: int) -> Tuple[int, int, int, int]:
+        """:meth:`remove` on a linked tape; returns the row's wire
+        neighbours ``(prev0, next0, prev1, next1)`` as they were, so a
+        caller re-seeding around the removal reads no link twice."""
         self.alive[slot] = False
         self.alive_count -= 1
         self.counts[self.op[slot]] -= 1
-        self._unlink(slot, self.q0[slot], self.prv0[slot], self.nxt0[slot])
+        prev0, next0 = self.prv0[slot], self.nxt0[slot]
+        self._unlink(self.q0[slot], prev0, next0)
         q1 = self.q1[slot]
-        if q1 != NO_SLOT:
-            self._unlink(slot, q1, self.prv1[slot], self.nxt1[slot])
+        if q1 == NO_SLOT:
+            return prev0, next0, NO_SLOT, NO_SLOT
+        prev1, next1 = self.prv1[slot], self.nxt1[slot]
+        self._unlink(q1, prev1, next1)
+        return prev0, next0, prev1, next1
 
     def truncate_to(self, length: int) -> None:
         """Drop every row at dense (live-order) position ``length`` onward.
@@ -282,27 +292,27 @@ class GateTape:
                 self.nxt0[slot], self.nxt1[slot] = self.nxt1[slot], self.nxt0[slot]
                 self.prv0[slot], self.prv1[slot] = self.prv1[slot], self.prv0[slot]
 
-    def _unlink(self, slot: int, wire: int, prev: int, nxt: int) -> None:
+    def _unlink(self, wire: int, prev: int, nxt: int) -> None:
+        """Link ``prev`` and ``nxt`` to each other on ``wire``."""
+        q0s = self.q0
         if prev == NO_SLOT:
             self.head[wire] = nxt
+        elif q0s[prev] == wire:
+            self.nxt0[prev] = nxt
         else:
-            self._set_next(prev, wire, nxt)
+            self.nxt1[prev] = nxt
         if nxt == NO_SLOT:
             self.tail[wire] = prev
+        elif q0s[nxt] == wire:
+            self.prv0[nxt] = prev
         else:
-            self._set_prev(nxt, wire, prev)
+            self.prv1[nxt] = prev
 
     def _set_next(self, slot: int, wire: int, value: int) -> None:
         if self.q0[slot] == wire:
             self.nxt0[slot] = value
         else:
             self.nxt1[slot] = value
-
-    def _set_prev(self, slot: int, wire: int, value: int) -> None:
-        if self.q0[slot] == wire:
-            self.prv0[slot] = value
-        else:
-            self.prv1[slot] = value
 
     # ------------------------------------------------------------------
     # Queries

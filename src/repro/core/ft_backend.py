@@ -29,16 +29,19 @@ The pass works in three stages:
    flow synthesizes the *residue* instead: each junction leaves out the
    basis-change pairs on qubits where both terms carry the same X or Y
    operator and the CNOT pairs of the common chain prefix, which the
-   cancel rule would remove anyway.  Junctions between equal strings keep
-   their pairs: their rotations meet and merge there.  The synthesis
-   reports the *seams*, the gates whose successor on a wire belongs to
-   another term, and the peephole step starts its worklist there.  The
-   output is gate-identical to running the level's rules on the raw
-   emission.  Where that could fail, because a commute fires or two
-   rotations merge to nothing and the cascade reaches other junctions
-   in another order, the step runs on the raw emission instead.  One
-   stable sort of the residue's gates by wire yields both the seams and
-   the tape's per-wire links, so the peephole starts on a linked tape.
+   cancel rule would remove anyway.  So do *long-range* pairs: two terms
+   that follow each other on a wire, with terms between them that leave
+   it alone, and carry the same X or Y there drop the first's closing
+   and the second's opening basis change.  Equal strings keep their
+   pairs, at a junction and at long range: their rotations meet and
+   merge there.  One stable sort of the residue's gates by wire yields
+   the tape's per-wire links and from them the *seeds*, the slots where
+   a peephole rule can fire on the residue as given; the peephole step
+   starts its worklist there, on a linked tape.  The output is
+   gate-identical to running the level's rules on the raw emission.
+   Where that could fail, because a commute fires or two rotations merge
+   to nothing and the cascade reaches other junctions in another order,
+   the step runs on the raw emission instead.
 
 The emitted ``(string, coefficient)`` order is recorded so tests can verify
 unitary equivalence against the exact product of exponentials.
@@ -46,6 +49,7 @@ unitary equivalence against the exact product of exponentials.
 
 from __future__ import annotations
 
+import logging
 from array import array
 from typing import Callable, List, Optional, Tuple
 
@@ -58,6 +62,7 @@ from ..ir import PauliProgram
 from ..pauli import PauliString
 from ..pauli import operators as ops
 from ..pauli.symplectic import PauliTable
+from ..transpile import peephole
 from . import passes
 # The FT flow's scheduling passes call these through this module at call
 # time (see repro.core.passes), so they stay bound here.
@@ -72,6 +77,9 @@ __all__ = [
 ]
 
 _OP_H, _OP_YH, _OP_RZ, _OP_CX = OP["h"], OP["yh"], OP["rz"], OP["cx"]
+
+#: At DEBUG, each residue emission logs what it left out and its seeds.
+_log = logging.getLogger(__name__)
 
 #: Above this many terms, the greedy chain computes overlap rows on demand
 #: instead of materializing the full (m, m) overlap matrix.
@@ -193,17 +201,18 @@ def _synthesize_residue(
     num_qubits: int,
     junction_policy: str = "paired",
 ) -> Tuple[QuantumCircuit, List[int]]:
-    """:func:`ft_synthesize` without the gate pairs its junctions cancel
-    by construction, plus the seams: the slots of the gates whose
-    successor on one of their wires belongs to another term.
+    """:func:`ft_synthesize` without the gate pairs the cancel rule
+    would remove anyway, plus the seeds: the ascending slots where a
+    peephole rule can fire on the residue as given.
 
-    Every left-out pair is adjacent and inverse once the pairs nested
-    inside it are gone, and the seams are the only slots where a rule can
-    fire on the residue before a rewrite does.  A peephole level run from
-    the seams reaches the raw emission's fixpoint unless it commutes a
-    CNOT pair or merges two rotations to nothing: those rewrites can
-    unwind into other junctions in another order than on the raw
-    emission, so callers rerun the raw emission when one fires.
+    Left out are the junction pairs (:meth:`_TermSweep.emit`) and the
+    long-range basis pairs (:meth:`_TermSweep.long_range_pairs`).  Every
+    left-out pair is adjacent and inverse once the pairs nested inside it
+    are gone.  A peephole level run from the seeds reaches the raw
+    emission's fixpoint unless it commutes a CNOT pair or merges two
+    rotations to nothing: those rewrites can unwind into other junctions
+    in another order than on the raw emission, so callers rerun the raw
+    emission when one fires.
     """
     return _synthesize(terms, num_qubits, junction_policy, residue=True)
 
@@ -232,8 +241,8 @@ def _synthesize(
         if sweep.predicted_cancellation(chains) <= sweep.predicted_cancellation(paired):
             chains = paired
     angles = -2.0 * np.array([c for _, c in terms], dtype=np.float64)
-    tape, seams = sweep.emit(chains, angles, num_qubits, residue)
-    return QuantumCircuit.from_tape(tape), seams
+    tape, seeds = sweep.emit(chains, angles, num_qubits, residue)
+    return QuantumCircuit.from_tape(tape), seeds
 
 
 #: Which neighbour a term's chain puts first: none, previous, next.
@@ -265,6 +274,37 @@ class _TermSweep:
             codes[np.minimum(rows + 1, m - 1), cols] == self.codes)
         self.overlap_prev = np.bincount(rows[self.shared_prev], minlength=m)
         self.overlap_next = np.bincount(rows[self.shared_next], minlength=m)
+
+    def equal_strings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per pair ``k``, whether terms ``a[k]`` and ``b[k]`` carry the
+        same string: the same entries at the same positions."""
+        w = self.weights
+        equal = w[a] == w[b]
+        pairs = np.flatnonzero(equal)
+        size = w[a[pairs]]
+        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        ea = np.repeat(self.starts[a[pairs]], size) + offset
+        eb = np.repeat(self.starts[b[pairs]], size) + offset
+        differ = (self.cols[ea] != self.cols[eb]) | (self.codes[ea] != self.codes[eb])
+        equal[pairs[np.repeat(np.arange(pairs.size), size)[differ]]] = False
+        return equal
+
+    def long_range_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Entry pairs ``(first, second)`` of two different strings that
+        follow each other on a wire with other terms between them and carry
+        the same X or Y there: the first's closing and the second's opening
+        basis change are inverse and adjacent on that wire."""
+        by_wire = np.argsort(self.cols, kind="stable")  # by qubit, then term
+        first, second = by_wire[:-1], by_wire[1:]
+        rows = self.rows
+        meet = ((self.cols[first] == self.cols[second])
+                & (rows[second] > rows[first] + 1)
+                & (self.codes[first] == self.codes[second]) & self.x[first])
+        first, second = first[meet], second[meet]
+        # Equal strings keep the pair, as at a junction: across terms that
+        # do not touch them, their rotations could meet and merge.
+        apart = ~self.equal_strings(rows[first], rows[second])
+        return first[apart], second[apart]
 
     def onesided_sides(self) -> np.ndarray:
         """:func:`~repro.core.synthesis.better_neighbor` for every term."""
@@ -342,9 +382,10 @@ class _TermSweep:
         With ``residue``, every junction between two different strings
         leaves out its basis-change pairs on qubits where both terms carry
         the same X or Y operator and its :meth:`junction_prefix` CNOT
-        pairs, and the seams come back with the tape (``None`` without
-        ``residue``).  The residue tape comes with its wire links, from
-        the same wire sort that finds the seams."""
+        pairs, the :meth:`long_range_pairs` go too, and the seeds come
+        back with the tape (``None`` without ``residue``).  The residue
+        tape comes with its wire links, from the wire sort that finds the
+        seeds."""
         rows, w, pos = self.rows, self.weights, self.pos
         m = self.num_terms
         chain = self.cols[chains]
@@ -375,7 +416,7 @@ class _TermSweep:
         slot = start[rotated] + basis[rotated] + w[rotated] - 1
         op[slot] = _OP_RZ
         q0[slot] = chain[self.starts[rotated] + w[rotated] - 1]
-        seams = links = None
+        seeds = links = None
         if residue:
             prefix = np.bincount(rows[self.junction_prefix(chains)],
                                  minlength=m)
@@ -392,14 +433,25 @@ class _TermSweep:
             before = np.append(False, cut)
             keep[opening[self.shared_prev[changed] & before[term_x]]] = False
             keep[closing[self.shared_next[changed] & cut[term_x]]] = False
+            first, second = self.long_range_pairs()
+            x_rank = np.cumsum(self.x) - 1  # entry -> its index in changed
+            keep[closing[x_rank[first]]] = False
+            keep[opening[x_rank[second]]] = False
             # A prefix of p qubits holds the first p - 1 chain edges.
             edges = np.where(cut, prefix - 1, 0)
             keep[mirror[pos[edge] < edges[term]]] = False
             keep[forward[pos[edge] < np.append(0, edges)[term]]] = False
             op, q0, q1 = op[keep], q0[keep], q1[keep]
             slot = np.cumsum(keep)[slot] - 1
-            seams, links = _seams_and_links(
-                q0, q1, np.repeat(np.arange(m), length)[keep], num_qubits)
+            seeds, links = _seeds_and_links(op, q0, q1, num_qubits)
+            if _log.isEnabledFor(logging.DEBUG):
+                owner = np.repeat(np.arange(m), length)[keep]
+                nxt = np.column_stack([np.frombuffer(links[k], np.int64)
+                                       for k in (0, 2)])
+                seams = ((nxt != NO_SLOT) & (owner[nxt] != owner[:, None])).any(1)
+                _log.debug("residue: %d gates, %d long-range basis pairs "
+                           "left out, %d seams, %d seeds", op.size,
+                           first.size, np.count_nonzero(seams), len(seeds))
         # Non-rotations share one 0.0 object, as gate-by-gate appends did.
         param = [0.0] * op.size
         for at, angle in zip(slot.tolist(), angles[rotated].tolist()):
@@ -407,16 +459,16 @@ class _TermSweep:
         counts = np.bincount(op, minlength=len(OPCODES)).tolist()
         tape = GateTape._adopt(num_qubits, op.tolist(), q0.tolist(),
                                q1.tolist(), param, counts, links)
-        return tape, seams
+        return tape, seeds
 
 
-def _seams_and_links(
-    q0: np.ndarray, q1: np.ndarray, owner: np.ndarray, num_qubits: int,
+def _seeds_and_links(
+    op: np.ndarray, q0: np.ndarray, q1: np.ndarray, num_qubits: int,
 ) -> Tuple[List[int], Tuple[array, ...]]:
-    """One stable sort of the gates by wire gives the seams, the ascending
-    slots whose successor on one of their wires has another ``owner``,
-    and the tape's wire links ``(nxt0, prv0, nxt1, prv1, head, tail)``
-    as ``array('q')`` columns."""
+    """One stable sort of the gates by wire gives the tape's wire links
+    ``(nxt0, prv0, nxt1, prv1, head, tail)`` as ``array('q')`` columns,
+    and from them the peephole's seeds: the ascending slots where a rule
+    can fire (:func:`~repro.transpile.peephole._fire_sites`)."""
     wires = np.column_stack((q0, q1)).ravel()  # operand k of slot s at 2 s + k
     used = np.flatnonzero(wires != NO_SLOT)
     key = wires[used]
@@ -426,9 +478,6 @@ def _seams_and_links(
     order = used[np.argsort(key, kind="stable")]
     wires, slots = wires[order], order >> 1
     same = wires[:-1] == wires[1:]
-    crossing = same & (owner[slots[:-1]] != owner[slots[1:]])
-    seam = np.zeros(q0.size, dtype=bool)
-    seam[slots[:-1][crossing]] = True
     # Per operand, its wire neighbours: the nxt0/nxt1 (prv0/prv1) columns
     # interleaved the way ``wires`` is.
     nxt = np.full(2 * q0.size, NO_SLOT, dtype=np.int64)
@@ -445,7 +494,8 @@ def _seams_and_links(
     tail[wires[last]] = slots[last]
     links = tuple(array("q", column.tobytes()) for column in
                   (nxt[0::2], prv[0::2], nxt[1::2], prv[1::2], head, tail))
-    return np.flatnonzero(seam).tolist(), links
+    seeds = peephole._fire_sites(op, q0, q1, nxt[0::2], nxt[1::2])
+    return seeds.tolist(), links
 
 
 def ft_compile(
@@ -471,8 +521,9 @@ def ft_compile(
     (cancel+merge, no commute/fuse search).  The pass sequence is
     :func:`repro.core.passes.pass_sequence`'s ``ft`` flow: with a cleanup
     level it synthesizes the residue (stage 3 of the module doc), so the
-    peephole only cleans the seams; the output equals the level's rules
-    run on :func:`ft_synthesize`'s raw emission.  Returns the driver's
+    peephole starts from the slots where a rule can fire; the output
+    equals the level's rules run on :func:`ft_synthesize`'s raw
+    emission.  Returns the driver's
     :class:`~repro.core.passes.PipelineResult` (``circuit``,
     ``emitted_terms``).
     """

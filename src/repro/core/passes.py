@@ -99,7 +99,7 @@ def pass_sequence(
     generic flows switch to their calibration-weighted passes when
     ``noise_aware``.  The FT flow synthesizes the raw emission at level 0
     and the residue (``ft_synthesize_residue``) when a level's rules
-    follow, so the peephole only cleans up the seams between terms.
+    follow, so the peephole starts from the slots where a rule can fire.
     """
     rules = tuple(rules_for_level(level))
     if backend == "generic":
@@ -214,7 +214,7 @@ class PipelineResult:
 class Seams(NamedTuple):
     """A residue synthesis's hint to the peephole step right after it."""
 
-    slots: List[int]  # the worklist to start from
+    slots: List[int]  # the worklist to start from: where a rule can fire
     raw: Callable[[], QuantumCircuit]  # the raw emission it stands in for
 
 

@@ -191,11 +191,13 @@ def _contract_table() -> Dict[str, PassContract]:
         requires=frozenset({"scheduled"}),
         establishes=frozenset({"synthesized", "terms_recorded"}),
         preserves=ir_only,
-        description="ft_synthesize without the inverse pairs its junctions "
-                    "cancel by construction (shared X/Y basis changes, "
-                    "common chain-prefix CNOTs); reports the seams between "
-                    "terms as the next peephole step's worklist, with the "
-                    "raw emission as that step's fallback.",
+        description="ft_synthesize without the inverse pairs the cancel "
+                    "rule would remove anyway (shared X/Y basis changes and "
+                    "common chain-prefix CNOTs at junctions, shared X/Y "
+                    "basis changes of terms that meet on a wire across "
+                    "terms that leave it alone); reports the slots where "
+                    "a rule can fire as the next peephole step's worklist, "
+                    "with the raw emission as that step's fallback.",
     ))
     add(PassContract(
         "sc_synthesize",

@@ -28,7 +28,9 @@ asserting, so one corrupted artifact yields a full damage report.  The
 :func:`debug_check` hook gives the compile paths an opt-in between-pass
 sweep: export ``REPRO_CHECK_INVARIANTS=1`` and every backend validates
 its tape after each pass, raising :class:`InvariantViolation` at the
-first broken stage.
+first broken stage.  The sweep checks only what a pass can break (of a
+program, its widths), so the flag never rejects an input the compile
+accepts.
 
 :func:`check_program` is the single program-validation entry point.
 """
@@ -324,16 +326,7 @@ def check_program(program, subject: str = "Pauli IR program") -> InvariantReport
                 f"{zero_weights} string(s) have zero weight and silently vanish",
             )
 
-        if program_qubits is not None:
-            for ws in block:
-                if ws.string.num_qubits != program_qubits:
-                    report.add(
-                        "error", "program.qubit-width", where,
-                        f"string {ws.string.label} spans {ws.string.num_qubits} "
-                        f"qubits, program declares {program_qubits}",
-                    )
-
-        _check_symplectic_widths(block, where, report)
+        _check_widths(block, where, program_qubits, report)
 
         seen = {}
         for ws in block:
@@ -365,6 +358,31 @@ def check_program(program, subject: str = "Pauli IR program") -> InvariantReport
                 "block parameter is zero; the block is a no-op",
             )
     return report
+
+
+def _check_program_widths(program, subject: str) -> InvariantReport:
+    """The part of :func:`check_program` a pass can break: every string's
+    qubit count and every block's packed table widths.  The rest judges
+    the input itself, which the compile accepts or drops by design (it
+    skips identity strings, for one), so the debug sweep leaves it to
+    ``repro check``."""
+    report = InvariantReport(subject=subject)
+    program_qubits = getattr(program, "num_qubits", None)
+    for index, block in enumerate(program):
+        _check_widths(block, f"block {index}", program_qubits, report)
+    return report
+
+
+def _check_widths(block, where: str, program_qubits, report: InvariantReport) -> None:
+    if program_qubits is not None:
+        for ws in block:
+            if ws.string.num_qubits != program_qubits:
+                report.add(
+                    "error", "program.qubit-width", where,
+                    f"string {ws.string.label} spans {ws.string.num_qubits} "
+                    f"qubits, program declares {program_qubits}",
+                )
+    _check_symplectic_widths(block, where, report)
 
 
 def _check_symplectic_widths(block, where: str, report: InvariantReport) -> None:
@@ -424,7 +442,7 @@ def debug_check(stage: str, tape=None, program=None, coupling=None) -> None:
     if not debug_invariants_enabled():
         return
     if program is not None:
-        report = check_program(program, subject=f"Pauli IR program ({stage})")
+        report = _check_program_widths(program, f"Pauli IR program ({stage})")
         report.raise_on_error()
     if tape is not None:
         report = check_tape(tape, coupling=coupling, subject=f"tape ({stage})")

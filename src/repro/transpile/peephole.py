@@ -15,9 +15,10 @@ equivalents), rebuilt as *local rules* over the
 
 Instead of re-deriving wire sequences and position dicts on every sweep,
 the engine keeps one dirty-site worklist: it is seeded with every gate
-once (or with the seams a synthesis pass reports, the only sites where a
-rule can fire on its output), and a rewrite re-seeds only the edited
-neighborhood (the spliced-in wire neighbours, plus the transparent run
+once (or with the slots where a rule can fire, which
+:func:`_fire_sites` finds in one vectorized pass over a linked tape's
+columns; the FT residue synthesis reports them), and a rewrite re-seeds
+only the edited neighborhood (the spliced-in wire neighbours, plus the transparent run
 behind the edit so a newly unblocked CNOT walk is revisited).  Every
 firing strictly shrinks ``(gate count, swap count)`` lexicographically,
 so the fixpoint is O(gates + rewrites) rather than
@@ -34,6 +35,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..circuit import QuantumCircuit
 from ..circuit.gates import OP, OPCODES, OP_INVERSE, OP_ROTATION
@@ -88,6 +91,45 @@ _AXIS_ROTATION_OP = {_AXIS_Z: OP["rz"], _AXIS_X: OP["rx"], _AXIS_Y: OP["ry"]}
 _IS_ROTATION = bytearray(_N_OPS)
 for _op in OP_ROTATION:
     _IS_ROTATION[_op] = 1
+
+# The same tables as arrays, for the vectorized fire-site test.
+_MERGE_AXIS_OF = np.array(_MERGE_AXIS)
+_INVERSE_OF = np.array(OP_INVERSE)
+_IS_XAXIS_OF = np.array(_IS_XAXIS, dtype=bool)
+
+
+def _fire_sites(
+    op: np.ndarray, q0: np.ndarray, q1: np.ndarray,
+    nxt0: np.ndarray, nxt1: np.ndarray,
+) -> np.ndarray:
+    """The ascending slots where a rule can fire on a linked, all-live tape
+    as given, from its columns as integer arrays: seeds that meet
+    :func:`_engine`'s contract.  Each rule reads a gate's wire successors
+    first, so one test per rule over them is a superset:
+
+    * cancel and merge: a 1q gate followed on its wire by a 1q gate of the
+      same merge axis, or by its inverse;
+    * cancel and fuse: a 2q gate followed on both wires by one gate, its
+      inverse on the same operands or a SWAP/CNOT partner;
+    * cancel and commute: a CNOT whose target successor is the same CNOT
+      or an X-axis gate (the target walk stops at anything else).
+    """
+    has_next = nxt0 != NO_SLOT
+    succ = np.where(has_next, nxt0, 0)
+    axis, op_s = _MERGE_AXIS_OF[op], op[succ]
+    inverse = (op_s == _INVERSE_OF[op]) & (q0[succ] == q0)
+    merge = (axis != _AXIS_NONE) & (_MERGE_AXIS_OF[op_s] == axis)
+    swap_cx = (((op == _OP_SWAP) & (op_s == _OP_CX))
+               | ((op == _OP_CX) & (op_s == _OP_SWAP)))
+    fires = has_next & np.where(
+        q1 == NO_SLOT, (q1[succ] == NO_SLOT) & (inverse | merge),
+        (nxt0 == nxt1) & (inverse | swap_cx))
+    target = np.where(nxt1 == NO_SLOT, 0, nxt1)
+    op_t = op[target]
+    same_cx = (op_t == _OP_CX) & (q0[target] == q0) & (q1[target] == q1)
+    x_axis = (q1[target] == NO_SLOT) & _IS_XAXIS_OF[op_t]
+    fires |= (op == _OP_CX) & (nxt1 != NO_SLOT) & (same_cx | x_axis)
+    return np.flatnonzero(fires)
 
 
 def _engine(
@@ -169,13 +211,12 @@ def _engine(
                 break
             walk = wire_prev(walk, wire)
 
+    splice = tape._splice
+
     def remove(slot: int) -> None:
         """Remove a gate and re-seed the spliced-together neighbourhood."""
         w0, w1 = q0s[slot], q1s[slot]
-        before0, after0 = wire_prev(slot, w0), wire_next(slot, w0)
-        if w1 != NO_SLOT:
-            before1, after1 = wire_prev(slot, w1), wire_next(slot, w1)
-        tape.remove(slot)
+        before0, after0, before1, after1 = splice(slot)
         reseed_before(before0, w0)
         push(after0)
         if w1 != NO_SLOT:

@@ -2,13 +2,15 @@
 
 At peephole levels 1-3 the FT flow synthesizes through the
 ``ft_synthesize_residue`` contract: the emission leaves out the inverse
-pairs its junctions cancel by construction and reports the seams between
-terms, and the peephole step right after it starts its worklist from
-those seams.  These tests pin that the flow's output is gate for gate the
-level's rules run on the raw :func:`~repro.core.ft_synthesize` emission,
-that the seam-seeded engine and the every-slot engine agree on the
-residue, and that a custom pass between synthesis and peephole drops the
-seams.
+pairs its junctions cancel by construction and the basis pairs of terms
+that meet on a wire across terms that leave it alone, and reports the
+seeds, the slots where a peephole rule can fire on the residue.  The
+peephole step right after it starts its worklist from those seeds.  These
+tests pin that the flow's output is gate for gate the level's rules run
+on the raw :func:`~repro.core.ft_synthesize` emission, that the seeded
+engine and the every-slot engine agree on the residue, that every slot
+where a rule fires is a seed, and that a custom pass between synthesis
+and peephole drops the seeds.
 """
 
 from math import pi
@@ -17,7 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.tape import GateTape
+import numpy as np
+
+from repro.circuit import Gate, QuantumCircuit
+from repro.circuit.gates import OP, OP_INVERSE
+from repro.circuit.tape import NO_SLOT, GateTape
 from repro.core import ft_backend, ft_synthesize
 from repro.core.passes import Pipeline, pass_sequence, run_pipeline
 from repro.ir import PauliBlock, PauliProgram
@@ -37,12 +43,20 @@ LEVEL_RULES = {
 }
 
 
+def _with(label, qubit, operator):
+    return label[:qubit] + operator + label[qubit + 1:]
+
+
 @st.composite
 def _term_lists(draw, programs=True):
     """2-8-qubit term lists where a term often repeats its neighbour's
-    string, with the same or the negated coefficient.  For ``programs``,
-    no identity string and no zero coefficient: the flow gets one block
-    per term, and such a block is an invalid program."""
+    string, with the same or the negated coefficient, or where two terms
+    with the same X or Y on a qubit sandwich a term that leaves the qubit
+    alone.  The outer terms of a sandwich are often equal, the two around
+    the inner term often with coefficients that add up to whole turns, and
+    the inner term is often disjoint from them.  For ``programs``, no identity string and no zero
+    coefficient: the flow gets one block per term, and such a block is an
+    invalid program."""
     n = draw(st.integers(2, 8))
     label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
     # Quarter and half turns make rotations merge to full turns.
@@ -52,9 +66,32 @@ def _term_lists(draw, programs=True):
         label = label.filter(lambda s: set(s) != {"I"})
         coefficient = coefficient.filter(bool)
     terms = []
-    for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(("new", "new", "repeat", "flip")))
-        if kind == "new" or not terms:
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("new", "new", "repeat", "flip",
+                                     "sandwich")))
+        if kind == "sandwich":
+            qubit = draw(st.integers(0, n - 1))
+            outer = _with(draw(label), qubit, draw(st.sampled_from("XY")))
+            inner = _with(draw(label), qubit, "I")
+            if draw(st.booleans()):
+                inner = "".join(c if o == "I" else "I"
+                                for o, c in zip(outer, inner))
+            if programs and set(inner) == {"I"}:
+                inner = _with(inner, (qubit + 1) % n, "Z")
+            head = [(outer, draw(coefficient))
+                    for _ in range(draw(st.integers(1, 2)))]
+            last = draw(st.sampled_from(("turns", "equal", "other")))
+            if last == "turns":
+                value = head[-1][1]
+                turns = draw(st.sampled_from((0, 1, -1))) * pi
+                last = (outer, turns - value or -value)
+            elif last == "equal":
+                last = (outer, draw(coefficient))
+            else:
+                last = (_with(draw(label), qubit, outer[qubit]),
+                        draw(coefficient))
+            terms += [*head, (inner, draw(coefficient)), last]
+        elif kind == "new" or not terms:
             terms.append((draw(label), draw(coefficient)))
         else:
             string, value = terms[-1]
@@ -88,12 +125,13 @@ def _engine_flags(level):
 
 
 def _assert_seeded_engine_agrees(terms, n, policy):
-    residue, seams = ft_backend._synthesize_residue(terms, n, policy)
-    assert seams == sorted(set(seams))
+    residue, seeds = ft_backend._synthesize_residue(terms, n, policy)
+    assert seeds == sorted(set(seeds))
     _assert_links_as_built(residue.tape)
+    _assert_fire_sites_are_seeds(residue.tape, seeds)
     for level in LEVELS:
         flags = _engine_flags(level)
-        seeded = peephole._run(residue, seeds=seams, **flags)
+        seeded = peephole._run(residue, seeds=seeds, **flags)
         every = peephole._run(residue, **flags)
         assert seeded[0].gates == every[0].gates
         assert seeded[1] == every[1]
@@ -143,6 +181,87 @@ def test_wide_residue_tape_links():
     _assert_links_as_built(residue.tape)
 
 
+def _rule_fires(tape, slot):
+    """Whether a rule of :func:`~repro.transpile.peephole._engine` fires at
+    ``slot``, each rule's condition restated one gate at a time."""
+    op, a, b = tape.op[slot], tape.q0[slot], tape.q1[slot]
+    succ = tape.nxt0[slot]
+    if b == NO_SLOT:
+        if succ == NO_SLOT or tape.q1[succ] != NO_SLOT:
+            return False
+        axis = peephole._MERGE_AXIS[op]
+        cancel = (op not in peephole.OP_ROTATION
+                  and tape.op[succ] == OP_INVERSE[op])
+        merge = (axis != peephole._AXIS_NONE
+                 and peephole._MERGE_AXIS[tape.op[succ]] == axis)
+        return cancel or merge
+    if succ != NO_SLOT and succ == tape.nxt1[slot]:
+        if tape.op[succ] == OP_INVERSE[op] and tape.q0[succ] == a:
+            return True  # cancel
+        if {op, tape.op[succ]} == {OP["swap"], OP["cx"]}:
+            return True  # fuse
+    if op != OP["cx"]:
+        return False
+    # commute: walk the control wire over diagonal gates, the target wire
+    # over X-axis gates; both walks must end on the same CNOT.
+    walks = []
+    for wire, passes in ((a, peephole._IS_DIAG), (b, peephole._IS_XAXIS)):
+        walk = tape.wire_next(slot, wire)
+        while (walk != NO_SLOT and tape.q1[walk] == NO_SLOT
+               and passes[tape.op[walk]]):
+            walk = tape.wire_next(walk, wire)
+        walks.append(walk)
+    end = walks[0]
+    return (end != NO_SLOT and end == walks[1] and tape.op[end] == OP["cx"]
+            and tape.q0[end] == a and tape.q1[end] == b)
+
+
+def _assert_fire_sites_are_seeds(tape, seeds):
+    fires = [slot for slot in tape.iter_slots() if _rule_fires(tape, slot)]
+    assert set(fires) <= set(seeds)
+
+
+def _fire_sites(circuit):
+    tape = circuit.tape
+    tape.ensure_links()
+    columns = (np.array(getattr(tape, name), dtype=np.int64)
+               for name in ("op", "q0", "q1", "nxt0", "nxt1"))
+    return peephole._fire_sites(*columns).tolist()
+
+
+@given(_term_lists(programs=False), st.sampled_from(POLICIES))
+@settings(max_examples=80, deadline=None)
+def test_every_slot_where_a_rule_fires_on_the_residue_is_a_seed(case,
+                                                                 policy):
+    n, terms = case
+    terms = [(PauliString.from_label(s), c) for s, c in terms]
+    residue, seeds = ft_backend._synthesize_residue(terms, n, policy)
+    _assert_fire_sites_are_seeds(residue.tape, seeds)
+    assert seeds == _fire_sites(residue)
+
+
+_GATES = ("id", "h", "s", "sdg", "x", "y", "z", "yh", "rz", "rx", "ry",
+          "cx", "cz", "swap")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fire_sites_hold_every_slot_where_a_rule_fires(data):
+    # Every gate the engine knows, so each clause of the test is needed;
+    # CNOTs and X-axis gates often, so commuting walks are common.
+    n = data.draw(st.integers(2, 3))
+    circuit = QuantumCircuit(n)
+    for _ in range(data.draw(st.integers(1, 16))):
+        name = data.draw(st.sampled_from(_GATES + ("cx", "cx", "x", "rx")))
+        qubits = data.draw(st.permutations(range(n)))
+        if name in ("cx", "cz", "swap"):
+            circuit.append(Gate(name, tuple(qubits[:2])))
+        else:
+            params = (0.5,) if name in ("rz", "rx", "ry") else ()
+            circuit.append(Gate(name, (qubits[0],), params))
+    _assert_fire_sites_are_seeds(circuit.tape, _fire_sites(circuit))
+
+
 @pytest.mark.parametrize("name", ["UCCSD-8", "Heisen-2D", "Rand-12"])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_seam_seeded_engine_agrees_on_workloads(name, policy):
@@ -161,11 +280,51 @@ def test_residue_leaves_out_the_junction_pairs():
     terms = [(PauliString.from_label("XXYZ"), 0.2),
              (PauliString.from_label("XXYI"), 0.5)]
     raw = ft_synthesize(terms, 4)
-    residue, seams = ft_backend._synthesize_residue(terms, 4)
+    residue, seeds = ft_backend._synthesize_residue(terms, 4)
     assert raw.size == (2 * 3 + 2 * 4 - 1) + (2 * 3 + 2 * 3 - 1)
     assert residue.size == raw.size - 2 * (3 + 2)
     assert [gate.name for gate in residue.gates][7:9] == ["cx", "rz"]
-    assert 7 in seams
+    # Slot 7 is a seam, but no rule fires where a CNOT meets a rotation:
+    # nothing is left for the peephole.
+    assert seeds == []
+
+
+def test_residue_leaves_out_long_range_basis_pairs():
+    # XZI and XIY meet on qubit 0 across IIZ, which leaves it alone: the
+    # closing and opening H there are inverse neighbours on that wire.
+    terms = [(PauliString.from_label("XZI"), 0.2),
+             (PauliString.from_label("IIZ"), 0.3),
+             (PauliString.from_label("XIY"), 0.5)]
+    raw = ft_synthesize(terms, 3)
+    residue, seeds = ft_backend._synthesize_residue(terms, 3)
+    assert residue.size == raw.size - 2
+    assert sum(g.name == "h" for g in raw.gates) == 4
+    assert sum(g.name == "h" for g in residue.gates) == 2
+    assert seeds == []
+    expected, _ = run_rules(raw, **LEVEL_RULES[3])
+    assert residue.gates == expected.gates
+
+
+def test_equal_strings_keep_their_long_range_pairs():
+    # Equal strings across a term that leaves them alone: their rotations
+    # could meet and merge, so the peephole must see the raw junction.
+    terms = [(PauliString.from_label("XZI"), 0.2),
+             (PauliString.from_label("IIZ"), 0.3),
+             (PauliString.from_label("XZI"), 0.5)]
+    raw = ft_synthesize(terms, 3)
+    residue, seeds = ft_backend._synthesize_residue(terms, 3)
+    assert residue.gates == raw.gates
+    assert seeds
+
+
+def test_three_equal_rotations_merge_in_the_raw_order():
+    # Left out, the long-range pair would let the last rotation merge
+    # before the first two do, and the angles would round differently.
+    program = _program([("XZI", pi), ("XZI", 1.1), ("IIY", 0.3),
+                        ("XZI", 0.3)])
+    result = Pipeline("ft", "none", 1).run(program)
+    raw = ft_synthesize(result.emitted_terms, 3)
+    assert result.circuit.gates == run_rules(raw, **LEVEL_RULES[1])[0].gates
 
 
 def test_equal_neighbours_keep_their_pairs():
@@ -233,7 +392,7 @@ def test_rotations_merging_to_nothing_fall_back_to_the_raw_emission(
 
 def test_custom_pass_between_synthesis_and_peephole_drops_the_seams(
         engine_seeds):
-    # The custom pass appends an inverse pair that no seam covers: only a
+    # The custom pass appends an inverse pair that no seed covers: only a
     # full fixpoint removes it.
     def append_pair(circuit):
         return circuit.copy().x(0).x(0)

@@ -23,8 +23,10 @@ Stages (``--stage all`` runs every one):
   synthesized raw circuit;
 * ``ft-flow``   — the level-3 FT flow's synthesize and peephole steps on
   the same terms, as ``compile_program`` runs them: the residue synthesis
-  and the peephole started from its seams.  Prints the raw and residue
-  gate counts first.
+  and the peephole started from its seeds.  Prints the raw and residue
+  gate counts first, then how many long-range basis pairs the residue
+  left out and its seams (gates whose wire successor belongs to another
+  term) next to its seeds (the slots where a rule can fire).
 
 ``ft-synth``, ``peephole`` and ``ft-flow`` ignore ``--qubits``/``--terms``.
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import logging
 import pstats
 import sys
 import time
@@ -89,9 +92,13 @@ def _rand30_stages() -> Dict[str, Callable[[], object]]:
     program = build_benchmark("Rand-30", "paper")
     frontend = ft_compile(program, run_peephole=False)
     terms, raw = frontend.emitted_terms, frontend.circuit
-    residue, _ = ft_backend._synthesize_residue(terms, program.num_qubits)
-    print(f"Rand-30: {len(terms)} terms, {raw.size} gates before peephole "
-          f"({residue.size} in the residue emission)")
+    print(f"Rand-30: {len(terms)} terms, {raw.size} gates before peephole")
+    # The residue emission reports its counts at DEBUG.
+    logging.basicConfig(format="%(message)s")
+    log = logging.getLogger(ft_backend.__name__)
+    log.setLevel(logging.DEBUG)
+    ft_backend._synthesize_residue(terms, program.num_qubits)
+    log.setLevel(logging.NOTSET)
     # The stock level-3 flow after its schedule step, which runs once here.
     schedule = gco_schedule(program)
     flow = [lambda _: schedule, *pass_sequence("ft", "gco", 3)[1:]]
