@@ -383,9 +383,9 @@ class _TermSweep:
         leaves out its basis-change pairs on qubits where both terms carry
         the same X or Y operator and its :meth:`junction_prefix` CNOT
         pairs, the :meth:`long_range_pairs` go too, and the seeds come
-        back with the tape (``None`` without ``residue``).  The residue
-        tape comes with its wire links, from the wire sort that finds the
-        seeds."""
+        back with the tape (``None`` without ``residue``): the slots where
+        a rule can fire, read off the wire links the residue tape comes
+        with (:func:`~repro.transpile.peephole._fire_sites`)."""
         rows, w, pos = self.rows, self.weights, self.pos
         m = self.num_terms
         chain = self.cols[chains]
@@ -393,7 +393,7 @@ class _TermSweep:
         length = np.where(w > 0, 2 * basis + 2 * w - 1, 0)
         start = np.cumsum(length) - length
         total = int(length.sum())
-        op = np.full(total, _OP_CX, dtype=np.int64)
+        op = np.full(total, _OP_CX, dtype=np.uint8)
         q0 = np.empty(total, dtype=np.int64)
         q1 = np.full(total, NO_SLOT, dtype=np.int64)
         changed = np.flatnonzero(self.x)
@@ -443,11 +443,13 @@ class _TermSweep:
             keep[forward[pos[edge] < np.append(0, edges)[term]]] = False
             op, q0, q1 = op[keep], q0[keep], q1[keep]
             slot = np.cumsum(keep)[slot] - 1
-            seeds, links = _seeds_and_links(op, q0, q1, num_qubits)
+            links = _wire_links(q0, q1, num_qubits)
+            nxt = np.column_stack([np.frombuffer(links[k], np.int64)
+                                   for k in (0, 2)])
+            seeds = peephole._fire_sites(op, q0, q1, nxt[:, 0],
+                                         nxt[:, 1]).tolist()
             if _log.isEnabledFor(logging.DEBUG):
                 owner = np.repeat(np.arange(m), length)[keep]
-                nxt = np.column_stack([np.frombuffer(links[k], np.int64)
-                                       for k in (0, 2)])
                 seams = ((nxt != NO_SLOT) & (owner[nxt] != owner[:, None])).any(1)
                 _log.debug("residue: %d gates, %d long-range basis pairs "
                            "left out, %d seams, %d seeds", op.size,
@@ -462,13 +464,11 @@ class _TermSweep:
         return tape, seeds
 
 
-def _seeds_and_links(
-    op: np.ndarray, q0: np.ndarray, q1: np.ndarray, num_qubits: int,
-) -> Tuple[List[int], Tuple[array, ...]]:
+def _wire_links(
+    q0: np.ndarray, q1: np.ndarray, num_qubits: int,
+) -> Tuple[array, ...]:
     """One stable sort of the gates by wire gives the tape's wire links
-    ``(nxt0, prv0, nxt1, prv1, head, tail)`` as ``array('q')`` columns,
-    and from them the peephole's seeds: the ascending slots where a rule
-    can fire (:func:`~repro.transpile.peephole._fire_sites`)."""
+    ``(nxt0, prv0, nxt1, prv1, head, tail)`` as ``array('q')`` columns."""
     wires = np.column_stack((q0, q1)).ravel()  # operand k of slot s at 2 s + k
     used = np.flatnonzero(wires != NO_SLOT)
     key = wires[used]
@@ -492,10 +492,8 @@ def _seeds_and_links(
     tail = np.full(num_qubits, NO_SLOT, dtype=np.int64)
     head[wires[first]] = slots[first]
     tail[wires[last]] = slots[last]
-    links = tuple(array("q", column.tobytes()) for column in
-                  (nxt[0::2], prv[0::2], nxt[1::2], prv[1::2], head, tail))
-    seeds = peephole._fire_sites(op, q0, q1, nxt[0::2], nxt[1::2])
-    return seeds.tolist(), links
+    return tuple(array("q", column.tobytes()) for column in
+                 (nxt[0::2], prv[0::2], nxt[1::2], prv[1::2], head, tail))
 
 
 def ft_compile(

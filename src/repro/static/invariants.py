@@ -28,9 +28,9 @@ asserting, so one corrupted artifact yields a full damage report.  The
 :func:`debug_check` hook gives the compile paths an opt-in between-pass
 sweep: export ``REPRO_CHECK_INVARIANTS=1`` and every backend validates
 its tape after each pass, raising :class:`InvariantViolation` at the
-first broken stage.  The sweep checks only what a pass can break (of a
-program, its widths), so the flag never rejects an input the compile
-accepts.
+first broken stage.  Of a program the sweep checks only what a pass
+can break, its widths: identity-only blocks and zero weights, which the
+compile drops, are for ``repro check`` to judge, not for the flag.
 
 :func:`check_program` is the single program-validation entry point.
 """

@@ -93,8 +93,8 @@ for _op in OP_ROTATION:
     _IS_ROTATION[_op] = 1
 
 # The same tables as arrays, for the vectorized fire-site test.
-_MERGE_AXIS_OF = np.array(_MERGE_AXIS)
-_INVERSE_OF = np.array(OP_INVERSE)
+_MERGE_AXIS_OF = np.array(_MERGE_AXIS, dtype=np.int8)
+_INVERSE_OF = np.array(OP_INVERSE, dtype=np.uint8)
 _IS_XAXIS_OF = np.array(_IS_XAXIS, dtype=bool)
 
 

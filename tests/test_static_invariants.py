@@ -262,6 +262,37 @@ class TestCheckResultAndDebugHook:
         with pytest.raises(InvariantViolation, match="after-peephole"):
             debug_check("after-peephole", tape=tape)
 
+    def test_debug_flag_accepts_what_the_compile_drops(self, monkeypatch):
+        # An identity-only block and a zero weight are check_program
+        # errors, but the compile drops them; the flag must not reject them.
+        zero = PauliBlock([("ZZ", 0.0), ("XY", 1.0)], 0.5)
+        ft_program = program_of(PauliBlock(["II"], 0.5), zero)
+        sc_program = program_of(zero)
+        assert not check_program(ft_program).ok
+        assert not check_program(sc_program).ok
+        coupling = CouplingMap([(0, 1)])
+
+        def compile_both():
+            return [compile_program(ft_program, backend="ft").circuit.gates,
+                    compile_program(sc_program, backend="sc",
+                                    coupling=coupling).circuit.gates]
+
+        monkeypatch.delenv(DEBUG_ENV, raising=False)
+        plain = compile_both()
+        monkeypatch.setenv(DEBUG_ENV, "1")
+        assert compile_both() == plain
+
+    def test_debug_hook_rejects_a_program_of_the_wrong_width(self,
+                                                             monkeypatch):
+        class Wider(list):
+            num_qubits = 3
+
+        monkeypatch.setenv(DEBUG_ENV, "1")
+        with pytest.raises(InvariantViolation, match="after-schedule") as info:
+            debug_check("after-schedule",
+                        program=Wider([PauliBlock(["ZZ"], 0.5)]))
+        assert info.value.invariant == "program.qubit-width"
+
     def test_compiles_clean_under_debug_flag(self, monkeypatch):
         monkeypatch.setenv(DEBUG_ENV, "1")
         program = program_of(
