@@ -15,10 +15,10 @@ equivalents), rebuilt as *local rules* over the
 
 Instead of re-deriving wire sequences and position dicts on every sweep,
 the engine keeps one dirty-site worklist: it is seeded with every gate
-once (or with the slots where a rule can fire, which
-:func:`_fire_sites` finds in one vectorized pass over a linked tape's
-columns; the FT residue synthesis reports them), and a rewrite re-seeds
-only the edited neighborhood (the spliced-in wire neighbours, plus the transparent run
+once (or with the slots where a rule can fire, which :func:`_fire_sites`
+finds in one vectorized pass over a linked tape's columns; the FT
+residue synthesis reports them), and a rewrite re-seeds only the edited
+neighborhood (the spliced-in wire neighbours, plus the transparent run
 behind the edit so a newly unblocked CNOT walk is revisited).  Every
 firing strictly shrinks ``(gate count, swap count)`` lexicographically,
 so the fixpoint is O(gates + rewrites) rather than

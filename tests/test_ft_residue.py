@@ -54,9 +54,9 @@ def _term_lists(draw, programs=True):
     with the same X or Y on a qubit sandwich a term that leaves the qubit
     alone.  The outer terms of a sandwich are often equal, the two around
     the inner term often with coefficients that add up to whole turns, and
-    the inner term is often disjoint from them.  For ``programs``, no identity string and no zero
-    coefficient: the flow gets one block per term, and such a block is an
-    invalid program."""
+    the inner term is often disjoint from them.  For ``programs``, no
+    identity string and no zero coefficient: the flow gets one block per
+    term, and such a block is an invalid program."""
     n = draw(st.integers(2, 8))
     label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
     # Quarter and half turns make rotations merge to full turns.
