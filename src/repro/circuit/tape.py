@@ -18,16 +18,19 @@ element at a time by engines that chase pointers, where list and
 ``array`` indexing beat numpy element access by a wide margin.  The
 gate columns are Python lists.  The link columns are lists too, except
 on a tape whose links come ready-made from a vectorized producer (the FT
-residue emission): those hold ``array('q')``, 8 bytes a slot, because
-slot numbers are large ints and a list of them holds one int object per
-entry.
+residue emission and the SC synthesis, both through :func:`_wire_links`):
+those hold ``array('q')``, 8 bytes a slot, because slot numbers are large
+ints and a list of them holds one int object per entry.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from itertools import compress
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .gates import OP_ROTATION as _OP_ROTATION
 from .gates import OPCODES, Gate
@@ -408,3 +411,38 @@ class GateTape:
                 assert self.wire_prev(s, wire) == prev, "broken prev link"
                 prev = s
             assert self.tail[wire] == (seq[-1] if seq else NO_SLOT)
+
+
+def _wire_links(
+    q0: np.ndarray, q1: np.ndarray, num_qubits: int,
+) -> Tuple[array, ...]:
+    """One stable sort of the gates by wire gives the wire links
+    ``(nxt0, prv0, nxt1, prv1, head, tail)`` of an all-live tape with
+    operand columns ``q0``/``q1`` (integer arrays), as ``array('q')``
+    columns: what :meth:`GateTape.ensure_links` builds, for
+    :meth:`GateTape._adopt`."""
+    wires = np.column_stack((q0, q1)).ravel()  # operand k of slot s at 2 s + k
+    used = np.flatnonzero(wires != NO_SLOT)
+    key = wires[used]
+    if num_qubits <= np.iinfo(np.uint16).max:
+        key = key.astype(np.uint16)  # small keys sort by radix
+    # Stable, so each wire's gates stay in program order.
+    order = used[np.argsort(key, kind="stable")]
+    wires, slots = wires[order], order >> 1
+    same = wires[:-1] == wires[1:]
+    # Per operand, its wire neighbours: the nxt0/nxt1 (prv0/prv1) columns
+    # interleaved the way ``wires`` is.
+    nxt = np.full(2 * q0.size, NO_SLOT, dtype=np.int64)
+    prv = np.full(2 * q0.size, NO_SLOT, dtype=np.int64)
+    nxt[order[:-1][same]] = slots[1:][same]
+    prv[order[1:][same]] = slots[:-1][same]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ~same
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = ~same
+    head = np.full(num_qubits, NO_SLOT, dtype=np.int64)
+    tail = np.full(num_qubits, NO_SLOT, dtype=np.int64)
+    head[wires[first]] = slots[first]
+    tail[wires[last]] = slots[last]
+    return tuple(array("q", column.tobytes()) for column in
+                 (nxt[0::2], prv[0::2], nxt[1::2], prv[1::2], head, tail))

@@ -18,6 +18,7 @@ Backends:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -218,6 +219,10 @@ def compile_program(
         only ever be *upgraded*, never served in place of a stored
         higher-tier artifact — a cache hit below the requested tier is
         treated as a miss and recompiled.
+
+    A string whose rotation angle (``-2 * weight * parameter``) is not
+    finite raises ``ValueError`` naming ``program.coefficient-finite``;
+    the check runs after the cache lookup, so a hit pays nothing for it.
     """
     coupling, edge_error, noise_model, device_name = resolve_target(
         coupling=coupling, edge_error=edge_error,
@@ -276,6 +281,7 @@ def compile_program(
                 result.from_cache = True
                 return _maybe_verify(program, result, verify)
 
+    _require_finite_angles(program)
     check_cancel(cancel, "before scheduling")
     debug_check("compile: input program", program=program)
 
@@ -316,6 +322,20 @@ def compile_program(
             # speculative placeholder.
             cache.put_tiered(fingerprint, dumps_artifact(result), tier)
     return _maybe_verify(program, result, verify)
+
+
+def _require_finite_angles(program: PauliProgram) -> None:
+    """Reject a string whose rotation angle would not be finite: a NaN or
+    infinite weight or block parameter, or a product that overflows."""
+    isfinite = math.isfinite
+    for index, block in enumerate(program):
+        parameter = block.parameter
+        for ws in block:
+            if not isfinite(-2.0 * (ws.weight * parameter)):
+                raise ValueError(
+                    f"program.coefficient-finite: block {index}, string "
+                    f"{ws.string.label}: weight {ws.weight!r} times "
+                    f"parameter {parameter!r} is not a finite angle")
 
 
 def _maybe_verify(

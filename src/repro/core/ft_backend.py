@@ -50,14 +50,13 @@ unitary equivalence against the exact product of exponentials.
 from __future__ import annotations
 
 import logging
-from array import array
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..circuit import QuantumCircuit
 from ..circuit.gates import OP, OPCODES
-from ..circuit.tape import NO_SLOT, GateTape
+from ..circuit.tape import NO_SLOT, GateTape, _wire_links
 from ..ir import PauliProgram
 from ..pauli import PauliString
 from ..pauli import operators as ops
@@ -462,38 +461,6 @@ class _TermSweep:
         tape = GateTape._adopt(num_qubits, op.tolist(), q0.tolist(),
                                q1.tolist(), param, counts, links)
         return tape, seeds
-
-
-def _wire_links(
-    q0: np.ndarray, q1: np.ndarray, num_qubits: int,
-) -> Tuple[array, ...]:
-    """One stable sort of the gates by wire gives the tape's wire links
-    ``(nxt0, prv0, nxt1, prv1, head, tail)`` as ``array('q')`` columns."""
-    wires = np.column_stack((q0, q1)).ravel()  # operand k of slot s at 2 s + k
-    used = np.flatnonzero(wires != NO_SLOT)
-    key = wires[used]
-    if num_qubits <= np.iinfo(np.uint16).max:
-        key = key.astype(np.uint16)  # small keys sort by radix
-    # Stable, so each wire's gates stay in program order.
-    order = used[np.argsort(key, kind="stable")]
-    wires, slots = wires[order], order >> 1
-    same = wires[:-1] == wires[1:]
-    # Per operand, its wire neighbours: the nxt0/nxt1 (prv0/prv1) columns
-    # interleaved the way ``wires`` is.
-    nxt = np.full(2 * q0.size, NO_SLOT, dtype=np.int64)
-    prv = np.full(2 * q0.size, NO_SLOT, dtype=np.int64)
-    nxt[order[:-1][same]] = slots[1:][same]
-    prv[order[1:][same]] = slots[:-1][same]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = ~same
-    last = np.ones(order.size, dtype=bool)
-    last[:-1] = ~same
-    head = np.full(num_qubits, NO_SLOT, dtype=np.int64)
-    tail = np.full(num_qubits, NO_SLOT, dtype=np.int64)
-    head[wires[first]] = slots[first]
-    tail[wires[last]] = slots[last]
-    return tuple(array("q", column.tobytes()) for column in
-                 (nxt[0::2], prv[0::2], nxt[1::2], prv[1::2], head, tail))
 
 
 def ft_compile(

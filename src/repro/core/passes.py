@@ -212,7 +212,9 @@ class PipelineResult:
 
 
 class Seams(NamedTuple):
-    """A residue synthesis's hint to the peephole step right after it."""
+    """A synthesis's hint to the peephole step right after it (the FT
+    residue, or the SC emission): its circuit's tape comes linked, and
+    the step rewrites it in place."""
 
     slots: List[int]  # the worklist to start from: where a rule can fire
     raw: Callable[[], QuantumCircuit]  # the raw emission it stands in for
@@ -257,23 +259,35 @@ def _ft_synthesize_residue(state: PipelineResult) -> None:
         terms, num_qubits, junction_policy=policy))
 
 
-def _sc_synthesize(state: PipelineResult) -> None:
-    if not isinstance(state.schedule, list):
-        # The SC pass walks the schedule twice (interaction-aware layout,
-        # then synthesis) and restarts re-run it, so a streamed layer
-        # *structure* is materialized; block views are not, and
-        # release_views drops each one after synthesis.
-        state.schedule = [list(layer) for layer in state.schedule]
-    rng = random.Random(state.seed + state.attempt) if state.attempt else None
-    result = sc_backend.SCSynthesizer(
-        state.coupling, state.edge_error, rng=rng,
-        release_views=state.streaming,
-    ).run(state.schedule, state.program.num_qubits)
-    state.circuit = result.circuit
-    state.initial_layout = result.initial_layout
-    state.final_layout = result.final_layout
-    state.emitted_terms = result.emitted_terms
-    state.transition_swaps = result.transition_swaps
+def _sc_synthesizer(seeded: bool) -> Callable[[PipelineResult], None]:
+    """The SC synthesis step; ``seeded`` when a peephole step follows it:
+    the emission then comes as a linked tape with the slots where a rule
+    can fire, and the raw emission as that step's fallback."""
+    def sc_synthesize(state: PipelineResult) -> None:
+        if not isinstance(state.schedule, list):
+            # The SC pass walks the schedule twice (interaction-aware
+            # layout, then synthesis) and restarts re-run it, so a streamed
+            # layer *structure* is materialized; block views are not, and
+            # release_views drops each one after synthesis.
+            state.schedule = [list(layer) for layer in state.schedule]
+        rng = random.Random(state.seed + state.attempt) if state.attempt else None
+        result, seeds = sc_backend.SCSynthesizer(
+            state.coupling, state.edge_error, rng=rng,
+            release_views=state.streaming,
+        )._run(state.schedule, state.program.num_qubits, seeded)
+        state.circuit = result.circuit
+        state.initial_layout = result.initial_layout
+        state.final_layout = result.final_layout
+        state.emitted_terms = result.emitted_terms
+        state.transition_swaps = result.transition_swaps
+        if seeds is not None:
+            state.seams = Seams(*seeds)
+
+    return sc_synthesize
+
+
+_sc_synthesize = _sc_synthesizer(seeded=False)
+_sc_synthesize_seeded = _sc_synthesizer(seeded=True)
 
 
 def _route(state: PipelineResult) -> None:
@@ -303,7 +317,7 @@ def _rules(names: Sequence[str]) -> Callable[[PipelineResult], None]:
     def peephole_step(state: PipelineResult) -> None:
         seams = state.seams
         if seams is not None:
-            # The residue circuit is the pipeline's own: the synthesis step
+            # The seeded circuit is the pipeline's own: the synthesis step
             # right before built it and nothing else holds it, so the
             # engine rewrites its tape in place instead of on a copy.
             tape = state.circuit.tape
@@ -312,9 +326,9 @@ def _rules(names: Sequence[str]) -> Callable[[PipelineResult], None]:
                 state.circuit = QuantumCircuit.from_tape(
                     tape.compact(), name=state.circuit.name)
                 return
-            # A rewrite could end differently from the residue than from
-            # the raw emission: drop the half-rewritten residue and run
-            # the raw emission's fixpoint instead.
+            # A rewrite could end differently from the seeds than from
+            # every slot of the raw emission: drop the half-rewritten tape
+            # and run the raw emission's fixpoint instead.
             state.circuit = seams.raw()
         state.circuit, _ = peephole._run(state.circuit, **flags)
 
@@ -394,6 +408,10 @@ def _plan(
             rules = steps[-1].rules + rules
             steps[-1] = _Step("+".join(rules), _rules(rules), routed, rules)
         else:
+            if rules and steps and steps[-1].run is _sc_synthesize:
+                # The SC synthesis hands the peephole step right after it
+                # the slots where a rule can fire.
+                steps[-1] = steps[-1]._replace(run=_sc_synthesize_seeded)
             steps.append(_Step(label, run, routed, rules))
     _CHECKER.check(contracts, initial=initial, goal=goal, name=name)
     if missing:

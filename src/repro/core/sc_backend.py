@@ -24,20 +24,38 @@ For each scheduled layer:
    order (lines 21-23).  Deferral is legal because Pauli IR semantics are
    order-free.
 
+The synthesizer writes every gate straight into tape columns (opcode,
+operands, angle), which the circuit adopts once at the end; a rolled-back
+parallel block deletes its suffix of the columns.  What depends only on
+the coupling and a string's set of positions is computed once per run: the
+sandwich's root and CNOT tree, and whether the set is connected (so a
+gather with nothing to move does no component walk).  When a peephole
+level follows, the flow takes the emission with its wire links built and
+the seeds, the slots where a peephole rule can fire, so the peephole step
+starts there, on a linked tape, instead of at every gate; its output is
+gate for gate the level's rules run on the emission.
+
 The emitted ``(string, coefficient)`` order and the layout history are
 recorded so tests can check full unitary equivalence on small devices.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import operator
 import random
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..circuit import QuantumCircuit
+from ..circuit.gates import OP, OPCODES
+from ..circuit.tape import NO_SLOT, GateTape, _wire_links
 from ..ir import PauliBlock, PauliProgram
 from ..pauli import PauliString
-from ..transpile import CouplingMap, Layout, dense_initial_layout
+from ..pauli import operators as ops
+from ..transpile import CouplingMap, Layout, dense_initial_layout, peephole
 from ..transpile.coupling import ArcTable, dijkstra
 from . import passes
 # The SC flow's scheduling passes call these through this module at call
@@ -50,6 +68,12 @@ __all__ = [
 ]
 
 _NO_FORBIDDEN: FrozenSet[int] = frozenset()
+
+_OP_H, _OP_YH, _OP_RZ = OP["h"], OP["yh"], OP["rz"]
+_OP_CX, _OP_SWAP = OP["cx"], OP["swap"]
+
+#: At DEBUG, each seeded emission logs its size, sandwich sets and seeds.
+_log = logging.getLogger(__name__)
 
 
 def swap_cost_table(
@@ -165,11 +189,19 @@ class SCSynthesizer:
 
     # -- public ---------------------------------------------------------
     def run(self, schedule: Schedule, num_logical: int) -> SCResult:
+        """Algorithm 3 over ``schedule``: the emission on the coupling's
+        physical qubits, its initial and final layouts and string order."""
+        return self._run(schedule, num_logical)[0]
+
+    def _run(
+        self, schedule: Schedule, num_logical: int, seeded: bool = False,
+    ) -> Tuple[SCResult, Optional[Tuple[List[int], Callable[[], QuantumCircuit]]]]:
+        """:meth:`run`; with ``seeded``, the result's tape comes with its
+        wire links, and ``(seeds, raw)`` come back with it: the slots where
+        a peephole rule can fire, and a rebuild of the emission as it was
+        (the peephole step rewrites the tape in place)."""
         initial_layout = self._interaction_aware_layout(schedule, num_logical)
-        self.layout = initial_layout.copy()
-        self.circuit = QuantumCircuit(self.coupling.num_qubits)
-        self.emitted: List[Tuple[PauliString, float]] = []
-        self.transition_swaps = 0
+        self._reset(initial_layout.copy())
 
         remain: List[PauliBlock] = []
         for layer in schedule:
@@ -194,13 +226,67 @@ class SCSynthesizer:
             if self._release_views:
                 block.release_view()
 
-        return SCResult(
-            self.circuit,
+        num_qubits = self.coupling.num_qubits
+        _check_operands(num_qubits, *self._columns[:3])
+        if seeded:
+            tape, seeds = self._linked_tape()
+        else:
+            tape, seeds = GateTape.from_columns(num_qubits, *self._columns), None
+        result = SCResult(
+            QuantumCircuit.from_tape(tape),
             initial_layout,
             self.layout.copy(),
             self.emitted,
             self.transition_swaps,
         )
+        return result, seeds
+
+    def _linked_tape(
+        self,
+    ) -> Tuple[GateTape, Tuple[List[int], Callable[[], QuantumCircuit]]]:
+        """The emission's columns as a tape with its wire links, the seeds
+        read off them (:func:`~repro.transpile.peephole._fire_sites`), and
+        a rebuild of the emission from compact copies of the columns."""
+        num_qubits = self.coupling.num_qubits
+        op, q0, q1, param = self._columns
+        ops = np.array(op, dtype=np.uint8)
+        wires = np.array(q0, dtype=np.int32), np.array(q1, dtype=np.int32)
+        angles = np.array(param)
+        links = _wire_links(*wires, num_qubits)
+        nxt0, _, nxt1 = (np.frombuffer(link, np.int64) for link in links[:3])
+        seeds = peephole._fire_sites(ops, *wires, nxt0, nxt1).tolist()
+        if _log.isEnabledFor(logging.DEBUG):
+            sandwiches = sum(len(s.support) > 1 for s, _ in self.emitted)
+            _log.debug("sc: %d gates, %d distinct CNOT trees for %d "
+                       "multi-qubit strings, %d seeds", len(op),
+                       len(self._trees), sandwiches, len(seeds))
+
+        def raw() -> QuantumCircuit:
+            return QuantumCircuit.from_tape(GateTape.from_columns(
+                num_qubits, ops.tolist(), wires[0].tolist(),
+                wires[1].tolist(), angles.tolist()))
+
+        counts = np.bincount(ops, minlength=len(OPCODES)).tolist()
+        tape = GateTape._adopt(num_qubits, op, q0, q1, param, counts, links)
+        return tape, (seeds, raw)
+
+    def _reset(self, layout: Layout) -> None:
+        """Start a run from ``layout``: empty gate columns and memos."""
+        self.layout = layout
+        #: The emission as tape columns: opcode, operands, angle.
+        self._columns: Tuple[List[int], List[int], List[int], List[float]] = (
+            [], [], [], [])
+        self.emitted: List[Tuple[PauliString, float]] = []
+        self.transition_swaps = 0
+        #: Per position set, what depends only on it and the coupling: the
+        #: sandwich's root and CNOT tree, and whether it is connected.
+        self._trees: Dict[FrozenSet[int], Tuple[int, List[int], List[int]]] = {}
+        self._connected: Set[FrozenSet[int]] = set()
+
+    def _circuit(self) -> QuantumCircuit:
+        """The emission so far as a circuit (a copy of the columns)."""
+        return QuantumCircuit.from_tape(GateTape.from_columns(
+            self.coupling.num_qubits, *(list(c) for c in self._columns)))
 
     # -- initial placement --------------------------------------------------
     def _interaction_aware_layout(self, schedule: Schedule, num_logical: int) -> Layout:
@@ -281,7 +367,10 @@ class SCSynthesizer:
 
     # -- block processing -------------------------------------------------
     def _process_block(self, block: PauliBlock, forbidden: FrozenSet[int]) -> None:
-        """Connect the block's active region, then synthesize its strings."""
+        """Connect the block's active region, then synthesize its strings.
+        A block of identity strings only has nothing to synthesize."""
+        if not block.active_qubits:
+            return
         positions = {self.layout.physical(q) for q in block.active_qubits}
         if positions & forbidden:
             raise ValueError("block overlaps a protected region")
@@ -295,7 +384,7 @@ class SCSynthesizer:
     def _try_parallel_block(self, block: PauliBlock, protected: FrozenSet[int]) -> bool:
         """Speculatively synthesize a small block without touching the
         primary block's qubits; roll back and defer on failure."""
-        recorded = len(self.circuit)
+        recorded = len(self._columns[0])
         layout_before = self.layout.copy()
         emitted_before = len(self.emitted)
         swaps_before = self.transition_swaps
@@ -303,7 +392,8 @@ class SCSynthesizer:
             self._process_block(block, protected)
             return True
         except ValueError:
-            self.circuit.truncate(recorded)
+            for column in self._columns:
+                del column[recorded:]
             self.layout = layout_before
             del self.emitted[emitted_before:]
             self.transition_swaps = swaps_before
@@ -330,9 +420,9 @@ class SCSynthesizer:
         active: Set[int],
         forbidden: FrozenSet[int],
         seed: Optional[Set[int]] = None,
-    ) -> None:
+    ) -> FrozenSet[int]:
         """Persistently SWAP active qubits until they form one connected
-        component of the coupling graph.
+        component of the coupling graph; returns the final positions.
 
         ``active`` is mutated to the final positions.  Each round pulls the
         nearest outside qubit into the sink component along the cheapest
@@ -340,8 +430,9 @@ class SCSynthesizer:
         to the largest component).  Raises ``ValueError`` when ``forbidden``
         nodes make connection impossible.
         """
-        if len(active) <= 1:
-            return
+        positions = frozenset(active)
+        if len(active) <= 1 or positions in self._connected:
+            return positions
         # Qubits outside the allowed region: forbidden ones, unless they
         # held an active qubit when the gather began.
         blocked = forbidden - active
@@ -350,7 +441,9 @@ class SCSynthesizer:
             # subgraph view's node filter is: component order follows it.
             components = self.coupling.components(set(q for q in active))
             if len(components) <= 1:
-                return
+                positions = frozenset(active)
+                self._connected.add(positions)
+                return positions
             if seed:
                 sink = next(
                     (set(c) for c in components if c & seed),
@@ -411,23 +504,26 @@ class SCSynthesizer:
             for ws in block
             if not ws.string.is_identity
         ]
+        supports = [string.support for string, _ in remaining]
+        lex_keys = [string.lex_key() for string, _ in remaining]
         previous: Optional[PauliString] = None
         priced_at = None
         while remaining:
             if priced_at != self.transition_swaps:
                 # Only gather swaps move the mapping; re-price after them.
                 priced_at = self.transition_swaps
-                hops = [self._hop_sum(string.support) for string, _ in remaining]
+                hops = [self._hop_sum(support) for support in supports]
 
             def key(i):
-                string = remaining[i][0]
-                overlap = previous.overlap(string) if previous is not None else 0
-                return (hops[i], -overlap, string.lex_key())
+                overlap = (previous.overlap(remaining[i][0])
+                           if previous is not None else 0)
+                return (hops[i], -overlap, lex_keys[i])
 
             i = min(range(len(remaining)), key=key)
             string, coefficient = remaining.pop(i)
-            del hops[i]
-            self._synthesize_string(string, coefficient, forbidden)
+            support = supports.pop(i)
+            del hops[i], lex_keys[i]
+            self._synthesize_string(string, support, coefficient, forbidden)
             self.emitted.append((string, coefficient))
             previous = string
 
@@ -439,51 +535,91 @@ class SCSynthesizer:
         )
 
     def _synthesize_string(
-        self, string: PauliString, coefficient: float, forbidden: FrozenSet[int]
+        self, string: PauliString, support: Sequence[int], coefficient: float,
+        forbidden: FrozenSet[int],
     ) -> None:
         """Gather the string's qubits, then emit the parity sandwich."""
-        active = {self.layout.physical(q) for q in string.support}
-        self._gather(active, forbidden)
+        physical = self.layout.physical
+        active = {physical(q) for q in support}
+        positions = self._gather(active, forbidden)
 
-        circuit = self.circuit
-        basis: List[Tuple[Callable[[int], QuantumCircuit], int]] = []
-        for logical in string.support:
-            code = string[logical]
-            if code == "X":
-                basis.append((circuit.h, self.layout.physical(logical)))
-            elif code == "Y":
-                basis.append((circuit.yh, self.layout.physical(logical)))
-        for change, phys in basis:
-            change(phys)
-
-        if len(active) == 1:
-            circuit.rz(-2.0 * coefficient, next(iter(active)))
+        basis_ops: List[int] = []
+        basis_wires: List[int] = []
+        for logical in support:
+            code = string.code_at(logical)
+            if code != ops.Z:
+                basis_ops.append(_OP_H if code == ops.X else _OP_YH)
+                basis_wires.append(physical(logical))
+        op, q0, q1, param = self._columns
+        op += basis_ops
+        q0 += basis_wires
+        q1 += [NO_SLOT] * len(basis_ops)
+        param += [0.0] * len(basis_ops)
+        if len(positions) == 1:
+            root, controls, targets = next(iter(positions)), [], []
         else:
-            # The sandwich root is the centre of the active subgraph: it
-            # minimizes the CNOT-tree depth.
-            tree = EmbeddedTree.bfs(
-                self.coupling, sorted(active), self.coupling.centre(active)
-            )
-            cnots = [
-                (node, tree.parent[node])
-                for node in tree.nodes_by_depth_desc()
-                if node != tree.root
-            ]
-            for control, target in cnots:
-                circuit.cx(control, target)
-            circuit.rz(-2.0 * coefficient, tree.root)
-            for control, target in reversed(cnots):
-                circuit.cx(control, target)
+            root, controls, targets = self._tree(positions)
+        cnots = len(controls)
+        op += [_OP_CX] * cnots
+        q0 += controls
+        q1 += targets
+        op.append(_OP_RZ)
+        q0.append(root)
+        q1.append(NO_SLOT)
+        op += [_OP_CX] * cnots
+        q0 += reversed(controls)
+        q1 += reversed(targets)
+        param += [0.0] * cnots
+        param.append(-2.0 * coefficient)
+        param += [0.0] * cnots
+        op += reversed(basis_ops)
+        q0 += reversed(basis_wires)
+        q1 += [NO_SLOT] * len(basis_ops)
+        param += [0.0] * len(basis_ops)
 
-        for change, phys in reversed(basis):
-            change(phys)
+    def _tree(self, positions: FrozenSet[int]) -> Tuple[int, List[int], List[int]]:
+        """The sandwich over connected ``positions``: its root, the centre
+        of their subgraph (which minimizes the CNOT-tree depth), and the
+        controls and targets of its CNOTs, leaf to root."""
+        tree = self._trees.get(positions)
+        if tree is None:
+            embedded = EmbeddedTree.bfs(
+                self.coupling, sorted(positions), self.coupling.centre(positions)
+            )
+            leaves = [node for node in embedded.nodes_by_depth_desc()
+                      if node != embedded.root]
+            tree = self._trees[positions] = (
+                embedded.root, leaves, [embedded.parent[n] for n in leaves])
+        return tree
 
     # -- bookkeeping -------------------------------------------------------
     def _emit_swap(self, a: int, b: int, transition: bool) -> None:
-        self.circuit.swap(a, b)
+        op, q0, q1, param = self._columns
+        op.append(_OP_SWAP)
+        q0.append(a)
+        q1.append(b)
+        param.append(0.0)
         self.layout.swap_physical(a, b)
         if transition:
             self.transition_swaps += 1
+
+
+def _check_operands(num_qubits: int, op: List[int], q0: List[int],
+                    q1: List[int]) -> None:
+    """The circuit builders' operand checks, once over the columns: every
+    qubit in range and no two-qubit gate on one qubit twice.  Raises the
+    builders' ``ValueError`` for the first gate that fails."""
+    if not q0 or (min(q0) >= 0 and max(q0) < num_qubits
+                  and min(q1) >= NO_SLOT and max(q1) < num_qubits
+                  and not any(map(operator.eq, q0, q1))):
+        return
+    for name, a, b in zip(map(OPCODES.__getitem__, op), q0, q1):
+        for qubit in (a, b) if b != NO_SLOT else (a,):
+            if not 0 <= qubit < num_qubits:
+                raise ValueError(f"qubit {qubit} out of range for a "
+                                 f"{num_qubits}-qubit circuit")
+        if a == b:
+            raise ValueError(f"gate {name!r} applied to duplicate qubits {(a, b)}")
 
 
 def sc_compile(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -145,7 +146,11 @@ def _engine(
 
     ``seeds`` are the live slots the worklist starts from, in order;
     ``None`` starts from every live slot.  They must include every slot
-    where a rule can fire on the tape as given.
+    where a rule can fire on the tape as given.  Fuse visits its slots in
+    the order the every-slot run does: one ascending pass (over the seeds
+    and every slot pushed while the pass has not reached it), then the
+    slots pushed behind it, first in first out.  So where two fusions
+    compete for one gate, the seeded run picks the same one.
 
     Returns ``(cancelled, merged, commuted, fused)`` rewrite counts with the
     seed passes' units: removed gates for cancel/merge/commute, fusion
@@ -175,9 +180,19 @@ def _engine(
     # cancel/merge/commute-before-fuse pass order.
     fuse_pending = bytearray(n)
     fuse_queue: deque = deque()
+    # The ascending pass still ahead of the last fuse visit (``passed``):
+    # a heap for seeded runs, where slots join the pass as they are
+    # pushed; the every-slot run holds the whole pass in ``fuse_queue``.
+    ahead: list = []
+    passed = n
     if do_fuse:
-        fuse_queue.extend(queue)
-        for slot in fuse_queue:
+        if seeds is None:
+            fuse_queue.extend(queue)
+        else:
+            ahead.extend(queue)
+            heapify(ahead)
+            passed = NO_SLOT
+        for slot in queue:
             fuse_pending[slot] = 1
 
     cancelled = merged = commuted = fused = 0
@@ -195,7 +210,10 @@ def _engine(
                 queue.append(slot)
             if do_fuse and not fuse_pending[slot]:
                 fuse_pending[slot] = 1
-                fuse_queue.append(slot)
+                if slot > passed:
+                    heappush(ahead, slot)
+                else:
+                    fuse_queue.append(slot)
 
     def reseed_before(slot: int, wire: int) -> None:
         """Re-seed the wire neighborhood left of a removed/edited site.
@@ -228,8 +246,13 @@ def _engine(
             from_fuse_queue = False
             g = queue.popleft()
             pending[g] = 0
+        elif ahead:
+            from_fuse_queue = True
+            g = passed = heappop(ahead)
+            fuse_pending[g] = 0
         elif fuse_queue:
             from_fuse_queue = True
+            passed = n
             g = fuse_queue.popleft()
             fuse_pending[g] = 0
         else:

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SCSynthesizer, sc_compile
-from repro.circuit import QuantumCircuit
 from repro.ir import PauliBlock, PauliProgram
 from repro.transpile import CouplingMap, Layout, linear
 from repro.transpile.coupling import dijkstra
@@ -132,11 +131,9 @@ def test_pairwise_distance_raises_on_disconnected_pair():
 
 def _gather_on(cmap, edge_error, active):
     synthesizer = SCSynthesizer(cmap, edge_error=edge_error)
-    synthesizer.layout = Layout({q: q for q in range(cmap.num_qubits)})
-    synthesizer.circuit = QuantumCircuit(cmap.num_qubits)
-    synthesizer.transition_swaps = 0
+    synthesizer._reset(Layout({q: q for q in range(cmap.num_qubits)}))
     synthesizer._gather(set(active), frozenset())
-    return [g.qubits for g in synthesizer.circuit if g.name == "swap"]
+    return [g.qubits for g in synthesizer._circuit() if g.name == "swap"]
 
 
 class TestDeadCouplers:

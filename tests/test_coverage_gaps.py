@@ -74,13 +74,10 @@ class TestSCBackendEdgeCases:
         cmap = ring(4)
         expensive_via_1 = {(0, 1): 9.0, (1, 2): 9.0}
         synthesizer = SCSynthesizer(cmap, edge_error=expensive_via_1)
-        synthesizer.layout = Layout({q: q for q in range(4)})
-        from repro.circuit import QuantumCircuit as QC
-        synthesizer.circuit = QC(4)
-        synthesizer.transition_swaps = 0
+        synthesizer._reset(Layout({q: q for q in range(4)}))
         active = {0, 2}
         synthesizer._gather(active, frozenset())
-        swaps = [g for g in synthesizer.circuit if g.name == "swap"]
+        swaps = [g for g in synthesizer._circuit() if g.name == "swap"]
         assert swaps, "corners must require movement"
         for gate in swaps:
             assert set(gate.qubits) not in ({0, 1}, {1, 2}), (

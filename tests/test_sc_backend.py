@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import circuit_unitary, equivalent_up_to_global_phase
-from repro.core import EmbeddedTree, sc_compile
+from repro.core import EmbeddedTree, compile_program, sc_compile
 from repro.core.synthesis import naive_program_circuit
 from repro.ir import PauliBlock, PauliProgram
 from repro.transpile import CouplingMap, linear, ring, grid, full, route, validate_routed
@@ -92,6 +92,21 @@ class TestSCCorrectness:
         p0 = result.initial_layout.physical(0)
         p3 = result.initial_layout.physical(3)
         assert abs(p0 - p3) == 1
+
+    @pytest.mark.parametrize("scheduler", ["do", "gco", "none"])
+    def test_identity_only_block_compiles_to_nothing(self, scheduler):
+        # A block with no active qubit has no root: the SC flow skips it,
+        # as the FT flow drops it.
+        with_identity = PauliProgram([PauliBlock(["ZZI", "XXI"], 0.5),
+                                      PauliBlock(["III"], 0.3)])
+        without = PauliProgram([PauliBlock(["ZZI", "XXI"], 0.5)])
+        plain = compile_program(without, backend="sc", coupling=linear(3),
+                                scheduler=scheduler)
+        result = compile_program(with_identity, backend="sc",
+                                 coupling=linear(3), scheduler=scheduler)
+        assert result.circuit.gates == plain.circuit.gates
+        assert result.emitted_terms == plain.emitted_terms
+        assert result.final_layout == plain.final_layout
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):

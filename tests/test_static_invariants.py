@@ -266,21 +266,41 @@ class TestCheckResultAndDebugHook:
         # An identity-only block and a zero weight are check_program
         # errors, but the compile drops them; the flag must not reject them.
         zero = PauliBlock([("ZZ", 0.0), ("XY", 1.0)], 0.5)
-        ft_program = program_of(PauliBlock(["II"], 0.5), zero)
-        sc_program = program_of(zero)
-        assert not check_program(ft_program).ok
-        assert not check_program(sc_program).ok
+        program = program_of(PauliBlock(["II"], 0.5), zero)
+        assert not check_program(program).ok
         coupling = CouplingMap([(0, 1)])
 
         def compile_both():
-            return [compile_program(ft_program, backend="ft").circuit.gates,
-                    compile_program(sc_program, backend="sc",
+            return [compile_program(program, backend="ft").circuit.gates,
+                    compile_program(program, backend="sc",
                                     coupling=coupling).circuit.gates]
 
         monkeypatch.delenv(DEBUG_ENV, raising=False)
         plain = compile_both()
         monkeypatch.setenv(DEBUG_ENV, "1")
         assert compile_both() == plain
+
+    @pytest.mark.parametrize("backend", ["ft", "sc"])
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("block", [
+        PauliBlock([("ZZ", float("nan")), ("XX", 1.0)], 0.5),
+        PauliBlock([("ZZ", 1.0), ("II", -math.inf)], 0.5),
+        PauliBlock(["ZZ", "XX"], math.inf),
+        PauliBlock(["ZZ"], float("nan")),
+        PauliBlock([("ZZ", 1e300)], 1e300),
+    ])
+    def test_compile_rejects_a_non_finite_angle(self, monkeypatch, backend,
+                                                flag, block):
+        # The compile would emit the rotation angle as NaN or infinity;
+        # with or without the flag, it refuses the program instead.
+        if flag:
+            monkeypatch.setenv(DEBUG_ENV, "1")
+        else:
+            monkeypatch.delenv(DEBUG_ENV, raising=False)
+        program = program_of(PauliBlock(["XY"], 0.25), block)
+        with pytest.raises(ValueError, match="program.coefficient-finite"):
+            compile_program(program, backend=backend,
+                            coupling=CouplingMap([(0, 1)]))
 
     def test_debug_hook_rejects_a_program_of_the_wrong_width(self,
                                                              monkeypatch):

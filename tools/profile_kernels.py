@@ -26,9 +26,15 @@ Stages (``--stage all`` runs every one):
   and the peephole started from its seeds.  Prints the raw and residue
   gate counts first, then how many long-range basis pairs the residue
   left out and its seams (gates whose wire successor belongs to another
-  term) next to its seeds (the slots where a rule can fire).
+  term) next to its seeds (the slots where a rule can fire);
+* ``sc-flow``   — the level-3 SC flow's synthesize and peephole steps, as
+  ``compile_program`` runs them, on compile-sc's UCCSD-12 and Rand-30
+  (200 strings, seed 2022) on manhattan-65: the columnar emission and the
+  peephole started from its seeds.  Prints each emission's gates, distinct
+  CNOT trees against its multi-qubit strings, and seeds first.
 
-``ft-synth``, ``peephole`` and ``ft-flow`` ignore ``--qubits``/``--terms``.
+``ft-synth``, ``peephole``, ``ft-flow`` and ``sc-flow`` ignore
+``--qubits``/``--terms``.
 
 Run::
 
@@ -39,6 +45,7 @@ Run::
         --dump ft.pstats       # then e.g. snakeviz ft.pstats elsewhere
     PYTHONPATH=src python tools/profile_kernels.py --stage peephole
     PYTHONPATH=src python tools/profile_kernels.py --stage ft-flow
+    PYTHONPATH=src python tools/profile_kernels.py --stage sc-flow
     PYTHONPATH=src python tools/profile_kernels.py --stage verify \\
         --qubits 100 --terms 10000
 """
@@ -53,17 +60,23 @@ import sys
 import time
 from typing import Callable, Dict
 
-from repro.core import compile_program, ft_backend, ft_compile, ft_synthesize
+from repro.core import (
+    compile_program, ft_backend, ft_compile, ft_synthesize, sc_backend,
+)
 from repro.core.passes import pass_sequence, run_pipeline
-from repro.core.scheduling import gco_schedule
+from repro.core.scheduling import do_schedule, gco_schedule
 from repro.core.streaming import scan_blocks, stream_schedule
 from repro.ir import PauliProgram
-from repro.transpile import optimize
+from repro.transpile import manhattan_65, optimize
 from repro.verify import verify_result
-from repro.workloads import build_benchmark, scale_random_program
+from repro.workloads import (
+    build_benchmark, random_hamiltonian_program, scale_random_program,
+)
 
 #: Stages run on the Rand-30 paper program instead of the scale workload.
 RAND30_STAGES = ("ft-synth", "peephole", "ft-flow")
+#: Stages run on compile-sc programs instead of the scale workload.
+SC_STAGES = ("sc-flow",)
 
 
 def _drain(layers) -> int:
@@ -109,6 +122,29 @@ def _rand30_stages() -> Dict[str, Callable[[], object]]:
     }
 
 
+def _sc_stages() -> Dict[str, Callable[[], object]]:
+    coupling = manhattan_65()
+    programs = [build_benchmark("UCCSD-12", "paper"),
+                random_hamiltonian_program(30, num_strings=200, seed=2022,
+                                           name="Rand-30")]
+    # The seeded emission reports its counts at DEBUG.
+    logging.basicConfig(format="%(message)s")
+    log = logging.getLogger(sc_backend.__name__)
+    flows = []
+    for program in programs:
+        schedule = do_schedule(program)
+        print(f"{program.name}: ", end="", flush=True)
+        log.setLevel(logging.DEBUG)
+        sc_backend.SCSynthesizer(coupling)._run(
+            schedule, program.num_qubits, seeded=True)
+        log.setLevel(logging.NOTSET)
+        # The stock level-3 flow after its schedule step, run once here.
+        flows.append(([lambda _, schedule=schedule: schedule,
+                       *pass_sequence("sc", "do", 3)[1:]], program))
+    return {"sc-flow": lambda: [run_pipeline(flow, program, coupling=coupling)
+                                for flow, program in flows]}
+
+
 def profile_stage(name: str, fn: Callable[[], object], sort: str,
                   limit: int, dump: str = None) -> None:
     profiler = cProfile.Profile()
@@ -132,7 +168,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--stage", default="do",
         choices=["all", "build", "scan", "gco", "do", "ft", "verify",
-                 *RAND30_STAGES],
+                 *RAND30_STAGES, *SC_STAGES],
     )
     parser.add_argument(
         "--sort", default="tottime",
@@ -154,7 +190,7 @@ def main(argv=None) -> int:
 
     selected: Dict[str, Callable[[], object]] = {}
     program = None
-    if args.stage not in RAND30_STAGES:
+    if args.stage not in RAND30_STAGES + SC_STAGES:
         program = scale_random_program(args.qubits, args.terms)
         print(f"workload: {program.num_blocks} blocks on "
               f"{program.num_qubits} qubits")
@@ -163,6 +199,8 @@ def main(argv=None) -> int:
             selected["verify"] = _verify_stage(program)
     if args.stage == "all" or args.stage in RAND30_STAGES:
         selected.update(_rand30_stages())
+    if args.stage == "all" or args.stage in SC_STAGES:
+        selected.update(_sc_stages())
     if args.stage != "all":
         selected = {args.stage: selected[args.stage]}
     for name, fn in selected.items():
