@@ -295,17 +295,6 @@ class QuantumCircuit:
         out._dense = self._dense
         return out
 
-    def truncate(self, length: int) -> None:
-        """Drop all gates at index ``length`` and beyond (speculation rollback)."""
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        tape = self._tape
-        if length >= tape.alive_count:
-            return
-        tape.truncate_to(length)
-        del self._slot_gates[len(tape.op):]
-        self._dense = None
-
     def remap_qubits(self, mapping: Dict[int, int], num_qubits: Optional[int] = None) -> "QuantumCircuit":
         """Relabel qubits via ``mapping`` (old index -> new index)."""
         out = QuantumCircuit(num_qubits or self.num_qubits, name=self.name)

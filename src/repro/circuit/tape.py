@@ -234,40 +234,6 @@ class GateTape:
         self._unlink(q1, prev1, next1)
         return prev0, next0, prev1, next1
 
-    def truncate_to(self, length: int) -> None:
-        """Drop every row at dense (live-order) position ``length`` onward.
-
-        On an append-only tape (no dead rows) the doomed region is a
-        physical column suffix, so it is popped outright — O(dropped) —
-        and the links are simply invalidated for lazy rebuild.  A tape
-        that already carries dead rows falls back to mark-and-splice.
-        """
-        if length >= self.alive_count:
-            return
-        n = len(self.op)
-        if self.alive_count == n:
-            counts = self.counts
-            for code in self.op[length:]:
-                counts[code] -= 1
-            del self.op[length:]
-            del self.q0[length:]
-            del self.q1[length:]
-            del self.param[length:]
-            del self.alive[length:]
-            self.alive_count = length
-            if self._links_ready:
-                self._links_ready = False
-                self.nxt0 = []
-                self.prv0 = []
-                self.nxt1 = []
-                self.prv1 = []
-                self.head = []
-                self.tail = []
-            return
-        doomed = [slot for pos, slot in enumerate(self.iter_slots()) if pos >= length]
-        for slot in doomed:
-            self.remove(slot)
-
     def set_rotation(self, slot: int, op: int, param: float) -> None:
         """Rewrite a live row in place (same qubits, new opcode/angle)."""
         old = self.op[slot]

@@ -249,12 +249,12 @@ class SCSynthesizer:
         a rebuild of the emission from compact copies of the columns."""
         num_qubits = self.coupling.num_qubits
         op, q0, q1, param = self._columns
-        ops = np.array(op, dtype=np.uint8)
+        opcodes = np.array(op, dtype=np.uint8)
         wires = np.array(q0, dtype=np.int32), np.array(q1, dtype=np.int32)
         angles = np.array(param)
         links = _wire_links(*wires, num_qubits)
         nxt0, _, nxt1 = (np.frombuffer(link, np.int64) for link in links[:3])
-        seeds = peephole._fire_sites(ops, *wires, nxt0, nxt1).tolist()
+        seeds = peephole._fire_sites(opcodes, *wires, nxt0, nxt1).tolist()
         if _log.isEnabledFor(logging.DEBUG):
             sandwiches = sum(len(s.support) > 1 for s, _ in self.emitted)
             _log.debug("sc: %d gates, %d distinct CNOT trees for %d "
@@ -263,10 +263,10 @@ class SCSynthesizer:
 
         def raw() -> QuantumCircuit:
             return QuantumCircuit.from_tape(GateTape.from_columns(
-                num_qubits, ops.tolist(), wires[0].tolist(),
+                num_qubits, opcodes.tolist(), wires[0].tolist(),
                 wires[1].tolist(), angles.tolist()))
 
-        counts = np.bincount(ops, minlength=len(OPCODES)).tolist()
+        counts = np.bincount(opcodes, minlength=len(OPCODES)).tolist()
         tape = GateTape._adopt(num_qubits, op, q0, q1, param, counts, links)
         return tape, (seeds, raw)
 
@@ -282,11 +282,6 @@ class SCSynthesizer:
         #: sandwich's root and CNOT tree, and whether it is connected.
         self._trees: Dict[FrozenSet[int], Tuple[int, List[int], List[int]]] = {}
         self._connected: Set[FrozenSet[int]] = set()
-
-    def _circuit(self) -> QuantumCircuit:
-        """The emission so far as a circuit (a copy of the columns)."""
-        return QuantumCircuit.from_tape(GateTape.from_columns(
-            self.coupling.num_qubits, *(list(c) for c in self._columns)))
 
     # -- initial placement --------------------------------------------------
     def _interaction_aware_layout(self, schedule: Schedule, num_logical: int) -> Layout:
@@ -550,32 +545,32 @@ class SCSynthesizer:
             if code != ops.Z:
                 basis_ops.append(_OP_H if code == ops.X else _OP_YH)
                 basis_wires.append(physical(logical))
-        op, q0, q1, param = self._columns
-        op += basis_ops
-        q0 += basis_wires
-        q1 += [NO_SLOT] * len(basis_ops)
-        param += [0.0] * len(basis_ops)
         if len(positions) == 1:
             root, controls, targets = next(iter(positions)), [], []
         else:
             root, controls, targets = self._tree(positions)
-        cnots = len(controls)
+        # Column by column: basis changes, CNOTs leaf to root, the rotation
+        # on the root, then the mirror image.
+        basis, cnots = len(basis_ops), len(controls)
+        op, q0, q1, param = self._columns
+        op += basis_ops
         op += [_OP_CX] * cnots
-        q0 += controls
-        q1 += targets
         op.append(_OP_RZ)
-        q0.append(root)
-        q1.append(NO_SLOT)
         op += [_OP_CX] * cnots
-        q0 += reversed(controls)
-        q1 += reversed(targets)
-        param += [0.0] * cnots
-        param.append(-2.0 * coefficient)
-        param += [0.0] * cnots
         op += reversed(basis_ops)
+        q0 += basis_wires
+        q0 += controls
+        q0.append(root)
+        q0 += reversed(controls)
         q0 += reversed(basis_wires)
-        q1 += [NO_SLOT] * len(basis_ops)
-        param += [0.0] * len(basis_ops)
+        q1 += [NO_SLOT] * basis
+        q1 += targets
+        q1.append(NO_SLOT)
+        q1 += reversed(targets)
+        q1 += [NO_SLOT] * basis
+        param += [0.0] * (basis + cnots)
+        param.append(-2.0 * coefficient)
+        param += [0.0] * (cnots + basis)
 
     def _tree(self, positions: FrozenSet[int]) -> Tuple[int, List[int], List[int]]:
         """The sandwich over connected ``positions``: its root, the centre

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit.gates import OP
 from repro.core import SCSynthesizer, sc_compile
 from repro.ir import PauliBlock, PauliProgram
 from repro.transpile import CouplingMap, Layout, linear
@@ -133,7 +134,8 @@ def _gather_on(cmap, edge_error, active):
     synthesizer = SCSynthesizer(cmap, edge_error=edge_error)
     synthesizer._reset(Layout({q: q for q in range(cmap.num_qubits)}))
     synthesizer._gather(set(active), frozenset())
-    return [g.qubits for g in synthesizer._circuit() if g.name == "swap"]
+    op, q0, q1, _ = synthesizer._columns
+    return [(a, b) for code, a, b in zip(op, q0, q1) if code == OP["swap"]]
 
 
 class TestDeadCouplers:

@@ -1,9 +1,9 @@
 """Targeted tests for less-travelled paths across the library."""
 
 import numpy as np
-import pytest
 
 from repro.circuit import Gate, QuantumCircuit, circuit_unitary, simulate
+from repro.circuit.gates import OP
 from repro.cli import main
 from repro.core import SCSynthesizer, sc_compile
 from repro.core.scheduling import do_schedule
@@ -60,12 +60,6 @@ class TestGateExtras:
         lines = qc.to_text().splitlines()
         assert len(lines) == 2
 
-    def test_truncate_guard(self):
-        qc = QuantumCircuit(1)
-        qc.h(0)
-        with pytest.raises(ValueError):
-            qc.truncate(-1)
-
 
 class TestSCBackendEdgeCases:
     def test_edge_error_steers_gather(self):
@@ -77,10 +71,12 @@ class TestSCBackendEdgeCases:
         synthesizer._reset(Layout({q: q for q in range(4)}))
         active = {0, 2}
         synthesizer._gather(active, frozenset())
-        swaps = [g for g in synthesizer._circuit() if g.name == "swap"]
+        op, q0, q1, _ = synthesizer._columns
+        swaps = [(a, b) for code, a, b in zip(op, q0, q1)
+                 if code == OP["swap"]]
         assert swaps, "corners must require movement"
-        for gate in swaps:
-            assert set(gate.qubits) not in ({0, 1}, {1, 2}), (
+        for qubits in swaps:
+            assert set(qubits) not in ({0, 1}, {1, 2}), (
                 "gather ignored the error-weighted path"
             )
 

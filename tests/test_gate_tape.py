@@ -90,26 +90,6 @@ class TestTapeStructure:
 
 
 class TestCircuitContainerSemantics:
-    def test_truncate_drops_tail(self):
-        qc = QuantumCircuit(2)
-        qc.h(0).cx(0, 1).rz(0.3, 1).h(1)
-        qc.truncate(2)
-        assert [g.name for g in qc] == ["h", "cx"]
-        assert qc.cnot_count == 1
-        qc.tape.check_invariants()
-
-    def test_truncate_is_rollback_safe(self):
-        qc = QuantumCircuit(2)
-        qc.h(0)
-        mark = len(qc)
-        qc.cx(0, 1).swap(0, 1)
-        qc.truncate(mark)
-        assert len(qc) == 1
-        qc.cx(1, 0)  # appending after rollback keeps wire order consistent
-        assert [g.name for g in qc] == ["h", "cx"]
-        assert qc[1].qubits == (1, 0)
-        qc.tape.check_invariants()
-
     def test_getitem_slice_and_negative(self):
         qc = QuantumCircuit(2)
         qc.h(0).cx(0, 1).s(1)
@@ -159,12 +139,6 @@ def test_tape_invariants_hold_under_mutation(data):
     for g in qc:
         ops[g.name] = ops.get(g.name, 0) + 1
     assert qc.count_ops() == ops
-    if len(qc) > 1:
-        cut = data.draw(st.integers(0, len(qc) - 1))
-        kept = list(qc.gates)[:cut]
-        qc.truncate(cut)
-        assert list(qc.gates) == kept
-        qc.tape.check_invariants()
 
 
 @given(st.data())
