@@ -90,7 +90,7 @@ def test_sc_flow_matches_optimize_on_the_raw_emission(program, coupling_name,
     result = compile_program(program, backend="sc", coupling=coupling,
                              edge_error=edge_error, scheduler=scheduler,
                              restarts=3)
-    # The driver's restarts: attempt k jitters with Random(7 + k), and the
+    # run_pipeline's restarts: attempt k jitters with Random(7 + k), and the
     # first attempt with the fewest CNOTs wins.
     schedule = SCHEDULES[scheduler](program)
     best = None
