@@ -15,12 +15,12 @@ strings untouched; dependent strings come out diagonal for free.
 Signs are tracked exactly — a string conjugated to ``-Z...`` flips the sign
 of its rotation angle downstream.
 
-The conjugation state lives on the shared packed engine
-(:class:`repro.verify.clifford.SignedPauliTable`): every gate updates all
-tracked rows with a handful of word-wide column ops instead of the scalar
-per-row per-qubit loop this module used to carry.  The scalar update
-tables survive as the reference implementation in ``tests/test_verify.py``
-(the scalar-vs-packed migration gate).
+The tableau is bit-parallel over the tracked rows (Aaronson-Gottesman
+column updates): each qubit holds two Python ints whose bit ``r`` is row
+``r``'s X or Z bit there, and one more int holds the sign bits, so a gate
+is a few word-wide int ops over all rows at once.  The bit-packed numpy
+engine in ``tests/oracles/clifford.py`` is the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -28,18 +28,9 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from ..circuit import QuantumCircuit
-from ..circuit.gates import OP
-from ..pauli import PauliString
-from ..verify.clifford import SignedPauli, SignedPauliTable
+from ..pauli import PauliString, SignedPauli
 
 __all__ = ["ConjugationTracker", "simultaneous_diagonalize"]
-
-_OP_H = OP["h"]
-_OP_S = OP["s"]
-_OP_SDG = OP["sdg"]
-_OP_X = OP["x"]
-_OP_CX = OP["cx"]
-_OP_SWAP = OP["swap"]
 
 
 class ConjugationTracker:
@@ -48,66 +39,96 @@ class ConjugationTracker:
 
     After processing, ``circuit`` holds gates ``g_1 ... g_m`` (in emission
     order) whose composite unitary ``U = g_m ... g_1`` satisfies
-    ``U P U^dagger = tracked value`` for every input Pauli.  The batch is
-    one packed :class:`~repro.verify.clifford.SignedPauliTable`; every gate
-    conjugates all rows at once.
+    ``U P U^dagger = tracked value`` for every input Pauli.  ``xs[q]`` and
+    ``zs[q]`` are qubit ``q``'s X and Z columns and ``phase`` the sign
+    column (bit ``r`` set: row ``r`` is negated); every gate conjugates all
+    rows at once.
     """
 
     def __init__(self, strings: Iterable[PauliString], num_qubits: int):
-        self.table = SignedPauliTable.from_strings(strings)
-        if self.table.num_qubits != num_qubits:
-            raise ValueError(
-                f"strings act on {self.table.num_qubits} qubits, "
-                f"tracker built for {num_qubits}"
-            )
+        strings = list(strings)
+        if not strings:
+            raise ValueError("a tracker needs at least one row")
+        self.num_rows = len(strings)
+        self.xs = xs = [0] * num_qubits
+        self.zs = zs = [0] * num_qubits
+        self.phase = 0
+        for row, string in enumerate(strings):
+            if string.num_qubits != num_qubits:
+                raise ValueError(
+                    f"strings act on {string.num_qubits} qubits, "
+                    f"tracker built for {num_qubits}"
+                )
+            bit = 1 << row
+            for qubit, code in enumerate(string.codes):
+                if code & 1:
+                    xs[qubit] |= bit
+                if code & 2:
+                    zs[qubit] |= bit
         self.circuit = QuantumCircuit(num_qubits)
 
-    # -- gate applications -------------------------------------------------
+    # -- gate applications: P -> g P g^dagger on every row -----------------
     def h(self, q: int) -> None:
-        self.table.apply(_OP_H, q)
+        xs, zs = self.xs, self.zs
+        self.phase ^= xs[q] & zs[q]
+        xs[q], zs[q] = zs[q], xs[q]
         self.circuit.h(q)
 
     def s(self, q: int) -> None:
-        self.table.apply(_OP_S, q)
+        x = self.xs[q]
+        self.phase ^= x & self.zs[q]
+        self.zs[q] ^= x
         self.circuit.s(q)
 
     def sdg(self, q: int) -> None:
-        self.table.apply(_OP_SDG, q)
+        x = self.xs[q]
+        self.phase ^= x & ~self.zs[q]
+        self.zs[q] ^= x
         self.circuit.sdg(q)
 
     def x(self, q: int) -> None:
-        self.table.apply(_OP_X, q)
+        self.phase ^= self.zs[q]
         self.circuit.x(q)
 
     def cx(self, control: int, target: int) -> None:
-        self.table.apply(_OP_CX, control, target)
+        xs, zs = self.xs, self.zs
+        xc, zt = xs[control], zs[target]
+        self.phase ^= xc & zt & ~(xs[target] ^ zs[control])
+        xs[target] ^= xc
+        zs[control] ^= zt
         self.circuit.cx(control, target)
 
     def swap(self, a: int, b: int) -> None:
-        self.table.apply(_OP_SWAP, a, b)
+        xs, zs = self.xs, self.zs
+        xs[a], xs[b] = xs[b], xs[a]
+        zs[a], zs[b] = zs[b], zs[a]
         self.circuit.swap(a, b)
 
     # -- row queries -------------------------------------------------------
     def __len__(self) -> int:
-        return self.table.num_rows
+        return self.num_rows
 
     def x_bit(self, row: int, qubit: int) -> int:
-        return self.table.x_bit(row, qubit)
+        return (self.xs[qubit] >> row) & 1
 
     def z_bit(self, row: int, qubit: int) -> int:
-        return self.table.z_bit(row, qubit)
+        return (self.zs[qubit] >> row) & 1
 
     def sign(self, row: int) -> int:
-        return self.table.sign(row)
+        return -1 if (self.phase >> row) & 1 else 1
 
     def is_diagonal(self, row: int) -> bool:
-        return self.table.is_diagonal(row)
+        """True when the row has no X component (Z/I only)."""
+        bit = 1 << row
+        return not any(x & bit for x in self.xs)
 
     def signed(self, row: int) -> SignedPauli:
-        return self.table.signed(row)
+        codes = bytes(((x >> row) & 1) | (((z >> row) & 1) << 1)
+                      for x, z in zip(self.xs, self.zs))
+        return SignedPauli(PauliString(codes), self.sign(row))
 
     def to_signed_paulis(self) -> List[SignedPauli]:
-        return self.table.to_signed_paulis()
+        return [self.signed(row) for row in range(self.num_rows)]
 
 
 def simultaneous_diagonalize(

@@ -28,9 +28,8 @@ from typing import List, Sequence, Tuple
 
 from ..circuit import QuantumCircuit
 from ..ir import PauliProgram
-from ..pauli import PauliString
+from ..pauli import PauliString, SignedPauli
 from ..pauli.symplectic import PauliTable
-from ..verify.clifford import SignedPauli
 from .tableau import simultaneous_diagonalize
 
 __all__ = ["partition_commuting", "diagonal_rotation_gates", "tk_compile", "TKResult"]

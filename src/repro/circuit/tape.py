@@ -356,28 +356,6 @@ class GateTape:
             list(self.counts),
         )
 
-    def check_invariants(self) -> None:
-        """Debug helper: verify link/count consistency (used in tests)."""
-        seen = 0
-        counts = [0] * len(OPCODES)
-        for slot in self.iter_slots():
-            seen += 1
-            counts[self.op[slot]] += 1
-        assert seen == self.alive_count, "alive_count out of sync"
-        assert counts == self.counts, "per-opcode counts out of sync"
-        order = {slot: pos for pos, slot in enumerate(self.iter_slots())}
-        for wire in range(self.num_qubits):
-            seq = self.wire_sequence(wire)
-            assert all(self.alive[s] for s in seq), "dead slot linked"
-            assert [order[s] for s in seq] == sorted(order[s] for s in seq), (
-                "wire order diverged from program order"
-            )
-            prev = NO_SLOT
-            for s in seq:
-                assert self.wire_prev(s, wire) == prev, "broken prev link"
-                prev = s
-            assert self.tail[wire] == (seq[-1] if seq else NO_SLOT)
-
 
 def _wire_links(
     q0: np.ndarray, q1: np.ndarray, num_qubits: int,

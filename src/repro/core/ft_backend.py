@@ -445,7 +445,9 @@ class _TermSweep:
             links = _wire_links(q0, q1, num_qubits)
             nxt = np.column_stack([np.frombuffer(links[k], np.int64)
                                    for k in (0, 2)])
-            seeds = peephole._fire_sites(op, q0, q1, nxt[:, 0],
+            param = np.zeros(op.size)
+            param[slot] = angles[rotated]
+            seeds = peephole._fire_sites(op, q0, q1, param, nxt[:, 0],
                                          nxt[:, 1]).tolist()
             if _log.isEnabledFor(logging.DEBUG):
                 owner = np.repeat(np.arange(m), length)[keep]

@@ -254,7 +254,8 @@ class SCSynthesizer:
         angles = np.array(param)
         links = _wire_links(*wires, num_qubits)
         nxt0, _, nxt1 = (np.frombuffer(link, np.int64) for link in links[:3])
-        seeds = peephole._fire_sites(opcodes, *wires, nxt0, nxt1).tolist()
+        seeds = peephole._fire_sites(opcodes, *wires, angles, nxt0,
+                                     nxt1).tolist()
         if _log.isEnabledFor(logging.DEBUG):
             sandwiches = sum(len(s.support) > 1 for s, _ in self.emitted)
             _log.debug("sc: %d gates, %d distinct CNOT trees for %d "

@@ -2,15 +2,8 @@
 packed symplectic batches."""
 
 from .operators import CODE_TO_LABEL, I, LABEL_TO_CODE, LEX_RANK, X, Y, Z
-from .strings import PauliString
-from .symplectic import (
-    PauliTable,
-    batch_commutes,
-    batch_lex_keys,
-    batch_overlap,
-    batch_shared_support,
-    popcount,
-)
+from .strings import PauliString, SignedPauli
+from .symplectic import PauliTable, popcount
 
 __all__ = [
     "CODE_TO_LABEL",
@@ -22,9 +15,6 @@ __all__ = [
     "Z",
     "PauliString",
     "PauliTable",
-    "batch_commutes",
-    "batch_lex_keys",
-    "batch_overlap",
-    "batch_shared_support",
+    "SignedPauli",
     "popcount",
 ]

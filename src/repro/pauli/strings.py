@@ -16,13 +16,14 @@ Conventions
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from . import operators as ops
 
-__all__ = ["PauliString"]
+__all__ = ["PauliString", "SignedPauli"]
 
 #: Label byte -> Pauli code; everything outside "IXYZ" maps to 0xFF, which
 #: the constructor's 0..3 range check rejects.
@@ -283,3 +284,32 @@ class PauliString:
             raise ValueError(
                 f"qubit-count mismatch: {len(self._codes)} vs {len(other._codes)}"
             )
+
+
+@dataclass(frozen=True)
+class SignedPauli:
+    """An immutable ``sign * PauliString`` pair (``sign`` is +1 or -1).
+
+    The row record of a Clifford tableau: the TK baseline's diagonalized
+    strings, the measurement planner's readout rows and the verifier's
+    residual-frame images all read it.
+    """
+
+    string: PauliString
+    sign: int
+
+    @property
+    def num_qubits(self) -> int:
+        return self.string.num_qubits
+
+    def x_bit(self, qubit: int) -> int:
+        return self.string.code_at(qubit) & 1
+
+    def z_bit(self, qubit: int) -> int:
+        return (self.string.code_at(qubit) >> 1) & 1
+
+    def is_diagonal(self) -> bool:
+        return all((c & 1) == 0 for c in self.string.codes)
+
+    def to_string(self) -> PauliString:
+        return self.string

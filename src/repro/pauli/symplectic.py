@@ -23,7 +23,7 @@ scalar (``PauliString``)          batch (``PauliTable``)
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -33,11 +33,6 @@ from .strings import PauliString
 __all__ = [
     "PauliTable",
     "popcount",
-    "packed_as_words",
-    "batch_overlap",
-    "batch_commutes",
-    "batch_lex_keys",
-    "batch_shared_support",
 ]
 
 #: Per-byte set-bit counts; ``_POPCOUNT[a]`` vectorizes over any uint8 array.
@@ -46,7 +41,7 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 #: numpy >= 2.0 popcounts natively (one machine instruction per word)
 #: instead of gathering through the 256-entry lookup table — ~5x on the
-#: packed-row kernels, ~10x when the rows are viewed as uint64 words.
+#: packed-row kernels.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 #: ``LEX_RANK`` as a vectorized lookup table over Pauli codes.
@@ -62,24 +57,6 @@ def popcount(packed: np.ndarray, axis: int = -1) -> np.ndarray:
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(packed).sum(axis=axis, dtype=np.int64)
     return _POPCOUNT[packed].sum(axis=axis, dtype=np.int64)
-
-
-def packed_as_words(packed: np.ndarray) -> np.ndarray:
-    """Reinterpret packed ``uint8`` rows as ``uint64`` words (8x fewer
-    elements for the same bits), zero-padding the last axis as needed.
-
-    The bit content is preserved (little-endian packing on a little-endian
-    dtype), so bitwise AND/OR/XOR and :func:`popcount` over the word view
-    agree with the byte view.  Returns a fresh array when padding or a
-    contiguity copy is required, otherwise a zero-copy view.
-    """
-    nbytes = packed.shape[-1]
-    pad = (-nbytes) % 8
-    if pad:
-        widened = np.zeros(packed.shape[:-1] + (nbytes + pad,), dtype=np.uint8)
-        widened[..., :nbytes] = packed
-        packed = widened
-    return np.ascontiguousarray(packed).view(np.uint64)
 
 
 class PauliTable:
@@ -262,10 +239,6 @@ class PauliTable:
         return np.lexsort(ranks.T[::-1])
 
 
-# ----------------------------------------------------------------------
-# Functional batch counterparts of the PauliString methods
-# ----------------------------------------------------------------------
-
 def lex_rank_matrix(codes: np.ndarray) -> np.ndarray:
     """Rank matrix of raw ``(m, n)`` Pauli-code rows per the paper's
     lexicographic key (X < Y < Z < I, highest qubit first).  Rows compare
@@ -273,29 +246,3 @@ def lex_rank_matrix(codes: np.ndarray) -> np.ndarray:
     what lets the streaming scheduler sort million-block programs on
     compact byte keys instead of per-block views."""
     return _LEX_LUT[codes[:, ::-1]]
-
-
-def _as_table(strings) -> PauliTable:
-    if isinstance(strings, PauliTable):
-        return strings
-    return PauliTable.from_strings(strings)
-
-
-def batch_overlap(strings: Sequence[PauliString]) -> np.ndarray:
-    """Pairwise overlap matrix of a string batch (see ``PauliString.overlap``)."""
-    return _as_table(strings).overlap_matrix()
-
-
-def batch_commutes(strings: Sequence[PauliString]) -> np.ndarray:
-    """Pairwise commutation matrix (see ``PauliString.commutes_with``)."""
-    return _as_table(strings).commutation_matrix()
-
-
-def batch_lex_keys(strings: Sequence[PauliString]) -> np.ndarray:
-    """Row-per-string lexicographic rank matrix (see ``PauliString.lex_key``)."""
-    return _as_table(strings).lex_ranks()
-
-
-def batch_shared_support(strings: Sequence[PauliString], i: int, j: int) -> Tuple[int, ...]:
-    """Shared support of rows ``i`` and ``j`` (see ``PauliString.shared_support``)."""
-    return _as_table(strings).shared_support(i, j)

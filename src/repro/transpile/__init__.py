@@ -14,14 +14,7 @@ from .coupling import (
     ring,
 )
 from .layout import Layout, dense_initial_layout, trivial_layout
-from .peephole import (
-    fuse_swap_cx,
-    cancel_adjacent_pairs,
-    commutative_cancel,
-    merge_rotations,
-    optimize,
-    run_rules,
-)
+from .peephole import optimize, run_rules
 from .pipeline import transpile
 from .routing import (
     RoutingResult,
@@ -36,8 +29,6 @@ __all__ = [
     "DeviceSpec",
     "Layout",
     "RoutingResult",
-    "cancel_adjacent_pairs",
-    "commutative_cancel",
     "dense_initial_layout",
     "device_names",
     "falcon_27",
@@ -49,10 +40,8 @@ __all__ = [
     "linear",
     "manhattan_65",
     "melbourne",
-    "fuse_swap_cx",
     "get_device",
     "load_device",
-    "merge_rotations",
     "optimize",
     "reliability_cost_matrix",
     "ring",

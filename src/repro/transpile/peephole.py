@@ -8,7 +8,8 @@ equivalents), rebuilt as *local rules* over the
 * **cancel** — remove a gate and its immediate inverse when they are
   adjacent on *all* their wires;
 * **merge** — fuse runs of equal-axis single-qubit rotations on one wire
-  and drop angle-zero rotations (mod 2*pi, global phase ignored);
+  and drop angle-zero rotations, merged or alone (mod 2*pi, global phase
+  ignored);
 * **commute** — cancel CNOT pairs separated only by gates that commute
   through the control (diagonal) or target (X-axis) wire;
 * **fuse** — absorb a CNOT into an adjacent SWAP on the same pair.
@@ -24,10 +25,11 @@ firing strictly shrinks ``(gate count, swap count)`` lexicographically,
 so the fixpoint is O(gates + rewrites) rather than
 O(sweeps * gates * wires).
 
-The public functions keep the seed signatures — each returns
-``(new_circuit, rewrite_count)`` and :func:`optimize` runs all rules to a
-joint fixpoint.  The original rebuild-the-world implementations live on
-unchanged in ``tests/oracles/transpile.py`` as the equivalence oracle.
+:func:`run_rules` runs any subset of the rules to a joint fixpoint and
+returns ``(new_circuit, rewrite_count)``; :func:`optimize` runs all of
+them.  The original rebuild-the-world implementations, one pass per rule,
+live on unchanged in ``tests/oracles/transpile.py`` as the equivalence
+oracle.
 """
 
 from __future__ import annotations
@@ -43,14 +45,7 @@ from ..circuit import QuantumCircuit
 from ..circuit.gates import OP, OPCODES, OP_INVERSE, OP_ROTATION
 from ..circuit.tape import NO_SLOT, GateTape
 
-__all__ = [
-    "cancel_adjacent_pairs",
-    "merge_rotations",
-    "commutative_cancel",
-    "fuse_swap_cx",
-    "optimize",
-    "run_rules",
-]
+__all__ = ["optimize", "run_rules"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -97,17 +92,26 @@ for _op in OP_ROTATION:
 _MERGE_AXIS_OF = np.array(_MERGE_AXIS, dtype=np.int8)
 _INVERSE_OF = np.array(OP_INVERSE, dtype=np.uint8)
 _IS_XAXIS_OF = np.array(_IS_XAXIS, dtype=bool)
+_IS_ROTATION_OF = np.array(_IS_ROTATION, dtype=bool)
+
+
+def _is_zero_angle(angle: float) -> bool:
+    """A rotation by ``angle`` is the identity up to global phase."""
+    return abs(math.remainder(angle, _TWO_PI)) < 1e-12
 
 
 def _fire_sites(
-    op: np.ndarray, q0: np.ndarray, q1: np.ndarray,
+    op: np.ndarray, q0: np.ndarray, q1: np.ndarray, param: np.ndarray,
     nxt0: np.ndarray, nxt1: np.ndarray,
 ) -> np.ndarray:
     """The ascending slots where a rule can fire on a linked, all-live tape
-    as given, from its columns as integer arrays: seeds that meet
+    as given, from its columns as arrays: seeds that meet
     :func:`_engine`'s contract.  Each rule reads a gate's wire successors
     first, so one test per rule over them is a superset:
 
+    * merge: a rotation whose angle is zero mod ``2*pi`` (the
+      :func:`_is_zero_angle` test: ``fmod`` is exact, and where it exceeds
+      ``pi`` the IEEE remainder is ``2*pi`` minus it, also exact);
     * cancel and merge: a 1q gate followed on its wire by a 1q gate of the
       same merge axis, or by its inverse;
     * cancel and fuse: a 2q gate followed on both wires by one gate, its
@@ -130,6 +134,9 @@ def _fire_sites(
     same_cx = (op_t == _OP_CX) & (q0[target] == q0) & (q1[target] == q1)
     x_axis = (q1[target] == NO_SLOT) & _IS_XAXIS_OF[op_t]
     fires |= (op == _OP_CX) & (nxt1 != NO_SLOT) & (same_cx | x_axis)
+    folded = np.abs(np.fmod(param, _TWO_PI))
+    fires |= _IS_ROTATION_OF[op] & ((folded < 1e-12)
+                                    | (_TWO_PI - folded < 1e-12))
     return np.flatnonzero(fires)
 
 
@@ -156,7 +163,7 @@ def _engine(
     seed passes' units: removed gates for cancel/merge/commute, fusion
     firings for fuse.  With ``strict``, returns ``None`` (leaving the tape
     half rewritten) instead of making a rewrite whose result can depend on
-    the worklist order: a commute, or a merge that drops both rotations.
+    the worklist order: a commute, or a merge that drops a rotation.
     """
     tape.ensure_links()
     ops = tape.op
@@ -341,6 +348,13 @@ def _engine(
                             push(succ)
                             merged += 1
                         continue
+                # A zero-angle rotation with nothing to merge into drops.
+                if _IS_ROTATION[op_g] and _is_zero_angle(params[g]):
+                    if strict:
+                        return None
+                    remove(g)
+                    merged += 1
+                    continue
 
         # ---- rule: CNOT pair cancellation through commuting gates ------
         if do_commute and op_g == _OP_CX:
@@ -395,60 +409,32 @@ def run_rules(
 ) -> Tuple[QuantumCircuit, int]:
     """Run a subset of rewrite rules to a joint fixpoint in one engine pass.
 
-    Returns ``(new_circuit, total_rewrite_count)``.  The pipeline levels
-    use this to avoid one tape copy per pass.
+    Returns ``(new_circuit, total_rewrite_count)``; the pipeline levels
+    use it to avoid one tape copy per rule.  The rules and what each
+    counts:
+
+    * ``cancel`` — a gate and its inverse adjacent on every shared wire
+      (two-qubit partners in the same operand order) both go; counts
+      removed gates.
+    * ``merge`` — adjacent same-axis single-qubit rotations on one wire
+      fuse, and ``h h``/``yh yh`` pairs collapse (``pi``-rotations about
+      fixed axes up to phase).  Angles are reduced mod ``2*pi``; a rotation
+      whose angle is within 1e-12 of 0 mod ``2*pi``, merged or alone, goes
+      (``rz(2*pi) = -I`` is a global phase).  Counts removed gates.
+    * ``commute`` — equal CNOT pairs separated only by diagonal gates on
+      the control wire and X-axis gates on the target wire both go; counts
+      removed gates.
+    * ``fuse`` — a SWAP absorbs an adjacent CNOT on the same pair
+      (``SWAP = CX(a,b) CX(b,a) CX(a,b)``): ``[swap(a,b), cx(a,b)]`` ->
+      ``[cx(a,b), cx(b,a)]`` and ``[cx(a,b), swap(a,b)]`` ->
+      ``[cx(b,a), cx(a,b)]``, 3+1 hardware CNOTs into 2 on the same
+      coupled pair, so routed circuits stay valid; counts fusions.
     """
     out, (cancelled, merged, commuted, fused) = _run(
         circuit, do_cancel=cancel, do_merge=merge, do_commute=commute,
         do_fuse=fuse,
     )
     return out, cancelled + merged + commuted + fused
-
-
-def cancel_adjacent_pairs(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, int]:
-    """Cancel gate/inverse pairs adjacent on every shared wire.
-
-    Returns ``(new_circuit, removed_gate_count)``.
-    """
-    out, (cancelled, _, _, _) = _run(circuit, do_cancel=True)
-    return out, cancelled
-
-
-def merge_rotations(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, int]:
-    """Fuse adjacent same-axis single-qubit rotations; drop ~zero angles.
-
-    ``h h`` and ``yh yh`` pairs also collapse here (they are
-    ``pi``-rotations about fixed axes up to phase).  Angles are reduced mod
-    ``2*pi``; an angle within 1e-12 of 0 (or ``2*pi``) removes the gate
-    entirely (``rz(2*pi) = -I`` is a global phase).
-    """
-    out, (_, merged, _, _) = _run(circuit, do_merge=True)
-    return out, merged
-
-
-def commutative_cancel(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, int]:
-    """Cancel equal CNOT pairs separated only by commuting 1q gates.
-
-    For a ``cx(c, t)``: diagonal gates may sit on the control wire and
-    X-axis gates on the target wire between the pair.
-    """
-    out, (_, _, commuted, _) = _run(circuit, do_commute=True)
-    return out, commuted
-
-
-def fuse_swap_cx(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, int]:
-    """Fuse a SWAP with an adjacent CNOT on the same qubit pair.
-
-    ``SWAP = CX(a,b) CX(b,a) CX(a,b)``, so a neighbouring CNOT absorbs one:
-
-    * ``[swap(a,b), cx(a,b)]`` -> ``[cx(a,b), cx(b,a)]``
-    * ``[cx(a,b), swap(a,b)]`` -> ``[cx(b,a), cx(a,b)]``
-
-    Each fusion turns 3+1 hardware CNOTs into 2 on the same coupled pair,
-    so routed circuits stay valid.  Returns ``(circuit, fused_count)``.
-    """
-    out, (_, _, _, fused) = _run(circuit, do_fuse=True)
-    return out, fused
 
 
 def optimize(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -20,13 +20,11 @@ Two layers do the verification:
   gadget sequences against the scheduled source program, with a precise
   first-divergence mismatch report.
 
-:mod:`repro.verify.clifford` is the TK baseline's bit-packed tableau
-engine (whole-table word ops per gate, used by
-:mod:`repro.baselines.tableau`), not the verifier's; the extractor takes
-only its :class:`~repro.verify.clifford.SignedPauli` record type.
+The residual frame reports its images as
+:class:`~repro.pauli.strings.SignedPauli` records, the row type the TK
+baseline's tableau (:mod:`repro.baselines.tableau`) reads too.
 """
 
-from .clifford import SignedPauli, SignedPauliTable, conjugate_rows
 from .gadgets import ExtractionResult, ResidualClifford, RotationGadget, extract_gadgets
 from .equivalence import (
     GadgetMismatch,
@@ -43,12 +41,9 @@ __all__ = [
     "GadgetMismatch",
     "ResidualClifford",
     "RotationGadget",
-    "SignedPauli",
-    "SignedPauliTable",
     "VerificationError",
     "VerificationReport",
     "canonicalize_gadgets",
-    "conjugate_rows",
     "expected_gadgets",
     "extract_gadgets",
     "verify_circuit",

@@ -39,8 +39,7 @@ from typing import List, Optional, Tuple
 
 from ..circuit import QuantumCircuit
 from ..circuit.gates import OP, OPCODES
-from ..pauli import PauliString
-from .clifford import SignedPauli
+from ..pauli import PauliString, SignedPauli
 
 __all__ = ["RotationGadget", "ResidualClifford", "ExtractionResult", "extract_gadgets"]
 

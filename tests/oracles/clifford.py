@@ -1,37 +1,32 @@
-"""Vectorized, bit-packed Clifford conjugation engine for the TK baseline.
+"""Bit-packed Clifford conjugation engine: the reference for the TK tableau.
 
 A :class:`SignedPauliTable` holds ``m`` signed Pauli operators on ``n``
 qubits as bit-packed symplectic X/Z matrices (same packing as
 :class:`~repro.pauli.symplectic.PauliTable`: qubit ``i`` is bit ``i % 8``
 of byte ``i // 8``) plus a per-row phase bit.  Conjugating the whole table
 by a Clifford gate ``P -> g P g^dagger`` touches only the byte column(s)
-of the gate's qubits — a handful of word-wide XOR/AND ops over all rows at
-once, instead of a per-row per-qubit Python loop.
+of the gate's qubits.  ``conjugate_rows`` carries the standard CHP/tableau
+update rule of every Clifford opcode; ``apply_inverse`` conjugates by
+``g^dagger``.
 
-Both directions are supported (``apply`` conjugates by ``g``,
-``apply_inverse`` by ``g^dagger``).  This is the tableau engine behind
-:mod:`repro.baselines.tableau` (the TK baseline's simultaneous
-diagonalization).  The verifier does not run it: its Pauli propagation
-is the int-bitmask sweep in :mod:`repro.verify.gadgets`, which imports
-only :class:`SignedPauli` from here.
-
-The sign conventions are the standard CHP/tableau update rules; the
-scalar tables they replace are kept as a reference implementation in
-``tests/test_verify.py`` (the scalar-vs-packed migration gate).
+:class:`repro.baselines.tableau.ConjugationTracker` keeps its own int
+bit-columns for the six gates the TK baseline emits; the tests check it
+row for row against this table, and this table against explicit matrix
+conjugation and the scalar per-qubit update tables in
+``tests/test_verify.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List
 
 import numpy as np
 
-from ..circuit.gates import OP, OP_ROTATION
-from ..circuit.tape import NO_SLOT
-from ..pauli import PauliString
+from repro.circuit.gates import OP, OP_ROTATION
+from repro.circuit.tape import NO_SLOT
+from repro.pauli import PauliString, SignedPauli
 
-__all__ = ["SignedPauli", "SignedPauliTable", "conjugate_rows"]
+__all__ = ["SignedPauliTable", "conjugate_rows"]
 
 _OP_ID = OP["id"]
 _OP_X = OP["x"]
@@ -126,36 +121,6 @@ def conjugate_rows(
         raise ValueError("rotations are not Clifford; peel them as gadgets instead")
     else:
         raise ValueError(f"unknown Clifford opcode {op}")
-
-
-@dataclass(frozen=True)
-class SignedPauli:
-    """An immutable ``sign * PauliString`` pair (``sign`` is +1 or -1).
-
-    Keeps the row-accessor surface of the old ``TrackedPauli`` so the
-    diagonalization consumers (TK baseline, measurement planner) read one
-    record type whether the row came from the packed engine or a test's
-    scalar reference.
-    """
-
-    string: PauliString
-    sign: int
-
-    @property
-    def num_qubits(self) -> int:
-        return self.string.num_qubits
-
-    def x_bit(self, qubit: int) -> int:
-        return self.string.code_at(qubit) & 1
-
-    def z_bit(self, qubit: int) -> int:
-        return (self.string.code_at(qubit) >> 1) & 1
-
-    def is_diagonal(self) -> bool:
-        return all((c & 1) == 0 for c in self.string.codes)
-
-    def to_string(self) -> PauliString:
-        return self.string
 
 
 class SignedPauliTable:

@@ -15,11 +15,13 @@ from repro.baselines import (
 )
 from repro.baselines.tableau import ConjugationTracker
 from repro.circuit import QuantumCircuit, circuit_unitary, equivalent_up_to_global_phase
+from repro.circuit.gates import OP
 from repro.ir import PauliBlock, PauliProgram
 from repro.pauli import PauliString
 from repro.transpile import linear, ring, validate_routed
 
 from helpers import layout_permutation, terms_unitary
+from oracles.clifford import SignedPauliTable
 
 
 def prog(*labels, parameter=0.5):
@@ -94,6 +96,65 @@ class TestConjugationTracker:
         tracked = tracker.signed(0)
         conjugated = tracked.sign * tracked.to_string().to_matrix()
         assert np.allclose(u @ original @ u.conj().T, conjugated)
+
+
+_TRACKER_GATES_1Q = ["h", "s", "sdg", "x"]
+_TRACKER_GATES_2Q = ["cx", "swap"]
+_TWO_QUBIT_PAULIS = [a + b for a in "IXYZ" for b in "IXYZ"]
+
+
+@pytest.mark.parametrize("gate", _TRACKER_GATES_1Q + _TRACKER_GATES_2Q)
+@pytest.mark.parametrize("qubits", [(0, 1), (1, 0)])
+def test_tracker_rule_matches_matrix_conjugation(gate, qubits):
+    """Each tracker rule == ``U P U^dagger`` on all sixteen 2-qubit Paulis."""
+    strings = [PauliString.from_label(label) for label in _TWO_QUBIT_PAULIS]
+    tracker = ConjugationTracker(strings, 2)
+    operands = qubits if gate in _TRACKER_GATES_2Q else qubits[:1]
+    getattr(tracker, gate)(*operands)
+    u = circuit_unitary(tracker.circuit)
+    for row, string in enumerate(strings):
+        tracked = tracker.signed(row)
+        assert np.allclose(u @ string.to_matrix() @ u.conj().T,
+                           tracked.sign * tracked.string.to_matrix()), (
+            f"{gate}{operands} conjugation wrong for {string.label}"
+        )
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                 min_size=1, max_size=12),
+        st.lists(st.tuples(st.sampled_from(_TRACKER_GATES_1Q + _TRACKER_GATES_2Q),
+                           st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=40),
+    ))
+)
+@settings(max_examples=80, deadline=None)
+def test_tracker_matches_packed_reference(case):
+    """After any sequence of the six gates, every row and sign equals the
+    bit-packed reference table's."""
+    n, labels, moves = case
+    strings = [PauliString.from_label(label) for label in labels]
+    tracker = ConjugationTracker(strings, n)
+    table = SignedPauliTable.from_strings(strings)
+    for gate, a, b in moves:
+        if gate in _TRACKER_GATES_2Q:
+            if a == b:
+                continue
+            getattr(tracker, gate)(a, b)
+            table.apply(OP[gate], a, b)
+        else:
+            getattr(tracker, gate)(a)
+            table.apply(OP[gate], a)
+    assert len(tracker) == table.num_rows
+    assert tracker.to_signed_paulis() == table.to_signed_paulis()
+    for row in range(table.num_rows):
+        assert tracker.is_diagonal(row) == table.is_diagonal(row)
+        assert [tracker.x_bit(row, q) for q in range(n)] == [
+            table.x_bit(row, q) for q in range(n)]
+        assert [tracker.z_bit(row, q) for q in range(n)] == [
+            table.z_bit(row, q) for q in range(n)]
 
 
 # ----------------------------------------------------------------------

@@ -21,14 +21,11 @@ from repro.circuit import Gate, QuantumCircuit, circuit_unitary, equivalent_up_t
 from repro.circuit.statevector import simulate
 from repro.core import ft_compile
 from repro.transpile import (
-    cancel_adjacent_pairs,
-    commutative_cancel,
-    fuse_swap_cx,
     linear,
     manhattan_65,
-    merge_rotations,
     optimize,
     route,
+    run_rules,
     trivial_layout,
 )
 from oracles.transpile import (
@@ -43,11 +40,12 @@ from repro.workloads import build_benchmark
 
 WORKLOADS = ["Ising-1D", "Heisen-1D", "N2", "UCCSD-8", "REG-20-4"]
 
+#: One engine rule at a time, next to the seed pass it replaced.
 PASS_PAIRS = [
-    (cancel_adjacent_pairs, seed_cancel_adjacent_pairs),
-    (merge_rotations, seed_merge_rotations),
-    (commutative_cancel, seed_commutative_cancel),
-    (fuse_swap_cx, seed_fuse_swap_cx),
+    (dict(cancel=True), seed_cancel_adjacent_pairs),
+    (dict(merge=True), seed_merge_rotations),
+    (dict(commute=True), seed_commutative_cancel),
+    (dict(fuse=True), seed_fuse_swap_cx),
 ]
 
 
@@ -81,8 +79,8 @@ def _draw_circuit(data, n, num_gates):
 def test_each_pass_equivalent_to_seed_on_random_circuits(data):
     qc = _draw_circuit(data, 3, data.draw(st.integers(1, 14)))
     reference_unitary = circuit_unitary(qc)
-    for tape_pass, seed_pass in PASS_PAIRS:
-        tape_out, _ = tape_pass(qc)
+    for rule, seed_pass in PASS_PAIRS:
+        tape_out, _ = run_rules(qc, **rule)
         seed_out, _ = seed_pass(qc)
         u_tape = circuit_unitary(tape_out)
         assert equivalent_up_to_global_phase(u_tape, reference_unitary)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.circuit import Gate, QuantumCircuit
 from repro.circuit.gates import OP
 from repro.circuit.tape import NO_SLOT, GateTape
+from repro.static import check_tape
 
 
 def _random_circuit(data, n=4, max_gates=20):
@@ -38,7 +39,7 @@ class TestTapeStructure:
         assert tape.wire_sequence(2) == []
         assert tape.wire_next(s0, 0) == s1
         assert tape.wire_prev(s2, 1) == s1
-        tape.check_invariants()
+        check_tape(tape).raise_on_error()
 
     def test_remove_splices_both_wires(self):
         tape = GateTape(2)
@@ -50,7 +51,7 @@ class TestTapeStructure:
         assert tape.wire_sequence(1) == [s2]
         assert tape.alive_count == 2
         assert tape.counts[OP["cx"]] == 0
-        tape.check_invariants()
+        check_tape(tape).raise_on_error()
 
     def test_set_two_qubit_op_swaps_roles(self):
         tape = GateTape(2)
@@ -63,7 +64,7 @@ class TestTapeStructure:
         assert tape.wire_sequence(0) == [s0, s1]
         assert tape.wire_sequence(1) == [s1, s2]
         assert tape.counts[OP["swap"]] == 0 and tape.counts[OP["cx"]] == 1
-        tape.check_invariants()
+        check_tape(tape).raise_on_error()
 
     def test_lazy_links_realize_after_appends(self):
         tape = GateTape(2)
@@ -75,7 +76,7 @@ class TestTapeStructure:
         # appends after realization maintain links incrementally
         tape.append(OP["h"], 1)
         assert tape.wire_sequence(1) == [1, 2]
-        tape.check_invariants()
+        check_tape(tape).raise_on_error()
 
     def test_compact_renumbers(self):
         tape = GateTape(2)
@@ -86,7 +87,7 @@ class TestTapeStructure:
         dense = tape.compact()
         assert dense.alive_count == 2
         assert [dense.op[s] for s in dense.iter_slots()] == [OP["h"], OP["cx"]]
-        dense.check_invariants()
+        check_tape(dense).raise_on_error()
 
 
 class TestCircuitContainerSemantics:
@@ -127,7 +128,7 @@ class TestCircuitContainerSemantics:
 @settings(max_examples=40, deadline=None)
 def test_tape_invariants_hold_under_mutation(data):
     qc = _random_circuit(data)
-    qc.tape.check_invariants()
+    check_tape(qc.tape).raise_on_error()
     # wire sequences agree with a straight scan of the gate list
     for q in range(qc.num_qubits):
         scanned = [i for i, g in enumerate(qc) if q in g.qubits]
@@ -163,4 +164,4 @@ def test_compact_after_removals_matches_per_slot_copy(data):
         recount[code] += 1
     assert dense.counts == recount
     assert dense.counts is not tape.counts
-    dense.check_invariants()
+    check_tape(dense).raise_on_error()

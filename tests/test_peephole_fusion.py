@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import Gate, QuantumCircuit, circuit_unitary, equivalent_up_to_global_phase
-from repro.transpile import fuse_swap_cx, linear, optimize, validate_routed
+from repro.transpile import linear, optimize, run_rules, validate_routed
 
 
 class TestFusionRules:
@@ -18,7 +18,7 @@ class TestFusionRules:
             qc = QuantumCircuit(2)
             qc.swap(*second)
             qc.cx(*cx_pair)
-            out, fused = fuse_swap_cx(qc)
+            out, fused = run_rules(qc, fuse=True)
             assert fused == 1
             assert out.count_ops() == {"cx": 2}
             assert equivalent_up_to_global_phase(
@@ -30,7 +30,7 @@ class TestFusionRules:
             qc = QuantumCircuit(2)
             qc.cx(*cx_pair)
             qc.swap(0, 1)
-            out, fused = fuse_swap_cx(qc)
+            out, fused = run_rules(qc, fuse=True)
             assert fused == 1
             assert out.cnot_count == 2
             assert equivalent_up_to_global_phase(
@@ -40,19 +40,19 @@ class TestFusionRules:
     def test_no_fusion_across_interleaved_gate(self):
         qc = QuantumCircuit(2)
         qc.swap(0, 1).h(0).cx(0, 1)
-        out, fused = fuse_swap_cx(qc)
+        out, fused = run_rules(qc, fuse=True)
         assert fused == 0
 
     def test_no_fusion_on_different_pairs(self):
         qc = QuantumCircuit(3)
         qc.swap(0, 1).cx(1, 2)
-        out, fused = fuse_swap_cx(qc)
+        out, fused = run_rules(qc, fuse=True)
         assert fused == 0
 
     def test_fusion_reduces_hardware_cnots(self):
         qc = QuantumCircuit(2)
         qc.swap(0, 1).cx(0, 1)
-        out, _ = fuse_swap_cx(qc)
+        out, _ = run_rules(qc, fuse=True)
         assert out.cnot_count == 2
         assert qc.cnot_count == 4
 
@@ -86,6 +86,6 @@ def test_fusion_preserves_unitary_on_random_swap_cx_circuits(data):
             qc.rz(data.draw(st.floats(-2, 2, allow_nan=False)), a)
         else:
             qc.append(Gate(kind, (a, b)))
-    out, _ = fuse_swap_cx(qc)
+    out, _ = run_rules(qc, fuse=True)
     assert equivalent_up_to_global_phase(circuit_unitary(out), circuit_unitary(qc))
     assert out.cnot_count <= qc.cnot_count

@@ -205,6 +205,20 @@ def test_rotations_merging_to_nothing_fall_back_to_the_raw_emission(
     assert raws == [None]
 
 
+@pytest.mark.parametrize("backend", ["ft", "sc"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_zero_weight_term_compiles_to_nothing(backend, level):
+    # A zero weight emits cx, rz(-0), cx; merge drops the rotation and the
+    # CNOTs then cancel, as if the term were not there.
+    program = PauliProgram([PauliBlock(["ZZI"], 0.3),
+                            PauliBlock([("IZZ", 0.0)])])
+    coupling = linear(3) if backend == "sc" else None
+    result = compile_program(program, backend=backend, coupling=coupling,
+                             scheduler="gco", peephole_level=level)
+    assert [g.name for g in result.circuit.gates].count("rz") == 1
+    assert result.circuit.cnot_count == 2
+
+
 def _rollback_program():
     # On linear(9) under do, a small block gathers one qubit, then finds
     # the primary block in the way of the next: the swap is rolled back

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pauli import (
-    PauliString,
-    PauliTable,
-    batch_commutes,
-    batch_lex_keys,
-    batch_overlap,
-    batch_shared_support,
-    popcount,
-)
+from repro.pauli import PauliString, PauliTable, popcount
 
 labels_strategy = st.lists(
     st.text(alphabet="IXYZ", min_size=5, max_size=5),
@@ -80,7 +72,7 @@ class TestOverlap:
     def test_matrix_matches_scalar(self):
         labels = ["XYZIZ", "XYIIZ", "ZZZZZ", "IIIII"]
         strings = [PauliString.from_label(s) for s in labels]
-        matrix = batch_overlap(strings)
+        matrix = PauliTable.from_strings(strings).overlap_matrix()
         for i, a in enumerate(strings):
             for j, b in enumerate(strings):
                 assert matrix[i, j] == a.overlap(b)
@@ -102,7 +94,7 @@ class TestCommutation:
     def test_matrix_matches_scalar(self):
         labels = ["XX", "ZZ", "XZ", "YI"]
         strings = [PauliString.from_label(s) for s in labels]
-        matrix = batch_commutes(strings)
+        matrix = PauliTable.from_strings(strings).commutation_matrix()
         for i, a in enumerate(strings):
             for j, b in enumerate(strings):
                 assert matrix[i, j] == a.commutes_with(b)
@@ -111,14 +103,13 @@ class TestCommutation:
 class TestSharedSupportAndLex:
     def test_shared_support_matches_scalar(self):
         strings = [PauliString.from_label(s) for s in ["XYZIZ", "XYIZZ"]]
-        assert batch_shared_support(strings, 0, 1) == strings[0].shared_support(
-            strings[1]
-        )
+        table = PauliTable.from_strings(strings)
+        assert table.shared_support(0, 1) == strings[0].shared_support(strings[1])
 
     def test_lex_keys_match_scalar(self):
         labels = ["ZZI", "XIY", "IYX"]
         strings = [PauliString.from_label(s) for s in labels]
-        ranks = batch_lex_keys(strings)
+        ranks = PauliTable.from_strings(strings).lex_ranks()
         for row, string in zip(ranks, strings):
             assert tuple(row) == string.lex_key()
 

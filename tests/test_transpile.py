@@ -9,8 +9,6 @@ from repro.circuit import Gate, QuantumCircuit, circuit_unitary, equivalent_up_t
 from repro.transpile import (
     CouplingMap,
     Layout,
-    cancel_adjacent_pairs,
-    commutative_cancel,
     dense_initial_layout,
     full,
     grid,
@@ -18,10 +16,11 @@ from repro.transpile import (
     linear,
     manhattan_65,
     melbourne,
-    merge_rotations,
     optimize,
+    peephole,
     ring,
     route,
+    run_rules,
     transpile,
     trivial_layout,
     validate_routed,
@@ -117,19 +116,19 @@ class TestPeephole:
     def test_cancel_hh(self):
         qc = QuantumCircuit(1)
         qc.h(0).h(0)
-        out, removed = cancel_adjacent_pairs(qc)
+        out, removed = run_rules(qc, cancel=True)
         assert removed == 2 and len(out) == 0
 
     def test_cancel_cx_pair(self):
         qc = QuantumCircuit(2)
         qc.cx(0, 1).cx(0, 1)
-        out, removed = cancel_adjacent_pairs(qc)
+        out, removed = run_rules(qc, cancel=True)
         assert len(out) == 0
 
     def test_no_cancel_when_interleaved(self):
         qc = QuantumCircuit(2)
         qc.cx(0, 1).h(1).cx(0, 1)
-        out, removed = cancel_adjacent_pairs(qc)
+        out, removed = run_rules(qc, cancel=True)
         assert len(out) == 3
 
     def test_cascading_cancellation(self):
@@ -141,20 +140,20 @@ class TestPeephole:
     def test_merge_rz(self):
         qc = QuantumCircuit(1)
         qc.rz(0.3, 0).rz(0.4, 0)
-        out, _ = merge_rotations(qc)
+        out, _ = run_rules(qc, merge=True)
         assert len(out) == 1
         assert np.isclose(out[0].params[0], 0.7)
 
     def test_merge_to_zero_drops(self):
         qc = QuantumCircuit(1)
         qc.rz(0.3, 0).rz(-0.3, 0)
-        out, _ = merge_rotations(qc)
+        out, _ = run_rules(qc, merge=True)
         assert len(out) == 0
 
     def test_s_pair_becomes_z_rotation(self):
         qc = QuantumCircuit(1)
         qc.s(0).s(0)
-        out, _ = merge_rotations(qc)
+        out, _ = run_rules(qc, merge=True)
         assert len(out) == 1
         u = circuit_unitary(out)
         assert equivalent_up_to_global_phase(u, np.diag([1, -1]).astype(complex))
@@ -162,21 +161,55 @@ class TestPeephole:
     def test_commutative_cancel_through_rz(self):
         qc = QuantumCircuit(2)
         qc.cx(0, 1).rz(0.5, 0).cx(0, 1)
-        out, removed = commutative_cancel(qc)
+        out, removed = run_rules(qc, commute=True)
         assert removed == 2
         assert [g.name for g in out] == ["rz"]
 
     def test_commutative_cancel_through_rx_on_target(self):
         qc = QuantumCircuit(2)
         qc.cx(0, 1).rx(0.5, 1).cx(0, 1)
-        out, removed = commutative_cancel(qc)
+        out, removed = run_rules(qc, commute=True)
         assert removed == 2
 
     def test_commutative_no_cancel_h_blocks(self):
         qc = QuantumCircuit(2)
         qc.cx(0, 1).h(0).cx(0, 1)
-        out, removed = commutative_cancel(qc)
+        out, removed = run_rules(qc, commute=True)
         assert removed == 0
+
+    @pytest.mark.parametrize("angle", [0.0, -0.0, 2 * np.pi, -4 * np.pi, 1e-13])
+    @pytest.mark.parametrize("axis", ["rx", "ry", "rz"])
+    def test_lone_zero_angle_rotation_drops(self, axis, angle):
+        qc = QuantumCircuit(2)
+        qc.h(0)
+        getattr(qc, axis)(angle, 1)
+        qc.cx(0, 1)
+        out, removed = run_rules(qc, merge=True)
+        assert removed == 1
+        assert [g.name for g in out] == ["h", "cx"]
+        assert [g.name for g in optimize(qc)] == ["h", "cx"]
+
+    def test_small_nonzero_rotation_stays(self):
+        qc = QuantumCircuit(1)
+        qc.rz(1e-11, 0)
+        assert len(optimize(qc)) == 1
+
+    def test_zero_rotation_drops_whatever_order_merges_run_in(self):
+        # The engine merges rx(0) into the first x, the pair sums to 2*pi
+        # and drops, and the second rx(0) is left alone; the seed passes
+        # cancel x x first and drop the rx(0) pair.  Both must end at h(1).
+        qc = QuantumCircuit(3)
+        for _ in range(6):
+            qc.h(0)
+        qc.rx(0.0, 0).h(1).x(0).x(0).rx(0.0, 0)
+        assert [(g.name, g.qubits) for g in optimize(qc)] == [("h", (1,))]
+
+    def test_strict_engine_declines_a_lone_zero_rotation(self):
+        qc = QuantumCircuit(1)
+        qc.h(0).rz(0.0, 0)
+        tape = qc.tape.copy()
+        assert peephole._engine(tape, True, True, True, True,
+                                seeds=[1], strict=True) is None
 
     def test_optimize_preserves_unitary(self):
         qc = QuantumCircuit(3)

@@ -2,9 +2,10 @@
 
 Three layers of cross-validation, each against an independent reference:
 
-* the packed conjugation engine against the *scalar* per-qubit update
-  tables it replaced (the migration gate for the ``baselines.tableau``
-  port) and against explicit matrix conjugation;
+* the packed conjugation engine in ``tests/oracles/clifford.py`` (the
+  reference the TK tableau is checked against) against the *scalar*
+  per-qubit update tables it replaced and against explicit matrix
+  conjugation;
 * gadget extraction against ``circuit_unitary`` on random Clifford+rotation
   tapes (catches sign/phase bugs that no self-consistency check would);
 * the end-to-end verifier against both backends, with injected mutations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import layout_permutation
+from oracles.clifford import SignedPauliTable
 from repro.circuit import QuantumCircuit, circuit_unitary, equivalent_up_to_global_phase
 from repro.circuit.gates import OP, Gate
 from repro.core import compile_program
@@ -28,7 +30,6 @@ from repro.pauli import PauliString
 from repro.transpile import linear, route, transpile
 from repro.verify import (
     RotationGadget,
-    SignedPauliTable,
     VerificationError,
     canonicalize_gadgets,
     extract_gadgets,

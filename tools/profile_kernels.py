@@ -31,9 +31,12 @@ Stages (``--stage all`` runs every one):
   ``compile_program`` runs them, on compile-sc's UCCSD-12 and Rand-30
   (200 strings, seed 2022) on manhattan-65: the columnar emission and the
   peephole started from its seeds.  Prints each emission's gates, distinct
-  CNOT trees against its multi-qubit strings, and seeds first.
+  CNOT trees against its multi-qubit strings, and seeds first;
+* ``tk``        — the TK baseline (:func:`~repro.baselines.tk_compile`:
+  commuting-set partition plus the int bit-column tableau) on the N2
+  paper program.
 
-``ft-synth``, ``peephole``, ``ft-flow`` and ``sc-flow`` ignore
+``ft-synth``, ``peephole``, ``ft-flow``, ``sc-flow`` and ``tk`` ignore
 ``--qubits``/``--terms``.
 
 Run::
@@ -46,6 +49,7 @@ Run::
     PYTHONPATH=src python tools/profile_kernels.py --stage peephole
     PYTHONPATH=src python tools/profile_kernels.py --stage ft-flow
     PYTHONPATH=src python tools/profile_kernels.py --stage sc-flow
+    PYTHONPATH=src python tools/profile_kernels.py --stage tk
     PYTHONPATH=src python tools/profile_kernels.py --stage verify \\
         --qubits 100 --terms 10000
 """
@@ -60,6 +64,7 @@ import sys
 import time
 from typing import Callable, Dict
 
+from repro.baselines import tk_compile
 from repro.core import (
     compile_program, ft_backend, ft_compile, ft_synthesize, sc_backend,
 )
@@ -77,6 +82,8 @@ from repro.workloads import (
 RAND30_STAGES = ("ft-synth", "peephole", "ft-flow")
 #: Stages run on compile-sc programs instead of the scale workload.
 SC_STAGES = ("sc-flow",)
+#: Stages run on the N2 paper program instead of the scale workload.
+N2_STAGES = ("tk",)
 
 
 def _drain(layers) -> int:
@@ -145,6 +152,12 @@ def _sc_stages() -> Dict[str, Callable[[], object]]:
                                 for flow, program in flows]}
 
 
+def _n2_stages() -> Dict[str, Callable[[], object]]:
+    program = build_benchmark("N2", "paper")
+    print(f"N2: {program.num_strings} strings on {program.num_qubits} qubits")
+    return {"tk": lambda: tk_compile(program)}
+
+
 def profile_stage(name: str, fn: Callable[[], object], sort: str,
                   limit: int, dump: str = None) -> None:
     profiler = cProfile.Profile()
@@ -168,7 +181,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--stage", default="do",
         choices=["all", "build", "scan", "gco", "do", "ft", "verify",
-                 *RAND30_STAGES, *SC_STAGES],
+                 *RAND30_STAGES, *SC_STAGES, *N2_STAGES],
     )
     parser.add_argument(
         "--sort", default="tottime",
@@ -190,7 +203,7 @@ def main(argv=None) -> int:
 
     selected: Dict[str, Callable[[], object]] = {}
     program = None
-    if args.stage not in RAND30_STAGES + SC_STAGES:
+    if args.stage not in RAND30_STAGES + SC_STAGES + N2_STAGES:
         program = scale_random_program(args.qubits, args.terms)
         print(f"workload: {program.num_blocks} blocks on "
               f"{program.num_qubits} qubits")
@@ -201,6 +214,8 @@ def main(argv=None) -> int:
         selected.update(_rand30_stages())
     if args.stage == "all" or args.stage in SC_STAGES:
         selected.update(_sc_stages())
+    if args.stage == "all" or args.stage in N2_STAGES:
+        selected.update(_n2_stages())
     if args.stage != "all":
         selected = {args.stage: selected[args.stage]}
     for name, fn in selected.items():
