@@ -134,9 +134,9 @@ def _fire_sites(
     same_cx = (op_t == _OP_CX) & (q0[target] == q0) & (q1[target] == q1)
     x_axis = (q1[target] == NO_SLOT) & _IS_XAXIS_OF[op_t]
     fires |= (op == _OP_CX) & (nxt1 != NO_SLOT) & (same_cx | x_axis)
-    folded = np.abs(np.fmod(param, _TWO_PI))
-    fires |= _IS_ROTATION_OF[op] & ((folded < 1e-12)
-                                    | (_TWO_PI - folded < 1e-12))
+    rotation = np.flatnonzero(_IS_ROTATION_OF[op])
+    folded = np.abs(np.fmod(param[rotation], _TWO_PI))
+    fires[rotation[(folded < 1e-12) | (_TWO_PI - folded < 1e-12)]] = True
     return np.flatnonzero(fires)
 
 
