@@ -22,7 +22,7 @@ Two layers do the verification:
 
 The residual frame reports its images as
 :class:`~repro.pauli.strings.SignedPauli` records, the row type the TK
-baseline's tableau (:mod:`repro.baselines.tableau`) reads too.
+baseline's tableau (:mod:`repro.baselines.tableau`) returns too.
 """
 
 from .gadgets import ExtractionResult, ResidualClifford, RotationGadget, extract_gadgets

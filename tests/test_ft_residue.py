@@ -228,9 +228,8 @@ def _assert_fire_sites_are_seeds(tape, seeds):
 def _fire_sites(circuit):
     tape = circuit.tape
     tape.ensure_links()
-    columns = (np.array(getattr(tape, name), dtype=np.int64)
-               for name in ("op", "q0", "q1", "nxt0", "nxt1"))
-    op, q0, q1, nxt0, nxt1 = columns
+    op, q0, q1, nxt0, nxt1 = (np.array(getattr(tape, name), dtype=np.int64)
+                              for name in ("op", "q0", "q1", "nxt0", "nxt1"))
     return peephole._fire_sites(op, q0, q1, np.array(tape.param), nxt0,
                                 nxt1).tolist()
 
