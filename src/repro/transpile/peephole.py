@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,13 +151,14 @@ def _engine(
 ) -> Optional[Tuple[int, int, int, int]]:
     """Run the enabled rules to a joint fixpoint on ``tape`` (in place).
 
-    ``seeds`` are the live slots the worklist starts from, in order;
-    ``None`` starts from every live slot.  They must include every slot
-    where a rule can fire on the tape as given.  Fuse visits its slots in
-    the order the every-slot run does: one ascending pass (over the seeds
-    and every slot pushed while the pass has not reached it), then the
-    slots pushed behind it, first in first out.  So where two fusions
-    compete for one gate, the seeded run picks the same one.
+    ``seeds`` are the live slots the worklist starts from; ``None`` starts
+    from every live slot.  They must include every slot where a rule can
+    fire on the tape as given.  Both queues (the shrinking rules', and
+    fuse's behind it) visit their slots in the order the every-slot run
+    does: one ascending pass (over the seeds and every slot pushed while
+    the pass has not reached it), then the slots pushed behind it, first
+    in first out.  So where two rewrites compete for one gate, the seeded
+    run picks the same one.
 
     Returns ``(cancelled, merged, commuted, fused)`` rewrite counts with the
     seed passes' units: removed gates for cancel/merge/commute, fusion
@@ -173,9 +174,19 @@ def _engine(
     nxt0, nxt1 = tape.nxt0, tape.nxt1
     prv0, prv1 = tape.prv0, tape.prv1
     n = len(ops)
+    start = list(tape.iter_slots()) if seeds is None else sorted(seeds)
+    # Each queue visits its slots in the every-slot run's order: one
+    # ascending pass, then the slots pushed behind it, first in first out.
+    # The pass is the queue's first ``pass_left`` slots merged with the
+    # slots pushed ahead of its last visit (``passed``), which wait in a
+    # heap; an every-slot run starts with every slot in the pass, so
+    # nothing is ever pushed ahead of it.
     pending = bytearray(n)
-    queue = deque(tape.iter_slots() if seeds is None else seeds)
-    for slot in queue:
+    queue = deque(start)
+    pass_left = len(start)
+    ahead: list = []
+    passed = NO_SLOT
+    for slot in start:
         pending[slot] = 1
     # No rule creates a SWAP, so without one on entry fuse never fires.
     do_fuse = do_fuse and tape.counts[_OP_SWAP] > 0
@@ -187,19 +198,13 @@ def _engine(
     # cancel/merge/commute-before-fuse pass order.
     fuse_pending = bytearray(n)
     fuse_queue: deque = deque()
-    # The ascending pass still ahead of the last fuse visit (``passed``):
-    # a heap for seeded runs, where slots join the pass as they are
-    # pushed; the every-slot run holds the whole pass in ``fuse_queue``.
-    ahead: list = []
-    passed = n
+    fuse_pass_left = 0
+    fuse_ahead: list = []
+    fuse_passed = NO_SLOT
     if do_fuse:
-        if seeds is None:
-            fuse_queue.extend(queue)
-        else:
-            ahead.extend(queue)
-            heapify(ahead)
-            passed = NO_SLOT
-        for slot in queue:
+        fuse_queue.extend(start)
+        fuse_pass_left = len(start)
+        for slot in start:
             fuse_pending[slot] = 1
 
     cancelled = merged = commuted = fused = 0
@@ -214,11 +219,14 @@ def _engine(
         if slot != NO_SLOT and alive[slot]:
             if not pending[slot]:
                 pending[slot] = 1
-                queue.append(slot)
-            if do_fuse and not fuse_pending[slot]:
-                fuse_pending[slot] = 1
                 if slot > passed:
                     heappush(ahead, slot)
+                else:
+                    queue.append(slot)
+            if do_fuse and not fuse_pending[slot]:
+                fuse_pending[slot] = 1
+                if slot > fuse_passed:
+                    heappush(fuse_ahead, slot)
                 else:
                     fuse_queue.append(slot)
 
@@ -249,17 +257,34 @@ def _engine(
             push(after1)
 
     while True:
-        if queue:
+        if pass_left or ahead:
             from_fuse_queue = False
+            if ahead and (not pass_left or ahead[0] < queue[0]):
+                g = heappop(ahead)
+            else:
+                g = queue.popleft()
+                pass_left -= 1
+            passed = g
+            pending[g] = 0
+        elif queue:
+            from_fuse_queue = False
+            passed = n
             g = queue.popleft()
             pending[g] = 0
-        elif ahead:
+        elif fuse_pass_left or fuse_ahead:
             from_fuse_queue = True
-            g = passed = heappop(ahead)
+            passed = n
+            if fuse_ahead and (not fuse_pass_left
+                               or fuse_ahead[0] < fuse_queue[0]):
+                g = heappop(fuse_ahead)
+            else:
+                g = fuse_queue.popleft()
+                fuse_pass_left -= 1
+            fuse_passed = g
             fuse_pending[g] = 0
         elif fuse_queue:
             from_fuse_queue = True
-            passed = n
+            passed = fuse_passed = n
             g = fuse_queue.popleft()
             fuse_pending[g] = 0
         else:
@@ -318,11 +343,22 @@ def _engine(
         if do_merge and b == NO_SLOT:
             axis = _MERGE_AXIS[op_g]
             if axis != _AXIS_NONE:
+                # A zero-angle rotation goes on its own visit and never
+                # merges, so it leaves its neighbours as they are whichever
+                # of them the worklist reaches first.
+                if _IS_ROTATION[op_g] and _is_zero_angle(params[g]):
+                    if strict:
+                        return None
+                    remove(g)
+                    merged += 1
+                    continue
                 succ = nxt0[g]
                 if (
                     succ != NO_SLOT
                     and q1s[succ] == NO_SLOT
                     and _MERGE_AXIS[ops[succ]] == axis
+                    and not (_IS_ROTATION[ops[succ]]
+                             and _is_zero_angle(params[succ]))
                 ):
                     op_s = ops[succ]
                     if axis >= _AXIS_H:
@@ -348,13 +384,6 @@ def _engine(
                             push(succ)
                             merged += 1
                         continue
-                # A zero-angle rotation with nothing to merge into drops.
-                if _IS_ROTATION[op_g] and _is_zero_angle(params[g]):
-                    if strict:
-                        return None
-                    remove(g)
-                    merged += 1
-                    continue
 
         # ---- rule: CNOT pair cancellation through commuting gates ------
         if do_commute and op_g == _OP_CX:

@@ -337,6 +337,17 @@ def test_three_equal_rotations_merge_in_the_raw_order():
     assert result.circuit.gates == run_rules(raw, **LEVEL_RULES[1])[0].gates
 
 
+def test_zero_weight_terms_vanish_in_the_every_slot_order():
+    # The zero-weight terms' rotations drop and their CNOT ladders cancel
+    # down to the neighbours' ladders; the seeded run must then visit the
+    # CNOTs in the every-slot run's order, or commute cancels another pair
+    # of equal CNOTs around the rotation on qubit 0.
+    terms = [(PauliString.from_label(label), c) for label, c in (
+        ("XIIXXX", 1.0), ("XIIXXX", 0.0), ("IIIIIX", 1.0),
+        ("XIIXXX", -0.0))]
+    _assert_seeded_engine_agrees(terms, 6, "paired")
+
+
 def test_equal_neighbours_keep_their_pairs():
     # Their rotations would meet and cancel: the peephole must see the
     # raw junction to unwind it in the raw order.  The next junction has
