@@ -18,9 +18,12 @@ of its rotation angle downstream.
 The tableau is bit-parallel over the tracked rows (Aaronson-Gottesman
 column updates): each qubit holds two Python ints whose bit ``r`` is row
 ``r``'s X or Z bit there, and one more int holds the sign bits, so a gate
-is a few word-wide int ops over all rows at once.  The bit-packed numpy
-engine in ``tests/oracles/clifford.py`` is the reference it is tested
-against.
+is a few word-wide int ops over all rows at once.  The same columns give
+a string's anticommute row against every tracked row in one XOR per
+qubit of its support; the TK partition and the commute check of
+:func:`simultaneous_diagonalize` read commutation that way.  The
+bit-packed numpy engine in ``tests/oracles/clifford.py`` is the reference
+it is tested against.
 """
 
 from __future__ import annotations
@@ -114,6 +117,23 @@ class ConjugationTracker:
     def z_bit(self, row: int, qubit: int) -> int:
         return (self.zs[qubit] >> row) & 1
 
+    def anticommuting_rows(self, string: PauliString) -> int:
+        """The rows that anticommute with ``string``, as an int whose bit
+        ``r`` is row ``r``: the XOR of ``zs[q]`` over the string's X qubits
+        and ``xs[q]`` over its Z qubits.
+
+        Conjugation keeps commutation, so before any gate this is the
+        anticommute row of ``string`` against the input strings.
+        """
+        xs, zs = self.xs, self.zs
+        rows = 0
+        for qubit, code in enumerate(string.codes):
+            if code & 1:
+                rows ^= zs[qubit]
+            if code & 2:
+                rows ^= xs[qubit]
+        return rows
+
     def sign(self, row: int) -> int:
         return -1 if (self.phase >> row) & 1 else 1
 
@@ -144,14 +164,18 @@ def simultaneous_diagonalize(
     if not strings:
         raise ValueError("need at least one string")
     n = strings[0].num_qubits
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            if not strings[i].commutes_with(strings[j]):
-                raise ValueError(
-                    f"strings {strings[i].label} and {strings[j].label} do not commute"
-                )
-
     tracker = ConjugationTracker(strings, n)
+    # The commute check reads the columns before any gate: the first pair
+    # (i, j), i < j, that anticommutes is the lowest bit above i of row
+    # i's anticommute row.
+    for i, string in enumerate(strings):
+        later = tracker.anticommuting_rows(string) >> (i + 1)
+        if later:
+            j = i + (later & -later).bit_length()
+            raise ValueError(
+                f"strings {string.label} and {strings[j].label} do not commute"
+            )
+
     next_pivot = 0
     for row in range(len(strings)):
         if tracker.is_diagonal(row):

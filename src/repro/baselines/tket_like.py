@@ -6,7 +6,9 @@ paper's main frontend baseline:
 
 1. **Partition** the program's weighted strings into sets of mutually
    commuting strings (greedy sequential partitioning — tket uses graph
-   colouring; greedy gives the same structure class).
+   colouring; greedy gives the same structure class).  Commutation is
+   read off the tableau's per-qubit bit columns: one int per term, one
+   bit test per term and open set.
 2. **Diagonalize** each set with a Clifford circuit ``C`` found by symplectic
    elimination (:mod:`repro.baselines.tableau`).
 3. **Synthesize** the set as ``C`` + a ladder of Z-parity rotations
@@ -29,8 +31,7 @@ from typing import List, Sequence, Tuple
 from ..circuit import QuantumCircuit
 from ..ir import PauliProgram
 from ..pauli import PauliString, SignedPauli
-from ..pauli.symplectic import PauliTable
-from .tableau import simultaneous_diagonalize
+from .tableau import ConjugationTracker, simultaneous_diagonalize
 
 __all__ = ["partition_commuting", "diagonal_rotation_gates", "tk_compile", "TKResult"]
 
@@ -52,23 +53,30 @@ def partition_commuting(
 ) -> List[List[Tuple[PauliString, float]]]:
     """Greedy partition into mutually-commuting sets, preserving order.
 
-    Commutation against each candidate set is checked on the batch
-    symplectic kernel: one vectorized row per term against all earlier
-    terms, instead of scalar ``commutes_with`` per pair.
+    Each term joins the first set all of whose members commute with it.
+    The test is one bit: a term's commute row (bit ``r`` set when term
+    ``r`` commutes with it) is read off the tableau's per-qubit columns,
+    and each open set carries the AND of its members' commute rows.
     """
     if not terms:
         return []
-    table = PauliTable.from_strings([string for string, _ in terms])
-    groups: List[List[int]] = []
-    for i in range(len(terms)):
-        commutes = table.commutes(i)
-        for group in groups:
-            if commutes[group].all():
-                group.append(i)
+    strings = [string for string, _ in terms]
+    tracker = ConjugationTracker(strings, strings[0].num_qubits)
+    every_row = (1 << len(strings)) - 1
+    groups: List[List[Tuple[PauliString, float]]] = []
+    commuting_with_group: List[int] = []
+    for i, term in enumerate(terms):
+        commuting = every_row ^ tracker.anticommuting_rows(term[0])
+        bit = 1 << i
+        for g, rows in enumerate(commuting_with_group):
+            if rows & bit:
+                groups[g].append(term)
+                commuting_with_group[g] = rows & commuting
                 break
         else:
-            groups.append([i])
-    return [[terms[i] for i in group] for group in groups]
+            groups.append([term])
+            commuting_with_group.append(commuting)
+    return groups
 
 
 def diagonal_rotation_gates(

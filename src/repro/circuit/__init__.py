@@ -1,7 +1,6 @@
 """Gate-level circuit substrate: gates, circuits, exact simulation."""
 
 from .circuit import QuantumCircuit
-from .dag import DAGCircuit, critical_path, dag_depth, gates_commute
 from .gates import Gate, gate_matrix, inverse_gate
 from .qasm import from_qasm, to_qasm
 from .tape import GateTape
@@ -13,14 +12,10 @@ from .statevector import (
 )
 
 __all__ = [
-    "DAGCircuit",
     "Gate",
     "GateTape",
     "QuantumCircuit",
-    "critical_path",
-    "dag_depth",
     "from_qasm",
-    "gates_commute",
     "to_qasm",
     "apply_gate",
     "circuit_unitary",

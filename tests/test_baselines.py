@@ -186,6 +186,19 @@ class TestSimultaneousDiagonalization:
                 [PauliString.from_label("X"), PauliString.from_label("Z")]
             )
 
+    @pytest.mark.parametrize("labels, message", [
+        # Only rows 0 and 2 anticommute; row 1 commutes with both.
+        (["XI", "IZ", "ZI"], "strings XI and ZI do not commute"),
+        # (0, 2) and (1, 3) both fail; the first pair in row order wins.
+        (["XII", "IXI", "ZII", "IZI"], "strings XII and ZII do not commute"),
+        # (0, 3) and (1, 2) both fail; (0, 3) comes first in row order.
+        (["XII", "IXI", "IZI", "ZII"], "strings XII and ZII do not commute"),
+    ])
+    def test_rejects_first_noncommuting_pair(self, labels, message):
+        strings = [PauliString.from_label(l) for l in labels]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simultaneous_diagonalize(strings)
+
     def test_already_diagonal_is_cheap(self):
         strings = [PauliString.from_label(l) for l in ["ZZ", "ZI"]]
         clifford, tracked = simultaneous_diagonalize(strings)
@@ -234,6 +247,34 @@ class TestTKCompile:
             assert all(
                 a.commutes_with(b) for i, a in enumerate(strings) for b in strings[i + 1:]
             )
+
+    @pytest.mark.parametrize("qubits, length", [
+        ((1, 6), (65, 100)),    # term lists longer than 64
+        ((65, 80), (1, 12)),    # strings on more than 64 qubits
+        ((60, 70), (60, 90)),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_partition_matches_scalar_greedy(self, qubits, length, data):
+        """Each term joins the first set all of whose members commute with it."""
+        n = data.draw(st.integers(*qubits))
+        k = data.draw(st.integers(*length))
+        sparse = st.dictionaries(
+            st.integers(0, n - 1), st.sampled_from("IXYZ"), max_size=4
+        )
+        terms = [
+            (PauliString.from_sparse(n, d), float(i))
+            for i, d in enumerate(data.draw(st.lists(sparse, min_size=k, max_size=k)))
+        ]
+        expected = []
+        for term in terms:
+            for group in expected:
+                if all(term[0].commutes_with(member) for member, _ in group):
+                    group.append(term)
+                    break
+            else:
+                expected.append([term])
+        assert partition_commuting(terms) == expected
 
     @pytest.mark.parametrize("labels", [
         ["ZZ", "XX"],              # commuting pair in one set
