@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .gates import OP, OPCODES, OP_SINGLE, Gate, inverse_gate
+from .gates import OP, OP_INVERSE, OP_ROTATION, OPCODES, OP_SINGLE, Gate
 from .tape import NO_SLOT, GateTape
 
 __all__ = ["QuantumCircuit"]
@@ -141,7 +141,13 @@ class QuantumCircuit:
         """Append another circuit's gates (same qubit count required)."""
         if other.num_qubits != self.num_qubits:
             raise ValueError("qubit-count mismatch in compose")
-        return self.extend(other.gates)
+        tape, gates = other._tape, other._slot_gates
+        # A snapshot of the live rows: ``other`` may be this circuit.
+        for slot in list(tape.iter_slots()):
+            op, q0, q1, param = tape.row(slot)
+            self._push(op, q0, q1, param if op in OP_ROTATION else 0.0,
+                       gates[slot])
+        return self
 
     # ------------------------------------------------------------------
     # Tape access (compiler passes read/adopt the columnar storage)
@@ -268,8 +274,13 @@ class QuantumCircuit:
     # ------------------------------------------------------------------
     def inverse(self) -> "QuantumCircuit":
         inv = QuantumCircuit(self.num_qubits, name=f"{self.name}_dg" if self.name else "")
-        for gate in reversed(self._materialize()):
-            inv.append(inverse_gate(gate))
+        tape = self._tape
+        for slot in reversed(list(tape.iter_slots())):
+            op, q0, q1, param = tape.row(slot)
+            if op in OP_ROTATION:
+                inv._push(op, q0, q1, -float(param), None)
+            else:
+                inv._push(OP_INVERSE[op], q0, q1, 0.0, None)
         return inv
 
     def decompose_swaps(self) -> "QuantumCircuit":

@@ -56,7 +56,7 @@ from ..ir import PauliBlock, PauliProgram
 from ..pauli import PauliString
 from ..pauli import operators as ops
 from ..transpile import CouplingMap, Layout, dense_initial_layout, peephole
-from ..transpile.coupling import ArcTable, dijkstra
+from ..transpile.coupling import ArcTable, dijkstra, uniform_dijkstra
 from . import passes
 # The SC flow's scheduling passes call these through this module at call
 # time (see repro.core.passes), so they stay bound here.
@@ -71,6 +71,10 @@ _NO_FORBIDDEN: FrozenSet[int] = frozenset()
 
 _OP_H, _OP_YH, _OP_RZ = OP["h"], OP["yh"], OP["rz"]
 _OP_CX, _OP_SWAP = OP["cx"], OP["swap"]
+
+#: Strings per chunk of the placement's incidence matrix, which bounds its
+#: memory on large programs.
+_INCIDENCE_ROWS = 4096
 
 #: At DEBUG, each seeded emission logs its size, sandwich sets and seeds.
 _log = logging.getLogger(__name__)
@@ -184,6 +188,11 @@ class SCSynthesizer:
     ):
         self.coupling = coupling
         self._costs = swap_cost_table(coupling, edge_error)
+        # One positive cost on every arc (every uncalibrated coupling): the
+        # gather searches by BFS, which finds what dijkstra finds.
+        costs = {cost for arcs in self._costs for _, cost in arcs}
+        only = costs.pop() if len(costs) == 1 else 0.0
+        self._uniform_cost = only if only > 0 else None
         self._rng = rng
         self._release_views = release_views
 
@@ -293,34 +302,23 @@ class SCSynthesizer:
         the already-placed qubits it couples with most, so that early
         strings need no gather swaps at all.
         """
-        interactions: Dict[Tuple[int, int], float] = {}
-        for layer in schedule:
-            for block in layer:
-                for ws in block:
-                    support = ws.string.support
-                    for i in range(len(support)):
-                        for j in range(i + 1, len(support)):
-                            pair = (support[i], support[j])
-                            interactions[pair] = interactions.get(pair, 0.0) + 1.0
-        if not interactions:
+        counts = _interaction_counts(schedule, num_logical)
+        if not counts.any():
             return dense_initial_layout(self.coupling, num_logical)
 
         region = dense_initial_layout(self.coupling, num_logical).physical_qubits()
         free = set(region)
-        weight_of = {q: 0.0 for q in range(num_logical)}
+        weight_of = dict(enumerate(counts.sum(axis=1).tolist()))
         # Logical-qubit adjacency lists: the placement loops below query
         # "which placed qubits does q couple with" per candidate, and
-        # scanning the full interaction dict each time is
-        # O(n^2 * |interactions|) — fatal at hundreds of qubits.  The
-        # adjacency form makes each query O(degree).
+        # scanning every pair each time is O(n^2 * pairs) — fatal at
+        # hundreds of qubits.  The adjacency form makes each query
+        # O(degree).  The weights are whole numbers, so no sum below
+        # depends on the order of its terms.
         adjacency: Dict[int, List[Tuple[int, float]]] = {
-            q: [] for q in range(num_logical)
+            q: [(other, w) for other, w in enumerate(row) if w]
+            for q, row in enumerate(counts.tolist())
         }
-        for (a, b), w in interactions.items():
-            weight_of[a] += w
-            weight_of[b] += w
-            adjacency[a].append((b, w))
-            adjacency[b].append((a, w))
 
         placed: Dict[int, int] = {}
         order = sorted(range(num_logical), key=lambda q: -weight_of[q])
@@ -469,9 +467,14 @@ class SCSynthesizer:
         """Cheapest path from the sink component to any outside active
         node, avoiding ``blocked`` qubits."""
         outside = active - sink
-        distances, pred = dijkstra(
-            self._costs, set(sink), blocked=blocked, targets=outside
-        )
+        if self._uniform_cost is None:
+            distances, pred = dijkstra(
+                self._costs, set(sink), blocked=blocked, targets=outside
+            )
+        else:
+            distances, pred = uniform_dijkstra(
+                self._costs, self._uniform_cost, set(sink), blocked, outside
+            )
         candidates = [n for n in active if n not in sink and n in distances]
         if not candidates:
             return None
@@ -598,6 +601,25 @@ class SCSynthesizer:
         self.layout.swap_physical(a, b)
         if transition:
             self.transition_swaps += 1
+
+
+def _interaction_counts(schedule: Schedule, num_logical: int) -> np.ndarray:
+    """How many of the schedule's strings act on each pair of logical
+    qubits: ``S.T @ S`` with its diagonal zeroed, ``S`` the strings x
+    qubits 0/1 incidence matrix, summed over row chunks.  The counts are
+    whole numbers, exact in float64."""
+    codes = [ws.string.codes for layer in schedule for block in layer
+             for ws in block]
+    counts = np.zeros((num_logical, num_logical))
+    for start in range(0, len(codes), _INCIDENCE_ROWS):
+        chunk = codes[start:start + _INCIDENCE_ROWS]
+        incidence = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(
+            len(chunk), -1) != 0
+        width = incidence.shape[1]
+        incidence = incidence.astype(np.float64)
+        counts[:width, :width] += incidence.T @ incidence
+    np.fill_diagonal(counts, 0.0)
+    return counts
 
 
 def _check_operands(num_qubits: int, op: List[int], q0: List[int],

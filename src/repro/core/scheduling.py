@@ -81,6 +81,7 @@ def do_schedule(program: PauliProgram) -> Schedule:
     supports = np.stack([view.support_mask for view in views])   # (m, nb)
     depths = np.array([view.depth_estimate for view in views])
     lengths = np.array([view.active_length for view in views])
+    radix = program.num_qubits + 1
     alive = np.ones(len(remaining), dtype=bool)
 
     layers: Schedule = []
@@ -94,12 +95,10 @@ def do_schedule(program: PauliProgram) -> Schedule:
             overlaps = popcount(
                 np.bitwise_or.reduce(profiles[idxs] & layer_profile, axis=1)
             )
-            # First maximum in remaining order, ties broken by active
-            # length — the same selection max() made over the scalar list.
-            best = max(
-                range(len(idxs)), key=lambda k: (overlaps[k], lengths[idxs[k]])
-            )
-            primary = int(idxs[best])
+            # First maximum of (overlap, active length) in remaining order,
+            # the selection max() makes over the scalar list, as one
+            # argmax: both are at most the qubit count, below the radix.
+            primary = int(idxs[np.argmax(overlaps * radix + lengths[idxs])])
         else:
             primary = int(idxs[0])
         alive[primary] = False

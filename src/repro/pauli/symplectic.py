@@ -4,9 +4,9 @@ A :class:`PauliTable` stores ``m`` Pauli strings on ``n`` qubits as two
 bit-packed ``uint8`` matrices (the symplectic X and Z parts, one bit per
 qubit, packed little-endian so qubit ``i`` is bit ``i % 8`` of byte
 ``i // 8``).  All the per-pair queries the compiler's hot loops need —
-operator overlap, commutation, shared support, lexicographic ordering —
-become whole-row bitwise arithmetic plus a popcount lookup table, instead
-of per-byte Python loops over :class:`~repro.pauli.strings.PauliString`.
+operator overlap, shared support, lexicographic ordering — become
+whole-row bitwise arithmetic plus a popcount lookup table, instead of
+per-byte Python loops over :class:`~repro.pauli.strings.PauliString`.
 
 The scalar :class:`PauliString` methods remain the semantic reference; the
 batch kernels here are their vectorized counterparts:
@@ -15,7 +15,6 @@ batch kernels here are their vectorized counterparts:
 scalar (``PauliString``)          batch (``PauliTable``)
 ================================  ====================================
 ``a.overlap(b)``                  ``table.overlaps(i)`` / ``overlap_matrix``
-``a.commutes_with(b)``            ``table.commutes(i)`` / ``commutation_matrix``
 ``a.shared_support(b)``           ``table.shared_support(i, j)``
 ``a.lex_key()``                   ``table.lex_ranks()`` / ``lex_argsort``
 ================================  ====================================
@@ -172,22 +171,6 @@ class PauliTable:
                 & support[start:stop, None, :]
             )
             out[start:stop] = popcount(same)
-        return out
-
-    # ------------------------------------------------------------------
-    # Batch commutation
-    # ------------------------------------------------------------------
-    def commutes(self, index: int) -> np.ndarray:
-        """Boolean vector: does row ``index`` commute with each row?"""
-        anti = popcount(self.x & self.z[index]) + popcount(self.z & self.x[index])
-        return (anti & 1) == 0
-
-    def commutation_matrix(self) -> np.ndarray:
-        """Full ``(m, m)`` boolean commutation matrix."""
-        m = self.num_strings
-        out = np.empty((m, m), dtype=bool)
-        for i in range(m):
-            out[i] = self.commutes(i)
         return out
 
     # ------------------------------------------------------------------

@@ -7,9 +7,10 @@ qubits, plus optional per-edge error rates used by the noise-aware passes
 The coupling core is array-native and built once, at construction: one
 neighbour tuple per qubit, the edge tuple, and the all-pairs hop matrix
 (BFS).  The graph kernels the SC backend and the router run on it —
-:func:`dijkstra`, and the masked BFS of :meth:`CouplingMap.components`
-and :meth:`CouplingMap.centre` — take forbidden or outside qubits as a
-set mask and build no subgraph objects.
+:func:`dijkstra` and its uniform-cost BFS form :func:`uniform_dijkstra`,
+and the masked BFS of :meth:`CouplingMap.components` and
+:meth:`CouplingMap.centre` — take forbidden or outside qubits as a set
+mask and build no subgraph objects.
 
 Tie-break contract.  The kernels reproduce the order in which networkx
 (3.x, the library the compiler used before) visits nodes, so compiled
@@ -21,6 +22,21 @@ circuits stay gate-identical (pinned by ``tests/test_sc_golden.py``):
 * :func:`dijkstra` pops ``(distance, push counter, node)`` entries,
   pushes the sources in their iteration order, and updates a path only
   on a strict improvement;
+* :func:`uniform_dijkstra` is :func:`dijkstra` on a table whose arcs all
+  cost one ``c > 0``, as a BFS.  With one cost, every push is ``c`` more
+  than the popped distance, and pops come in non-decreasing distance, so
+  pushes arrive in non-decreasing distance and the heap pops in push
+  order: BFS order, level by level.  A later offer to a reached node is
+  equal, not strictly better, so a node is pushed once, by the node that
+  first reached it, which is its ``pred``.  Distances are the sources'
+  ``0``, then the previous level's value ``+ c``, the same float sums.
+  The target stop settles the whole level of the first target, and the
+  nodes its level reaches keep their ``pred``, as the heap's pushes do;
+* :meth:`CouplingMap.centre` searches its qubits in the order of their
+  device-distance bound ``(max, sum, index)``, a lower bound of the
+  in-subgraph key ``(eccentricity, sum, index)`` on a connected kept set,
+  and stops at the first bound not below the best key, so the bound
+  order cannot change the answer;
 * :meth:`CouplingMap.components` yields components in
   ``nx.connected_components`` order over a subgraph view: it walks the
   kept set itself when ``2 * len(kept) < num_qubits`` and the node range
@@ -58,6 +74,7 @@ __all__ = [
     "ArcTable",
     "CouplingMap",
     "dijkstra",
+    "uniform_dijkstra",
     "linear",
     "ring",
     "grid",
@@ -220,7 +237,7 @@ class CouplingMap:
             row = dist[a]
             for b in qubits[i + 1:]:
                 total += row[b]
-        if total >= self.num_qubits:
+        if total >= self.num_qubits and not self._fully_connected:
             # Only a sum this large can hide a disconnected-pair sentinel.
             for i, a in enumerate(qubits):
                 for b in qubits[i + 1:]:
@@ -272,15 +289,22 @@ class CouplingMap:
         smallest ``(eccentricity, summed hop distance, index)``, distances
         taken inside the subgraph."""
         neighbors = self._neighbors
+        dist = self._dist
+        # Device distances bound the in-subgraph ones from below, so each
+        # qubit's ``(max, sum, index)`` over device distances is at most
+        # its key: search in bound order, and stop at the first bound that
+        # cannot beat the best key.
+        bounds = []
+        for source in kept:
+            row = dist[source]
+            spans = [row[v] for v in kept]
+            bounds.append((max(spans), sum(spans), source))
+        bounds.sort()
         best: Optional[Tuple[int, int, int]] = None
-        for source in sorted(kept):
-            if best is not None:
-                # Device distances bound the in-subgraph ones from below:
-                # skip the BFS of a qubit that cannot beat the best key.
-                row = self._dist[source]
-                bound = [row[v] for v in kept]
-                if (max(bound), sum(bound)) >= best[:2]:
-                    continue
+        for bound in bounds:
+            if best is not None and bound >= best:
+                break
+            source = bound[2]
             seen = {source}
             frontier = [source]
             hops = total = 0
@@ -369,6 +393,50 @@ def dijkstra(
                 heappush(heap, (dv, pushes, v))
                 pushes += 1
                 pred[v] = u
+    return dist, pred
+
+
+def uniform_dijkstra(
+    arcs: ArcTable,
+    cost: float,
+    sources: Iterable[int],
+    blocked: AbstractSet[int],
+    targets: AbstractSet[int],
+) -> Tuple[Dict[int, float], Dict[int, int]]:
+    """:func:`dijkstra` over an arc table whose arcs all cost ``cost > 0``,
+    run as a level-by-level BFS: the same ``(dist, pred)``, in the same
+    order (module docstring).
+
+    A node is marked when first reached, and the node that reached it is
+    its ``pred``.  With ``targets``, the level that holds the first target
+    is settled and expanded, then the search stops.
+    """
+    dist: Dict[int, float] = {}
+    pred: Dict[int, int] = {}
+    seen = bytearray(len(arcs))  # reached or blocked
+    for q in blocked:
+        seen[q] = 1
+    frontier = []
+    for source in sources:
+        if source not in dist:
+            seen[source] = 1
+            dist[source] = 0
+            frontier.append(source)
+    d = 0
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v, _ in arcs[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    pred[v] = u
+                    reached.append(v)
+        if not targets.isdisjoint(frontier):
+            break
+        d += cost
+        for v in reached:
+            dist[v] = d
+        frontier = reached
     return dist, pred
 
 

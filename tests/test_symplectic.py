@@ -90,16 +90,6 @@ class TestOverlap:
         assert table.consecutive_overlaps().tolist() == expected
 
 
-class TestCommutation:
-    def test_matrix_matches_scalar(self):
-        labels = ["XX", "ZZ", "XZ", "YI"]
-        strings = [PauliString.from_label(s) for s in labels]
-        matrix = PauliTable.from_strings(strings).commutation_matrix()
-        for i, a in enumerate(strings):
-            for j, b in enumerate(strings):
-                assert matrix[i, j] == a.commutes_with(b)
-
-
 class TestSharedSupportAndLex:
     def test_shared_support_matches_scalar(self):
         strings = [PauliString.from_label(s) for s in ["XYZIZ", "XYIZZ"]]
@@ -129,11 +119,9 @@ def test_batch_kernels_match_scalar_reference(labels):
     table = PauliTable.from_strings(strings)
     m = len(strings)
     overlap = table.overlap_matrix()
-    commute = table.commutation_matrix()
     ranks = table.lex_ranks()
     for i in range(m):
         assert tuple(ranks[i]) == strings[i].lex_key()
         for j in range(m):
             assert overlap[i, j] == strings[i].overlap(strings[j])
-            assert commute[i, j] == strings[i].commutes_with(strings[j])
             assert table.shared_support(i, j) == strings[i].shared_support(strings[j])

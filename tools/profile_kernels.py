@@ -27,11 +27,12 @@ Stages (``--stage all`` runs every one):
   gate counts first, then how many long-range basis pairs the residue
   left out and its seams (gates whose wire successor belongs to another
   term) next to its seeds (the slots where a rule can fire);
-* ``sc-flow``   — the level-3 SC flow's synthesize and peephole steps, as
-  ``compile_program`` runs them, on compile-sc's UCCSD-12 and Rand-30
-  (200 strings, seed 2022) on manhattan-65: the columnar emission and the
-  peephole started from its seeds.  Prints each emission's gates, distinct
-  CNOT trees against its multi-qubit strings, and seeds first;
+* ``sc-flow``   — the level-3 SC flow's schedule, synthesize and peephole
+  steps, as ``compile_program`` runs them, on compile-sc's UCCSD-12, N2
+  (small scale) and Rand-30 (200 strings, seed 2022) on manhattan-65: the
+  DO schedule, the columnar emission and the peephole started from its
+  seeds.  Prints each emission's gates, distinct CNOT trees against its
+  multi-qubit strings, and seeds first;
 * ``tk``        — the TK baseline (:func:`~repro.baselines.tk_compile`:
   commuting-set partition plus the int bit-column tableau) on the N2
   paper program.
@@ -132,24 +133,22 @@ def _rand30_stages() -> Dict[str, Callable[[], object]]:
 def _sc_stages() -> Dict[str, Callable[[], object]]:
     coupling = manhattan_65()
     programs = [build_benchmark("UCCSD-12", "paper"),
+                build_benchmark("N2", "small"),
                 random_hamiltonian_program(30, num_strings=200, seed=2022,
                                            name="Rand-30")]
     # The seeded emission reports its counts at DEBUG.
     logging.basicConfig(format="%(message)s")
     log = logging.getLogger(sc_backend.__name__)
-    flows = []
     for program in programs:
-        schedule = do_schedule(program)
         print(f"{program.name}: ", end="", flush=True)
         log.setLevel(logging.DEBUG)
         sc_backend.SCSynthesizer(coupling)._run(
-            schedule, program.num_qubits, seeded=True)
+            do_schedule(program), program.num_qubits, seeded=True)
         log.setLevel(logging.NOTSET)
-        # The stock level-3 flow after its schedule step, run once here.
-        flows.append(([lambda _, schedule=schedule: schedule,
-                       *pass_sequence("sc", "do", 3)[1:]], program))
+    # The stock level-3 flow, its DO schedule step included.
+    flow = pass_sequence("sc", "do", 3)
     return {"sc-flow": lambda: [run_pipeline(flow, program, coupling=coupling)
-                                for flow, program in flows]}
+                                for program in programs]}
 
 
 def _n2_stages() -> Dict[str, Callable[[], object]]:
