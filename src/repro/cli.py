@@ -22,10 +22,10 @@ Commands
   admission control and the content-addressed cache shared across all
   clients (see :mod:`repro.service.gateway`);
 * ``serve-cluster`` — run a sharded N-node fabric: a supervisor spawns N
-  gateway nodes (each ``serve`` in shared-store mode, peers wired for
-  pull-through replication) and fronts them with the consistent-hash
-  router (see :mod:`repro.service.cluster`), surviving any single node
-  dying;
+  gateway nodes (each serving its own ``GatewayConfig`` as ``serve`` does,
+  peers wired for pull-through replication) and fronts them with the
+  consistent-hash router (see :mod:`repro.service.cluster`), surviving
+  any single node dying;
 * ``client SPECS.jsonl`` — stream a JSONL spec file through a running
   gateway or cluster router (pipelined), or query its ``stats`` verb;
 * ``table1|table2|table3|table4|fig11`` — regenerate one experiment and
@@ -35,6 +35,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import sys
@@ -51,10 +52,33 @@ from .analysis import (
 )
 from .baselines import tk_compile
 from .core import compile_program
+from .service import (
+    ClusterConfig,
+    ClusterRouter,
+    ClusterSupervisor,
+    CompileCache,
+    CompileGateway,
+    GatewayClient,
+    GatewayConfig,
+    compile_batch,
+    loads_artifact,
+    plan_cluster,
+    prepare_unix_path,
+    resolve_spec,
+    result_from_dict,
+)
 from .transpile import manhattan_65, transpile, validate_routed
 from .workloads import BENCHMARKS, benchmark_names, build_benchmark, random_graph, regular_graph
 
-__all__ = ["main"]
+__all__ = ["main", "serve_gateway"]
+
+#: ``serve`` and ``client`` default to this TCP port; ``GatewayConfig``'s
+#: own default, 0, binds an ephemeral one.
+SERVE_PORT = 7421
+#: The ``serve`` / ``serve-cluster`` flags that configure a node's gateway
+#: (``_add_node_flags``), by their ``GatewayConfig`` field names.
+_NODE_FLAGS = ("workers", "queue_limit", "replica_probes", "speculate",
+               "speculative_limit")
 
 
 def _cmd_list(_args) -> int:
@@ -203,8 +227,6 @@ def _read_specs(path: str):
 
 
 def _cmd_compile_batch(args) -> int:
-    from .service import CompileCache, compile_batch, result_from_dict
-
     specs = _read_specs(args.specs)
     if specs is None:
         return 2
@@ -285,8 +307,6 @@ def _judge_cached_specs(args, judge, headers, summary) -> int:
     Exits 2 on a bad spec file or line, 1 on a failure or (without
     ``--allow-missing``) a missing artifact, else 0.
     """
-    from .service import CompileCache, loads_artifact, resolve_spec
-
     specs = _read_specs(args.specs)
     if specs is None:
         return 2
@@ -428,10 +448,7 @@ async def _serve_until_signal(server, label: str, banner) -> int:
     """Bind ``server``, print ``banner(server)``, and serve until SIGINT,
     SIGTERM or an honoured ``shutdown`` verb; then drain and close.
     Returns the exit status: 0, or 2 when the bind fails."""
-    import asyncio
     import signal
-
-    from .service import prepare_unix_path
 
     try:
         if server.config.socket_path:
@@ -456,36 +473,44 @@ async def _serve_until_signal(server, label: str, banner) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Run the compile gateway daemon until SIGINT/SIGTERM (exit 0)."""
-    import asyncio
+def _node_config(args, **fields) -> GatewayConfig:
+    """A ``GatewayConfig`` from the ``_NODE_FLAGS`` in ``args``, plus
+    ``fields``."""
+    flags = {name: getattr(args, name) for name in _NODE_FLAGS}
+    return GatewayConfig(**flags, **fields)
 
-    from .service import CompileGateway, GatewayConfig
 
+def _serve_config(args) -> GatewayConfig:
     peer_stores = tuple(
         p.strip() for p in (args.peer_stores or "").split(",") if p.strip())
-    config = GatewayConfig(
+    return _node_config(
+        args,
         socket_path=args.socket,
         host=args.host,
         port=args.port,
         cache_root=args.cache,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
         per_client_limit=args.per_client_limit,
         allow_shutdown=args.allow_shutdown,
         peer_stores=peer_stores,
-        replica_probes=args.replica_probes,
-        speculate=args.speculate,
-        speculative_limit=args.speculative_limit,
     )
 
+
+def serve_gateway(config: GatewayConfig) -> int:
+    """Run one compile gateway on ``config`` until SIGINT/SIGTERM (exit 0;
+    2 when the bind fails).  ``repro serve`` and every ``serve-cluster``
+    node run their gateway through here."""
     def banner(gateway) -> str:
         return (f"gateway listening on {gateway.address} "
-                f"(cache={args.cache or 'memory-only'}, "
+                f"(cache={config.cache_root or 'memory-only'}, "
                 f"workers={config.workers or 'in-process'})")
 
     return asyncio.run(
         _serve_until_signal(CompileGateway(config), "gateway", banner))
+
+
+def _cmd_serve(args) -> int:
+    """Run the compile gateway daemon until SIGINT/SIGTERM (exit 0)."""
+    return serve_gateway(_serve_config(args))
 
 
 def _parse_tenant_quotas(pairs) -> dict:
@@ -499,38 +524,31 @@ def _parse_tenant_quotas(pairs) -> dict:
     return quotas
 
 
-def _cmd_serve_cluster(args) -> int:
-    """Run an N-node sharded compile fabric until SIGINT/SIGTERM."""
-    import asyncio
-
-    from .service import (
-        ClusterRouter,
-        ClusterSupervisor,
-        plan_cluster,
-        prepare_unix_path,
-    )
-
-    try:
-        tenant_quotas = _parse_tenant_quotas(args.tenant_quota)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    os.makedirs(args.state_dir, exist_ok=True)
+def _cluster_config(args) -> ClusterConfig:
+    """The router's config, its nodes planned under ``args.state_dir``;
+    ``ValueError`` on a bad ``--tenant-quota``."""
     config = plan_cluster(
         args.state_dir,
-        nodes=args.nodes,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        replica_probes=args.replica_probes,
-        speculate=args.speculate,
-        speculative_limit=args.speculative_limit,
+        args.nodes,
+        _node_config(args),
         vnodes=args.vnodes,
         per_client_limit=args.per_client_limit,
-        tenant_quotas=tenant_quotas,
+        tenant_quotas=_parse_tenant_quotas(args.tenant_quota),
         allow_shutdown=args.allow_shutdown,
     )
     if args.socket:
         config.socket_path = args.socket
+    return config
+
+
+def _cmd_serve_cluster(args) -> int:
+    """Run an N-node sharded compile fabric until SIGINT/SIGTERM."""
+    try:
+        config = _cluster_config(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    os.makedirs(args.state_dir, exist_ok=True)
     # A busy or non-socket router path fails before any node is launched.
     try:
         prepare_unix_path(config.socket_path)
@@ -563,10 +581,6 @@ def _cmd_serve_cluster(args) -> int:
 
 def _cmd_client(args) -> int:
     """Stream specs through a running gateway; exit 1 on any failed job."""
-    import asyncio
-
-    from .service import GatewayClient
-
     if not args.stats and not args.specs:
         print("client needs a SPECS.jsonl file (or --stats)", file=sys.stderr)
         return 2
@@ -718,6 +732,32 @@ def _cmd_fig11(args) -> int:
     return 0
 
 
+def _add_node_flags(p: argparse.ArgumentParser, each: str) -> None:
+    """Declare ``_NODE_FLAGS``, which configure each gateway ``p`` runs
+    (``each`` is " per node" for a fleet), with ``GatewayConfig``'s
+    defaults."""
+    p.add_argument("--workers", type=int, default=GatewayConfig.workers,
+                   help=f"compile worker processes{each} "
+                        f"(0 = one in-process thread{each})")
+    p.add_argument("--queue-limit", type=int,
+                   default=GatewayConfig.queue_limit,
+                   help=f"cap{each} on undispatched cold compiles before "
+                        f"rejecting")
+    p.add_argument("--replica-probes", type=int,
+                   default=GatewayConfig.replica_probes,
+                   help="max peers one pull-through miss consults "
+                        "(default: all)")
+    p.add_argument("--speculate", action="store_true",
+                   help="tiered speculative compilation: cold misses answer "
+                        "at the fast opt-1 tier and a background full-effort "
+                        "recompile upgrades the cache entry in place")
+    p.add_argument("--speculative-limit", type=int,
+                   default=GatewayConfig.speculative_limit,
+                   help=f"cap{each} on queued background upgrade jobs "
+                        f"(default %(default)s; overflow is dropped, not "
+                        f"buffered)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -811,32 +851,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--socket", default=None, metavar="PATH",
                    help="bind a unix-domain socket (wins over --host/--port)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7421,
-                   help="TCP port (default 7421; 0 = ephemeral)")
+    p.add_argument("--host", default=GatewayConfig.host)
+    p.add_argument("--port", type=int, default=SERVE_PORT,
+                   help="TCP port (default %(default)s; 0 = ephemeral)")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="on-disk cache directory shared by all clients "
                         "(default: in-memory only)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="compile worker processes (0 = one in-process thread)")
-    p.add_argument("--queue-limit", type=int, default=64,
-                   help="max undispatched cold compiles before rejecting")
-    p.add_argument("--per-client-limit", type=int, default=16,
+    p.add_argument("--per-client-limit", type=int,
+                   default=GatewayConfig.per_client_limit,
                    help="max unanswered cold requests per client")
     p.add_argument("--allow-shutdown", action="store_true",
                    help="honor the protocol 'shutdown' verb")
     p.add_argument("--peer-stores", default=None, metavar="DIR,DIR,...",
                    help="comma-separated peer cache directories probed "
                         "(pull-through replication) on a local disk miss")
-    p.add_argument("--replica-probes", type=int, default=None,
-                   help="max peers one miss consults (default: all)")
-    p.add_argument("--speculate", action="store_true",
-                   help="tiered speculative compilation: cold misses answer "
-                        "at the fast opt-1 tier and a background full-effort "
-                        "recompile upgrades the cache entry in place")
-    p.add_argument("--speculative-limit", type=int, default=8,
-                   help="cap on queued background upgrade jobs (default 8; "
-                        "overflow is dropped, not buffered)")
+    _add_node_flags(p, "")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -849,29 +878,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for node sockets, stores, and logs "
                         "(created if missing)")
     p.add_argument("--nodes", type=int, default=3,
-                   help="gateway node count (default 3)")
+                   help="gateway node count (default %(default)s)")
     p.add_argument("--socket", default=None, metavar="PATH",
                    help="router socket (default STATE_DIR/router.sock)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="compile worker processes per node "
-                        "(0 = one in-process thread per node)")
-    p.add_argument("--queue-limit", type=int, default=64,
-                   help="per-node cap on undispatched cold compiles")
-    p.add_argument("--per-client-limit", type=int, default=32,
+    p.add_argument("--per-client-limit", type=int,
+                   default=ClusterConfig.per_client_limit,
                    help="router cap on one client's unanswered requests")
-    p.add_argument("--vnodes", type=int, default=128,
+    p.add_argument("--vnodes", type=int, default=ClusterConfig.vnodes,
                    help="virtual nodes per member on the hash ring")
-    p.add_argument("--replica-probes", type=int, default=None,
-                   help="peers probed per pull-through miss (default: all)")
     p.add_argument("--tenant-quota", action="append", metavar="NAME=N",
                    help="cap tenant NAME at N outstanding compiles "
                         "(repeatable)")
     p.add_argument("--allow-shutdown", action="store_true",
                    help="honor the protocol 'shutdown' verb at the router")
-    p.add_argument("--speculate", action="store_true",
-                   help="enable tiered speculative compilation on every node")
-    p.add_argument("--speculative-limit", type=int, default=8,
-                   help="per-node cap on queued background upgrades")
+    _add_node_flags(p, " per node")
     p.set_defaults(func=_cmd_serve_cluster)
 
     p = sub.add_parser(
@@ -886,8 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="connect to a serve-cluster router by its state "
                         "directory (shorthand for --socket "
                         "STATE_DIR/router.sock)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7421)
+    p.add_argument("--host", default=GatewayConfig.host)
+    p.add_argument("--port", type=int, default=SERVE_PORT)
     p.add_argument("--tenant", default=None, metavar="NAME",
                    help="tag compile requests with a tenant identity "
                         "(cluster routers quota by it)")

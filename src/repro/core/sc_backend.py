@@ -368,11 +368,7 @@ class SCSynthesizer:
         positions = {self.layout.physical(q) for q in block.active_qubits}
         if positions & forbidden:
             raise ValueError("block overlaps a protected region")
-        root = self._select_root(block)
-        seed = set(
-            self.coupling.connected_component_within(root, sorted(positions))
-        )
-        self._gather(positions, forbidden, seed=seed)
+        self._gather(positions, forbidden, root=self._select_root(block))
         self._synthesize_block(block, forbidden)
 
     def _try_parallel_block(self, block: PauliBlock, protected: FrozenSet[int]) -> bool:
@@ -413,15 +409,16 @@ class SCSynthesizer:
         self,
         active: Set[int],
         forbidden: FrozenSet[int],
-        seed: Optional[Set[int]] = None,
+        root: Optional[int] = None,
     ) -> FrozenSet[int]:
         """Persistently SWAP active qubits until they form one connected
         component of the coupling graph; returns the final positions.
 
         ``active`` is mutated to the final positions.  Each round pulls the
         nearest outside qubit into the sink component along the cheapest
-        (error-weighted) path.  ``seed`` selects the initial sink (defaults
-        to the largest component).  Raises ``ValueError`` when ``forbidden``
+        (error-weighted) path.  The first round's sink is the component
+        holding the position ``root``, when given; every other sink is the
+        largest component.  Raises ``ValueError`` when ``forbidden``
         nodes make connection impossible.
         """
         positions = frozenset(active)
@@ -438,14 +435,11 @@ class SCSynthesizer:
                 positions = frozenset(active)
                 self._connected.add(positions)
                 return positions
-            if seed:
-                sink = next(
-                    (set(c) for c in components if c & seed),
-                    max(components, key=len),
-                )
+            if root is not None:
+                sink = next(set(c) for c in components if root in c)
             else:
                 sink = max(components, key=len)
-            seed = None  # only the first round honours the seed
+            root = None  # only the first round honours the root
             path = self._cheapest_path_to_sink(sink, active, blocked)
             if path is None:
                 raise ValueError("gather blocked by forbidden region")

@@ -39,9 +39,15 @@ Pieces:
   and its ``stats`` verb aggregates each node's snapshot plus a
   cluster-wide sum.
 * :class:`ClusterSupervisor` — synchronous process manager for local
-  node fleets (`repro.cli serve` children): start, wait-ready, restart
-  on death, stop; the children exit when the supervisor dies.  The
-  fault-injection soak SIGKILLs the children it manages.
+  node fleets: start, wait-ready, restart on death, stop; the children
+  exit when the supervisor dies.  Each child runs the
+  :class:`~repro.service.gateway.GatewayConfig` its :class:`NodeSpec`
+  holds, handed over whole, through the same gateway-serving function
+  ``repro serve`` runs.  The fault-injection soak SIGKILLs the children
+  it manages.
+
+:func:`plan_cluster` builds every node's config from one template
+``GatewayConfig``, so a gateway option is declared once, in that class.
 
 Artifact replication is *pull-through* at the store layer (see
 :meth:`repro.service.cache.CompileCache.pull_through`): each node's
@@ -66,11 +72,12 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .batch import resolve_spec
+from .gateway import GatewayConfig
 from .protocol import (
     E_BAD_SPEC,
     E_CANCELLED,
@@ -109,6 +116,8 @@ HEALTH_FAILURES = 2
 CONNECT_TIMEOUT = 2.0
 #: Bound on the router's spec-to-fingerprint memo.
 FINGERPRINT_MEMO_ENTRIES = 4096
+#: Pause, in seconds, before the supervisor relaunches a dead node.
+RESTART_DELAY = 0.25
 
 
 # ----------------------------------------------------------------------
@@ -197,26 +206,15 @@ class HashRing:
 
 @dataclass
 class NodeSpec:
-    """One gateway node as the router (and supervisor) sees it."""
+    """One gateway node: its name and the config its gateway runs.
+
+    The router dials ``gateway``'s address (its unix socket wins over
+    host/port); the supervisor runs the node on the whole config, and
+    needs its ``socket_path`` and ``cache_root`` to do so.
+    """
 
     name: str
-    #: Unix socket of the node's gateway; wins over host/port.
-    socket_path: Optional[str] = None
-    host: str = "127.0.0.1"
-    port: int = 0
-    #: The node's on-disk store — needed by the supervisor to launch it
-    #: and by peers as a pull-through replica root.
-    cache_root: Optional[str] = None
-    workers: int = 1
-    queue_limit: int = 64
-    per_client_limit: int = 16
-    #: Peer store directories this node probes on a local miss.
-    peer_stores: Tuple[str, ...] = ()
-    replica_probes: Optional[int] = None
-    #: Tiered speculative compilation on this node (opt-1 answer now,
-    #: background opt-3 upgrade).
-    speculate: bool = False
-    speculative_limit: int = 8
+    gateway: GatewayConfig
 
 
 @dataclass
@@ -241,22 +239,18 @@ class ClusterConfig:
     allow_shutdown: bool = False
 
 
-def plan_cluster(state_dir: os.PathLike, nodes: int = 3, workers: int = 1,
-                 queue_limit: int = 64,
-                 node_per_client_limit: Optional[int] = None,
-                 replica_probes: Optional[int] = None,
-                 speculate: bool = False,
-                 speculative_limit: int = 8,
+def plan_cluster(state_dir: os.PathLike, nodes: int, node: GatewayConfig,
                  **router_kwargs) -> ClusterConfig:
     """Lay out an N-node local cluster under ``state_dir``.
 
-    Each node gets ``node-<i>.sock`` and ``store-<i>/`` and lists every
-    other node's store as a pull-through replica; the router listens on
-    ``router.sock``.  Extra keyword arguments configure the router
-    (``vnodes``, ``tenant_quotas``, ``per_client_limit``, ...).  Purely
-    a path plan — nothing is created on disk.
+    Every node runs a copy of the template ``node`` config with its own
+    ``node-<i>.sock`` and ``store-<i>/``, listing every other node's store
+    as a pull-through replica; the router listens on ``router.sock``.
+    Extra keyword arguments configure the router (``vnodes``,
+    ``tenant_quotas``, ``per_client_limit``, ...).  Purely a path plan —
+    nothing is created on disk.
 
-    ``node_per_client_limit`` defaults to ``queue_limit``: the router
+    A node's ``per_client_limit`` is its ``queue_limit``: the router
     funnels *every* client's traffic to a node over one trunk
     connection, so the node-side per-client cap must not be the
     bottleneck (admission control belongs to the node's global queue
@@ -264,23 +258,16 @@ def plan_cluster(state_dir: os.PathLike, nodes: int = 3, workers: int = 1,
     """
     if nodes < 1:
         raise ValueError("a cluster needs at least one node")
-    if node_per_client_limit is None:
-        node_per_client_limit = queue_limit
     state = Path(state_dir)
     roots = [str(state / f"store-{i}") for i in range(nodes)]
     specs = tuple(
-        NodeSpec(
-            name=f"node-{i}",
+        NodeSpec(f"node-{i}", replace(
+            node,
             socket_path=str(state / f"node-{i}.sock"),
             cache_root=roots[i],
-            workers=workers,
-            queue_limit=queue_limit,
-            per_client_limit=node_per_client_limit,
             peer_stores=tuple(r for j, r in enumerate(roots) if j != i),
-            replica_probes=replica_probes,
-            speculate=speculate,
-            speculative_limit=speculative_limit,
-        )
+            per_client_limit=node.queue_limit,
+        ))
         for i in range(nodes)
     )
     router_kwargs.setdefault("socket_path", str(state / "router.sock"))
@@ -465,10 +452,11 @@ class ClusterRouter(FrameServer):
                 await self._drop_trunk(node, trunk)
 
     async def _connect_node(self, node: _Node) -> bool:
-        spec = node.spec
+        address = node.spec.gateway
         try:
             reader, writer, _hello = await open_frame_stream(
-                spec.socket_path, spec.host, spec.port, CONNECT_TIMEOUT)
+                address.socket_path, address.host, address.port,
+                CONNECT_TIMEOUT)
         except (OSError, asyncio.TimeoutError, ValueError):
             node.failures += 1
             return False
@@ -477,7 +465,7 @@ class ClusterRouter(FrameServer):
         node.healthy = True
         node.failures = 0
         node.connects += 1
-        self.ring.add(spec.name)
+        self.ring.add(node.spec.name)
         trunk.reader_task = self._spawn(self._trunk_reader(node, trunk))
         return True
 
@@ -836,8 +824,8 @@ class ClusterRouter(FrameServer):
         for node, stats in sorted(fetched, key=lambda p: p[0].spec.name):
             nodes_section[node.spec.name] = {
                 "healthy": node.healthy,
-                "address": node.spec.socket_path
-                or f"{node.spec.host}:{node.spec.port}",
+                "address": node.spec.gateway.socket_path
+                or f"{node.spec.gateway.host}:{node.spec.gateway.port}",
                 "connects": node.connects,
                 "stats": stats,
             }
@@ -865,24 +853,27 @@ class ClusterRouter(FrameServer):
 # Local fleet supervision
 # ----------------------------------------------------------------------
 
-#: What a supervised node runs: ``repro.cli`` under :func:`_serve_node`.
+#: What a supervised node runs: :func:`_serve_node` on its JSON config.
 _NODE_MAIN = ("import sys; from repro.service.cluster import _serve_node; "
-              "sys.exit(_serve_node(sys.argv[1:]))")
+              "sys.exit(_serve_node(sys.argv[1]))")
 
 
-def _serve_node(argv: List[str]) -> int:
-    """Run the ``repro.cli`` command ``argv`` as a supervised node, which
-    exits when its supervisor dies.
+def _serve_node(config_json: str) -> int:
+    """Serve the gateway whose :class:`GatewayConfig` is ``config_json``
+    as a supervised node, which exits when its supervisor dies.
 
-    The node's stdin is a pipe whose only write end the supervisor holds
-    and never writes to, so end of file on it means the supervisor is
-    gone, SIGKILLed included.  Nothing is left to route to the node then,
-    so it exits at once; its pool workers follow through their own parent
-    watch (``service/batch.py::_worker_init``)."""
+    The gateway runs under :func:`repro.cli.serve_gateway`, as under
+    ``repro serve``.  The node's stdin is a pipe whose only write end the
+    supervisor holds and never writes to, so end of file on it means the
+    supervisor is gone, SIGKILLed included.  Nothing is left to route to
+    the node then, so it exits at once; its pool workers follow through
+    their own parent watch (``service/batch.py::_worker_init``)."""
     threading.Thread(target=_exit_at_eof, name="supervisor-watch",
                      daemon=True).start()
-    from ..cli import main
-    return main(argv)
+    config = GatewayConfig(**json.loads(config_json))
+    config.peer_stores = tuple(config.peer_stores)
+    from ..cli import serve_gateway
+    return serve_gateway(config)
 
 
 def _exit_at_eof() -> None:
@@ -892,23 +883,23 @@ def _exit_at_eof() -> None:
 
 
 class ClusterSupervisor:
-    """Run and babysit a local fleet of ``repro.cli serve`` nodes.
+    """Run and babysit a local fleet of gateway nodes.
 
+    Each node is a child process running the :class:`GatewayConfig` its
+    :class:`NodeSpec` holds: the supervisor hands the config over as JSON
+    and the child serves it as ``repro serve`` would (:func:`_serve_node`).
     Synchronous by design (the router owns the event loop; process
     management is thread + ``subprocess`` territory): ``start()`` spawns
     every node and waits for its socket to accept, a monitor thread
-    restarts any child that dies — which is exactly what the
-    fault-injection soak exercises by SIGKILLing them — and ``stop()``
-    terminates the fleet cleanly.  A node exits by itself when the
-    supervisor dies (:func:`_serve_node`).
+    restarts any child that dies after ``RESTART_DELAY`` — which is
+    exactly what the fault-injection soak exercises by SIGKILLing them —
+    and ``stop()`` terminates the fleet cleanly.  A node exits by itself
+    when the supervisor dies.
     """
 
-    def __init__(self, specs: Sequence[NodeSpec], restart: bool = True,
-                 restart_delay: float = 0.25,
+    def __init__(self, specs: Sequence[NodeSpec],
                  log_dir: Optional[os.PathLike] = None):
         self.specs = list(specs)
-        self.restart = restart
-        self.restart_delay = restart_delay
         self.log_dir = Path(log_dir) if log_dir is not None else None
         self._procs: Dict[str, subprocess.Popen] = {}
         self._logs: Dict[str, object] = {}
@@ -920,31 +911,17 @@ class ClusterSupervisor:
     # -- launch --------------------------------------------------------
     @staticmethod
     def _command(spec: NodeSpec) -> List[str]:
-        if not spec.socket_path or not spec.cache_root:
+        if not spec.gateway.socket_path or not spec.gateway.cache_root:
             raise ValueError(
                 f"node {spec.name!r} needs socket_path and cache_root "
                 f"to be supervised")
-        command = [
-            sys.executable, "-c", _NODE_MAIN, "serve",
-            "--socket", spec.socket_path,
-            "--cache", spec.cache_root,
-            "--workers", str(spec.workers),
-            "--queue-limit", str(spec.queue_limit),
-            "--per-client-limit", str(spec.per_client_limit),
-        ]
-        if spec.peer_stores:
-            command += ["--peer-stores", ",".join(spec.peer_stores)]
-            if spec.replica_probes is not None:
-                command += ["--replica-probes", str(spec.replica_probes)]
-        if spec.speculate:
-            command += ["--speculate",
-                        "--speculative-limit", str(spec.speculative_limit)]
-        return command
+        return [sys.executable, "-c", _NODE_MAIN,
+                json.dumps(asdict(spec.gateway))]
 
     @staticmethod
     def _env() -> Dict[str, str]:
         env = dict(os.environ)
-        # The child runs `-m repro.cli`: make sure it resolves to *this*
+        # The child imports `repro`: make sure it resolves to *this*
         # checkout even when the parent imported repro off sys.path
         # tweaks (tests, benchmarks) rather than an installed package.
         src = str(Path(__file__).resolve().parents[2])
@@ -988,7 +965,7 @@ class ClusterSupervisor:
                 raise RuntimeError(
                     f"node {spec.name} exited with {proc.returncode} "
                     f"before listening (see {self.log_dir})")
-            if unix_listener_alive(spec.socket_path):
+            if unix_listener_alive(spec.gateway.socket_path):
                 return
             time.sleep(0.1)
         raise TimeoutError(f"node {spec.name} did not start listening")
@@ -1000,13 +977,12 @@ class ClusterSupervisor:
         deadline = time.monotonic() + wait_ready
         for spec in self.specs:
             self._wait_listening(spec, deadline)
-        if self.restart:
-            monitor = threading.Thread(
-                target=self._monitor_loop, name="cluster-supervisor",
-                daemon=True)
-            with self._lock:
-                self._monitor = monitor
-            monitor.start()
+        monitor = threading.Thread(
+            target=self._monitor_loop, name="cluster-supervisor",
+            daemon=True)
+        with self._lock:
+            self._monitor = monitor
+        monitor.start()
 
     def _monitor_loop(self) -> None:
         while not self._stopping.wait(0.2):
@@ -1020,7 +996,7 @@ class ClusterSupervisor:
                 with self._lock:
                     self._restarts[spec.name] = \
                         self._restarts.get(spec.name, 0) + 1
-                time.sleep(self.restart_delay)
+                time.sleep(RESTART_DELAY)
                 self._launch(spec)
 
     def pids(self) -> Dict[str, int]:

@@ -105,6 +105,8 @@ from .server import Connection, FrameServer, open_frame_stream, read_frame
 
 __all__ = ["GatewayConfig", "CompileGateway", "GatewayClient"]
 
+#: LRU front of the gateway's own handle on its store.
+MEMORY_ENTRIES = 256
 #: LRU front of each pool worker's handle on the shared store.
 WORKER_MEMORY_ENTRIES = 64
 #: Bounds on the spec-resolution and result-metrics memos.
@@ -124,7 +126,6 @@ class GatewayConfig:
     #: TCP port; 0 binds an ephemeral port (read it from ``address``).
     port: int = 0
     cache_root: Optional[str] = None
-    memory_entries: int = 256
     #: ``>= 1``: a process pool of that width; workers publish into the
     #: shared store themselves.
     #: ``0``: compile in one in-process thread (no pool — cheap to start,
@@ -266,7 +267,7 @@ class CompileGateway(FrameServer):
                  cache: Optional[CompileCache] = None):
         super().__init__(config)
         self.cache = cache if cache is not None else CompileCache(
-            config.cache_root, memory_entries=config.memory_entries,
+            config.cache_root, memory_entries=MEMORY_ENTRIES,
             peer_roots=config.peer_stores,
             replica_probes=config.replica_probes,
         )

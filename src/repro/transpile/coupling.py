@@ -328,15 +328,6 @@ class CouplingMap:
     def subgraph_is_connected(self, qubits: Sequence[int]) -> bool:
         return len(qubits) > 0 and len(self.components(set(qubits))) == 1
 
-    def connected_component_within(self, qubit: int, allowed: Sequence[int]) -> Tuple[int, ...]:
-        """Connected component of ``qubit`` in the subgraph induced by
-        ``allowed`` (used for root selection, Algorithm 3 line 5)."""
-        allowed_set = set(allowed)
-        if qubit not in allowed_set:
-            return (qubit,)
-        component = next(c for c in self.components(allowed_set) if qubit in c)
-        return tuple(sorted(component))
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return (

@@ -114,9 +114,11 @@ def _common_successor(gates, wires, position, idx, gate) -> Optional[int]:
 
 
 def seed_merge_rotations(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, int]:
-    """Seed pass: fuse adjacent same-axis 1q rotations; drop ~zero angles."""
-    gates: List[Optional[Gate]] = list(circuit.gates)
-    removed = 0
+    """Seed pass: fuse adjacent same-axis 1q rotations; drop ~zero angles,
+    merged or alone."""
+    gates: List[Optional[Gate]] = [
+        g for g in circuit.gates if not _is_zero_rotation(g)]
+    removed = len(circuit.gates) - len(gates)
     changed = True
     while changed:
         changed = False
@@ -139,6 +141,11 @@ def seed_merge_rotations(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, int]:
         if changed:
             gates = [g for g in gates if g is not None]
     return _rebuild(circuit, gates), removed
+
+
+def _is_zero_rotation(gate: Gate) -> bool:
+    return (gate.name in ("rx", "ry", "rz")
+            and abs(math.remainder(gate.params[0], _TWO_PI)) < 1e-12)
 
 
 def _merge_pair(a: Gate, b: Gate):

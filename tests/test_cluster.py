@@ -9,6 +9,8 @@ behind ``-m slow``.
 """
 
 import asyncio
+import json
+import sys
 import time
 
 import pytest
@@ -16,12 +18,14 @@ import pytest
 from repro.service import (
     ClusterConfig,
     ClusterRouter,
+    ClusterSupervisor,
     CompileGateway,
     GatewayClient,
     GatewayConfig,
     NodeSpec,
     plan_cluster,
 )
+from repro.service import cluster
 from repro.service.protocol import (
     E_BAD_SPEC,
     E_CANCELLED,
@@ -51,8 +55,8 @@ async def make_cluster(tmp_path, nodes=3, **router_overrides):
         await gateway.start()
         gateways.append(gateway)
     specs = tuple(
-        NodeSpec(name=f"node-{i}", host="127.0.0.1",
-                 port=gateways[i].port, cache_root=roots[i])
+        NodeSpec(f"node-{i}", GatewayConfig(port=gateways[i].port,
+                                            cache_root=roots[i]))
         for i in range(nodes)
     )
     router = ClusterRouter(ClusterConfig(nodes=specs, port=0,
@@ -82,33 +86,60 @@ async def wait_until(predicate, timeout=30.0, message="condition"):
 
 class TestConfig:
     def test_plan_cluster_layout(self, tmp_path):
-        config = plan_cluster(tmp_path, nodes=3, workers=2, queue_limit=16,
+        template = GatewayConfig(workers=2, queue_limit=16, replica_probes=1,
+                                 speculate=True, speculative_limit=3)
+        config = plan_cluster(tmp_path, 3, template,
                               vnodes=64, tenant_quotas={"acme": 4})
         assert len(config.nodes) == 3
         assert config.vnodes == 64
         assert config.tenant_quotas == {"acme": 4}
         assert config.socket_path == str(tmp_path / "router.sock")
+        stores = [str(tmp_path / f"store-{i}") for i in range(3)]
         for i, spec in enumerate(config.nodes):
             assert spec.name == f"node-{i}"
-            assert spec.socket_path == str(tmp_path / f"node-{i}.sock")
-            assert spec.cache_root == str(tmp_path / f"store-{i}")
-            assert spec.workers == 2
-            # Trunk-as-one-client: the node-side per-client cap must not
-            # throttle the whole cluster, so it defaults to queue_limit.
-            assert spec.per_client_limit == spec.queue_limit == 16
-            assert len(spec.peer_stores) == 2
-            assert spec.cache_root not in spec.peer_stores
+            # Each node runs the template with only its socket, its store,
+            # its peers' stores and the per-client cap replaced.  Trunk-as-
+            # one-client: the node-side per-client cap must not throttle
+            # the whole cluster, so it is the node's queue_limit.
+            assert spec.gateway == GatewayConfig(
+                socket_path=str(tmp_path / f"node-{i}.sock"),
+                cache_root=stores[i],
+                workers=2, queue_limit=16, per_client_limit=16,
+                peer_stores=tuple(s for s in stores if s != stores[i]),
+                replica_probes=1, speculate=True, speculative_limit=3)
+        assert template == GatewayConfig(workers=2, queue_limit=16,
+                                         replica_probes=1, speculate=True,
+                                         speculative_limit=3)
 
     def test_plan_cluster_rejects_zero_nodes(self, tmp_path):
         with pytest.raises(ValueError):
-            plan_cluster(tmp_path, nodes=0)
+            plan_cluster(tmp_path, 0, GatewayConfig())
 
     def test_router_rejects_bad_node_sets(self):
         with pytest.raises(ValueError):
             ClusterRouter(ClusterConfig(nodes=()))
         with pytest.raises(ValueError):
             ClusterRouter(ClusterConfig(nodes=(
-                NodeSpec(name="dup"), NodeSpec(name="dup"))))
+                NodeSpec("dup", GatewayConfig()),
+                NodeSpec("dup", GatewayConfig()))))
+
+    def test_supervisor_hands_a_node_its_config(self, tmp_path):
+        """The supervised node serves the very GatewayConfig its spec
+        holds: the command carries it as JSON, and nothing else."""
+        spec = plan_cluster(tmp_path, 2, GatewayConfig(
+            workers=0, speculate=True, speculative_limit=3)).nodes[0]
+        command = ClusterSupervisor._command(spec)
+        assert command[:3] == [sys.executable, "-c", cluster._NODE_MAIN]
+        handed = GatewayConfig(**json.loads(command[3]))
+        handed.peer_stores = tuple(handed.peer_stores)
+        assert handed == spec.gateway
+        assert len(command) == 4
+
+    def test_supervisor_needs_a_socket_and_a_store(self):
+        for gateway in (GatewayConfig(cache_root="store"),
+                        GatewayConfig(socket_path="node.sock")):
+            with pytest.raises(ValueError, match="socket_path and cache_root"):
+                ClusterSupervisor._command(NodeSpec("node-0", gateway))
 
 
 class TestRouting:
@@ -362,7 +393,7 @@ class TestFailover:
             # Resurrect it on the same port.
             reborn = CompileGateway(GatewayConfig(
                 cache_root=str(tmp_path / "store-1"), workers=0,
-                port=router._nodes["node-1"].spec.port))
+                port=router._nodes["node-1"].spec.gateway.port))
             await reborn.start()
             gateways[1] = reborn
             await wait_until(lambda: "node-1" in router.ring,

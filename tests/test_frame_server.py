@@ -77,8 +77,8 @@ async def open_server(kind, tmp_path, allow_shutdown=False):
         return Harness(kind, gateway,
                        lambda: gateway.close(drain=False))
     router = ClusterRouter(ClusterConfig(
-        nodes=(NodeSpec(name="node-0", port=gateway.port,
-                        cache_root=str(tmp_path / "store")),),
+        nodes=(NodeSpec("node-0", GatewayConfig(
+            port=gateway.port, cache_root=str(tmp_path / "store"))),),
         port=0, allow_shutdown=allow_shutdown))
     await router.start()
     assert router.healthy_nodes() == ("node-0",)

@@ -6,7 +6,9 @@ each node watches its stdin, a pipe whose write end only the supervisor
 holds (``service/cluster.py::_serve_node``), and exits at its end of file;
 the node's pool workers then follow through their own parent watch.
 This test runs a real two-node cluster, compiles once, kills the
-supervisor and requires every node and worker gone soon after.
+supervisor and requires every node and worker gone soon after.  On the
+way it reads each node's stats, which show that every node serves the
+gateway options ``serve-cluster`` was given.
 """
 
 import asyncio
@@ -28,7 +30,8 @@ def test_nodes_exit_when_the_supervisor_is_killed(tmp_path):
     env = {**os.environ, "PYTHONPATH": SRC}
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve-cluster", str(state_dir),
-         "--nodes", "2", "--workers", "1"],
+         "--nodes", "2", "--workers", "1", "--queue-limit", "7",
+         "--speculate", "--speculative-limit", "3"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     pids = []
@@ -56,6 +59,10 @@ def test_nodes_exit_when_the_supervisor_is_killed(tmp_path):
         assert len(nodes) == 2, nodes
         for section in nodes.values():
             node = section["stats"]
+            assert node["queue"]["limit"] == 7, node["queue"]
+            assert node["speculative"]["enabled"], node["speculative"]
+            assert node["speculative"]["limit"] == 3, node["speculative"]
+            assert node["workers"]["configured"] == 1, node["workers"]
             pids += [node["pid"], *node["workers"]["pids"]]
         # Two nodes, and at least the worker that compiled.
         assert len(pids) >= 3, nodes

@@ -66,11 +66,6 @@ class TestCouplingMaps:
         cmap = heavy_hex(3, 7)
         assert cmap.is_fully_connected
 
-    def test_connected_component_within(self):
-        cmap = linear(5)
-        comp = cmap.connected_component_within(1, [0, 1, 3])
-        assert comp == (0, 1)
-
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             CouplingMap([(0, 9)], num_qubits=2)
