@@ -8,17 +8,17 @@ render them in the paper's layout.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines import naive_compile, qaoa_compile, tk_compile
 from ..circuit import QuantumCircuit
-from ..core import compile_program, ft_compile, sc_compile
+from ..core import ft_compile, sc_compile
 from ..core.synthesis import naive_program_circuit
 from ..ir import PauliProgram
 from ..noise import NoiseModel, qaoa_study
 from ..pauli.symplectic import PauliTable
-from ..transpile import CouplingMap, manhattan_65, melbourne, route, transpile
-from ..workloads import BENCHMARKS, build_benchmark, naive_gate_counts_from_table
+from ..transpile import CouplingMap, manhattan_65, melbourne, transpile
+from ..workloads import BENCHMARKS, naive_gate_counts_from_table
 from .metrics import circuit_metrics, percent_change
 
 __all__ = [

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable
 
 from ..circuit import QuantumCircuit
 

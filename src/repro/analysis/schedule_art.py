@@ -8,7 +8,7 @@ confirming the DO scheduler's padding behaviour.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..core.scheduling import Schedule
 

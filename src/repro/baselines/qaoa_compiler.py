@@ -13,7 +13,7 @@ restarting from several random initial layouts and keeping the best result
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..circuit import QuantumCircuit
 from ..ir import PauliProgram

@@ -10,7 +10,7 @@ qubits) and for the noisy QAOA study, not for large-scale simulation.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 

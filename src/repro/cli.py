@@ -68,7 +68,7 @@ from .service import (
     result_from_dict,
 )
 from .transpile import manhattan_65, transpile, validate_routed
-from .workloads import BENCHMARKS, benchmark_names, build_benchmark, random_graph, regular_graph
+from .workloads import BENCHMARKS, random_graph, regular_graph
 
 __all__ = ["main", "serve_gateway"]
 

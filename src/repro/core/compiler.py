@@ -215,7 +215,7 @@ def compile_program(
         level 1 is cancel+merge only.  Like ``cancel``, this is effort
         and not identity: it never enters the fingerprint.  A result
         produced at a reduced level carries ``tier="opt<level>"`` and is
-        stored tier-aware (:meth:`CompileCache.put_tiered`), so it can
+        stored tier-aware (:func:`repro.service.batch.publish`), so it can
         only ever be *upgraded*, never served in place of a stored
         higher-tier artifact — a cache hit below the requested tier is
         treated as a miss and recompiled.
@@ -314,13 +314,12 @@ def compile_program(
     result.tier = tier
     result.pipeline = key.name
     if cache is not None:
-        if tier == "full":
-            cache.put(fingerprint, dumps_artifact(result))
-        else:
-            # Reduced-tier results publish through the never-downgrade
-            # path: a concurrent full compile must not be clobbered by a
-            # speculative placeholder.
-            cache.put_tiered(fingerprint, dumps_artifact(result), tier)
+        # The serving layer's one tier rule: a reduced-tier result goes
+        # through the never-downgrade path, so a concurrent full compile
+        # is never clobbered by a speculative placeholder.
+        from ..service.batch import publish
+
+        publish(cache, fingerprint, dumps_artifact(result), tier)
     return _maybe_verify(program, result, verify)
 
 

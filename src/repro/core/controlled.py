@@ -24,7 +24,6 @@ from .synthesis import (
     SynthesisPlan,
     aligned_chain_plan,
     better_neighbor,
-    chain_plan,
     pauli_rotation_gates,
 )
 

@@ -63,10 +63,13 @@ from ..pauli import operators as ops
 from ..pauli.symplectic import PauliTable
 from ..transpile import peephole
 from . import passes
-# The FT flow's scheduling passes call these through this module at call
-# time (see repro.core.passes), so they stay bound here.
-from .scheduling import Schedule, do_schedule, gco_schedule
-from .streaming import stream_schedule
+from .scheduling import Schedule
+# Unread here: the FT flow's scheduling passes look these up on this
+# module at call time (repro.core.passes._scheduler), so a profiler can
+# rebind one backend's scheduling; perfbench's traced compile-ft
+# patches them here.
+from .scheduling import do_schedule, gco_schedule  # lint: allow-unused-import
+from .streaming import stream_schedule  # lint: allow-unused-import
 
 __all__ = [
     "most_overlap_sort",

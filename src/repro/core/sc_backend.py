@@ -58,10 +58,12 @@ from ..pauli import operators as ops
 from ..transpile import CouplingMap, Layout, dense_initial_layout, peephole
 from ..transpile.coupling import ArcTable, dijkstra, uniform_dijkstra
 from . import passes
-# The SC flow's scheduling passes call these through this module at call
-# time (see repro.core.passes), so they stay bound here.
-from .scheduling import Schedule, do_schedule, gco_schedule
-from .streaming import stream_schedule
+from .scheduling import Schedule
+# Unread here: the SC flow's scheduling passes look these up on this
+# module at call time (repro.core.passes._scheduler), so a profiler can
+# rebind one backend's scheduling.
+from .scheduling import do_schedule, gco_schedule  # lint: allow-unused-import
+from .streaming import stream_schedule  # lint: allow-unused-import
 
 __all__ = [
     "SCResult", "EmbeddedTree", "sc_compile", "SCSynthesizer", "swap_cost_table",

@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ..pauli import PauliString
 from .blocks import PauliBlock, WeightedString, encode_symplectic_rows
 
 __all__ = ["PauliProgram"]

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ..circuit import QuantumCircuit
 from ..core import sc_compile
-from ..ir import PauliProgram
-from ..baselines import naive_compile
 from ..transpile import CouplingMap, Layout, dense_initial_layout, route, optimize as peephole
 from ..core.synthesis import naive_program_circuit
 from ..workloads import best_maxcut_bitstrings, maxcut_program

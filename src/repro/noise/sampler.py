@@ -14,7 +14,7 @@ themselves single-device snapshots).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 

@@ -4,12 +4,16 @@
 job up front, answers what it can from the shared cache, **dedupes**
 identical fingerprints (a heavy-traffic stream is dominated by repeats of
 near-identical kernels), and shards only the unique cache misses across a
-``ProcessPoolExecutor``.  Every worker opens the shared store itself and
-publishes what it compiles there (atomic temp-file + ``os.replace``, so
-concurrent writers are safe); the parent only makes those keys hot in its
-memory front and folds the workers' counter deltas into its stats, so an
-artifact compiled by any worker is visible to every later batch.  The
-gateway's process pool runs the same worker entry point.
+``ProcessPoolExecutor``.
+
+Every compiled kernel reaches a store through one step,
+:func:`compile_and_publish`, and one tier rule, :func:`publish`.  Pool
+workers run the step on their own handle on the shared store (atomic
+temp-file + ``os.replace``, so concurrent writers are safe), the
+gateway's thread mode and the serial batch path on the caller's cache.
+A pool's parent only makes a worker's artifact hot and folds its counter
+deltas into its stats, or publishes itself when its store is memory-only
+(:func:`settle`).
 
 Job spec schema (one JSON object per job)::
 
@@ -40,11 +44,12 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from ..ir import PauliProgram, parse_program
 from ..transpile import CouplingMap, manhattan_65
-from .artifact import dumps_artifact, loads_artifact, program_from_dict, program_to_dict
+from .artifact import (TIER_FAST, TIER_FULL, dumps_artifact, loads_artifact,
+                       program_from_dict, program_to_dict)
 from .cache import CompileCache
 from .fingerprint import canonical_options, compile_fingerprint
 
@@ -173,8 +178,112 @@ def resolve_spec(spec: Dict) -> ResolvedJob:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# The compile-and-publish step, and the pool workers that run it
 # ----------------------------------------------------------------------
+
+#: LRU front of each pool worker's handle on the shared store.
+WORKER_MEMORY_ENTRIES = 64
+#: Job tier of the gateway's background full-effort recompile, published
+#: as a compare-and-swap upgrade of the fast-tier entry it replaces.
+TIER_UPGRADE = "opt3"
+
+
+class CompileJob(NamedTuple):
+    """One deduped compile, as a caller hands it to the step."""
+
+    fingerprint: str
+    #: The program, or its payload dict (what a pool ships).
+    program: Union[PauliProgram, Dict]
+    options: Dict
+    #: Flag file that cancels the compile at its next pass boundary.
+    cancel_path: Optional[str] = None
+    #: ``full``, the fast ``opt1`` pass, or ``opt3`` (:data:`TIER_UPGRADE`).
+    tier: str = TIER_FULL
+
+
+class Compiled(NamedTuple):
+    """What the step returns, from whichever process ran it."""
+
+    #: Artifact text; ``None`` when the compile was cancelled.
+    artifact: Optional[str]
+    seconds: float
+    metrics: Optional[Dict]
+    #: Whether the artifact is now the entry in the store the step was
+    #: given (not when cancelled, given no store, or a tiered publish lost).
+    published: bool
+    #: A pool worker's store counter movement since its previous report.
+    stats_delta: Dict[str, int]
+    pid: int
+
+
+def publish(store: CompileCache, fingerprint: str, text: str,
+            tier: str) -> bool:
+    """Store one artifact under ``fingerprint`` by the one tier rule:
+    ``put`` for a full compile, the compare-and-swap ``upgrade`` for the
+    ``opt3`` background recompile, and the rank-checked ``put_tiered`` for
+    any reduced tier, so nothing clobbers a better artifact.  Returns
+    whether ``text`` is now the stored entry.  Blocking (disk writes)."""
+    if tier == TIER_FULL:
+        store.put(fingerprint, text)
+        return True
+    if tier == TIER_UPGRADE:
+        return store.upgrade(fingerprint, text)
+    return store.put_tiered(fingerprint, text, tier)
+
+
+def compile_and_publish(job: CompileJob,
+                        store: Optional[CompileCache]) -> Compiled:
+    """Compile one deduped job, encode it, and :func:`publish` it into
+    ``store`` (``None``: publish nothing).  Blocking.
+
+    It compiles with ``compile_program(cache=None)`` and publishes under
+    the *request* fingerprint: the caller already probed the store, so
+    that probe is the only lookup counted, and the fast pass's altered
+    options would derive another key inside the compiler.
+    """
+    from ..core.compiler import CompilationCancelled, compile_program
+
+    cancel = None
+    if job.cancel_path is not None:
+        cancel = lambda: os.path.exists(job.cancel_path)  # noqa: E731
+    kwargs = _option_kwargs(job.options)
+    if job.tier == TIER_FAST:
+        kwargs["restarts"] = 1
+        kwargs["peephole_level"] = 1
+    program = job.program
+    if not isinstance(program, PauliProgram):
+        program = program_from_dict(program)
+    start = time.perf_counter()
+    try:
+        result = compile_program(program, cache=None, cancel=cancel,
+                                 **kwargs)
+    except CompilationCancelled:
+        return Compiled(None, time.perf_counter() - start, None, False, {},
+                        os.getpid())
+    elapsed = time.perf_counter() - start
+    result.fingerprint = job.fingerprint
+    text = dumps_artifact(result)
+    published = store is not None and publish(
+        store, job.fingerprint, text, job.tier)
+    return Compiled(text, elapsed, result.metrics, published, {},
+                    os.getpid())
+
+
+def settle(store: CompileCache, job: CompileJob, outcome: Compiled) -> bool:
+    """Make a compiled (not cancelled) step's artifact resident in the
+    caller's ``store``; returns whether it landed.  A step run in this
+    process has published already; a pool worker on the disk store has
+    too, so the key only becomes hot here.  Behind a memory-only store no
+    worker could publish, so the caller does.  No disk I/O, so an event
+    loop may call this."""
+    if outcome.pid == os.getpid():
+        return outcome.published
+    if store.root is None:
+        return publish(store, job.fingerprint, outcome.artifact, job.tier)
+    if outcome.published:
+        store.promote(job.fingerprint, outcome.artifact)
+    return outcome.published
+
 
 _WORKER_CACHE: Optional[CompileCache] = None
 _WORKER_STATS_BASE: Dict[str, int] = {}
@@ -227,67 +336,12 @@ def _worker_stats_delta() -> Dict[str, int]:
     return delta
 
 
-def _worker_compile(payload: Tuple) -> Tuple[str, Optional[str], float,
-                                             Optional[Dict], Dict, int]:
-    """Compile one deduped job.
-
-    ``payload`` is ``(fingerprint, program_dict, options)`` plus an
-    optional fourth ``cancel_path`` element: when given, the compile
-    aborts cooperatively as soon as that flag file appears (the gateway
-    touches it when every client waiting on the job has gone away).  An
-    optional fifth ``tier`` element selects the speculative fast pass:
-    ``"opt1"`` compiles with peephole level 1 and a single placement
-    attempt (the gateway's answer-now tier; the full recompile follows
-    in its background lane), while ``"opt3"`` is that background
-    recompile: a full-effort compile whose artifact is published as a
-    compare-and-swap *upgrade* of the request fingerprint.
-
-    Every tier compiles without ``compile_program``'s own cache plumbing
-    (the parent already probed the store, so that lookup is the only one
-    counted) and publishes explicitly under the *request* fingerprint:
-    ``put`` for a full compile, the rank-checked ``put_tiered`` for the
-    fast pass (its altered options would derive a different key inside
-    the compiler), and the compare-and-swap ``upgrade`` for the background
-    recompile, so a concurrent full-effort publish is never clobbered and
-    the parent can detect landed upgrades from the worker's ``upgraded``
-    counter delta.
-
-    Returns ``(fingerprint, artifact_or_None, seconds, metrics_or_None,
-    worker_stats_delta, pid)``; the artifact is ``None`` when the job was
-    cancelled mid-compile.
-    """
-    from ..core.compiler import CompilationCancelled, compile_program
-
-    fingerprint, program_dict, options = payload[:3]
-    cancel_path = payload[3] if len(payload) > 3 else None
-    tier = payload[4] if len(payload) > 4 else None
-    cancel = None
-    if cancel_path is not None:
-        cancel = lambda: os.path.exists(cancel_path)  # noqa: E731
-    kwargs = _option_kwargs(options)
-    if tier == "opt1":
-        kwargs["restarts"] = 1
-        kwargs["peephole_level"] = 1
-    program = program_from_dict(program_dict)
-    start = time.perf_counter()
-    try:
-        result = compile_program(program, cache=None, cancel=cancel,
-                                 **kwargs)
-    except CompilationCancelled:
-        return (fingerprint, None, time.perf_counter() - start, None,
-                _worker_stats_delta(), os.getpid())
-    elapsed = time.perf_counter() - start
-    result.fingerprint = fingerprint
-    text = dumps_artifact(result)
-    if _WORKER_CACHE is not None:
-        if tier == "opt3":
-            _WORKER_CACHE.upgrade(fingerprint, text)
-        elif tier == "opt1":
-            _WORKER_CACHE.put_tiered(fingerprint, text, result.tier)
-        else:
-            _WORKER_CACHE.put(fingerprint, text)
-    return (fingerprint, text, elapsed, result.metrics,
-            _worker_stats_delta(), os.getpid())
+def _worker_compile(job: CompileJob) -> Compiled:
+    """The pool's entry point: :func:`compile_and_publish` on this
+    worker's handle on the shared store (none behind a memory-only
+    parent), with the handle's counter delta attached."""
+    outcome = compile_and_publish(job, _WORKER_CACHE)
+    return outcome._replace(stats_delta=_worker_stats_delta())
 
 
 # ----------------------------------------------------------------------
@@ -347,16 +401,15 @@ def compile_batch(
     specs: Sequence[Dict],
     cache: Optional[CompileCache] = None,
     workers: int = 1,
-    worker_memory_entries: int = 64,
 ) -> BatchResult:
     """Compile a stream of job specs, deduped and sharded across workers.
 
-    ``workers <= 1`` compiles serially in-process (no pool overhead), still
-    with fingerprint dedupe and cache reuse.  Pool workers publish into the
-    shared disk store themselves; their counter movement is folded into
-    ``cache.stats``, since those are operations on that same store.  With
-    a memory-only cache the parent publishes what the pool returns.
-    Either way the batch-level probe is the only lookup counted per job.
+    Every unique cache miss runs :func:`compile_and_publish`: with
+    ``workers <= 1`` serially on ``cache`` (no pool overhead), otherwise in
+    a pool whose workers publish into the shared disk store themselves and
+    whose counter movement is folded into ``cache.stats``; a memory-only
+    cache gets what the pool returns through :func:`settle`.  Either way
+    the batch-level probe is the only lookup counted per job.
     """
     start = time.perf_counter()
     jobs = [resolve_spec(spec) for spec in specs]
@@ -383,50 +436,31 @@ def compile_batch(
 
     worker_stats: Dict[str, int] = {}
     per_worker: Dict[int, int] = {}
+    compiles = [CompileJob(fingerprints[i], jobs[i].program, jobs[i].options)
+                for i in pending]
     if pending and workers > 1:
         cache_root = str(cache.root) if cache is not None and cache.root else None
-        payloads = [
-            (fingerprints[i], program_to_dict(jobs[i].program), jobs[i].options)
-            for i in pending
-        ]
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(cache_root, worker_memory_entries),
+            initargs=(cache_root, WORKER_MEMORY_ENTRIES),
         ) as pool:
-            for fp, text, elapsed, _metrics, delta, pid in pool.map(
-                    _worker_compile, payloads):
-                artifact_by_fp[fp] = text
-                seconds_by_fp[fp] = elapsed
-                per_worker[pid] = per_worker.get(pid, 0) + 1
-                for key, value in delta.items():
-                    worker_stats[key] = worker_stats.get(key, 0) + value
+            outcomes = list(pool.map(_worker_compile, [
+                job._replace(program=program_to_dict(job.program))
+                for job in compiles]))
+        for outcome in outcomes:
+            per_worker[outcome.pid] = per_worker.get(outcome.pid, 0) + 1
+            for key, value in outcome.stats_delta.items():
+                worker_stats[key] = worker_stats.get(key, 0) + value
         if cache is not None:
             cache.stats.absorb(worker_stats)
-            for index in pending:
-                fp = fingerprints[index]
-                if cache_root is not None:
-                    # Already on disk, already counted: just make it hot.
-                    cache.promote(fp, artifact_by_fp[fp])
-                else:
-                    cache.put(fp, artifact_by_fp[fp])
-    elif pending:
-        from ..core.compiler import compile_program
-
-        for index in pending:
-            job = jobs[index]
-            fp = fingerprints[index]
-            # The batch-level probe above already counted this miss; compile
-            # without the cache and store explicitly (mirrors the pool path)
-            # so the stats see each lookup exactly once.
-            t0 = time.perf_counter()
-            result = compile_program(job.program, **_option_kwargs(job.options))
-            seconds_by_fp[fp] = time.perf_counter() - t0
-            result.fingerprint = fp
-            text = dumps_artifact(result)
-            artifact_by_fp[fp] = text
-            if cache is not None:
-                cache.put(fp, text)
+    else:
+        outcomes = [compile_and_publish(job, cache) for job in compiles]
+    for job, outcome in zip(compiles, outcomes):
+        artifact_by_fp[job.fingerprint] = outcome.artifact
+        seconds_by_fp[job.fingerprint] = outcome.seconds
+        if cache is not None:
+            settle(cache, job, outcome)
 
     entries = [
         BatchEntry(

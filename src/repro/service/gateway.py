@@ -67,6 +67,7 @@ spec_upgraded + spec_stale + spec_cancelled + spec_dropped``.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import multiprocessing
@@ -75,7 +76,7 @@ import shutil
 import tempfile
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +90,9 @@ from .artifact import (
     program_to_dict,
     tier_rank,
 )
-from .batch import _worker_compile, _worker_init, resolve_spec
+from .batch import (TIER_UPGRADE, WORKER_MEMORY_ENTRIES, CompileJob, Compiled,
+                    _worker_compile, _worker_init, compile_and_publish,
+                    resolve_spec, settle)
 from .cache import CompileCache
 from .protocol import (
     E_BAD_SPEC,
@@ -107,8 +110,6 @@ __all__ = ["GatewayConfig", "CompileGateway", "GatewayClient"]
 
 #: LRU front of the gateway's own handle on its store.
 MEMORY_ENTRIES = 256
-#: LRU front of each pool worker's handle on the shared store.
-WORKER_MEMORY_ENTRIES = 64
 #: Bounds on the spec-resolution and result-metrics memos.
 RESOLVE_MEMO_ENTRIES = 4096
 METRICS_MEMO_ENTRIES = 4096
@@ -128,8 +129,9 @@ class GatewayConfig:
     cache_root: Optional[str] = None
     #: ``>= 1``: a process pool of that width; workers publish into the
     #: shared store themselves.
-    #: ``0``: compile in one in-process thread (no pool — cheap to start,
-    #: used by tests and tiny deployments; cancellation still works).
+    #: ``0``: run the same compile-and-publish step in one in-process
+    #: thread, on the gateway's own cache (no pool — cheap to start, used
+    #: by tests and tiny deployments; cancellation still works).
     workers: int = 1
     #: Global cap on undispatched cold jobs.
     queue_limit: int = 64
@@ -288,10 +290,9 @@ class CompileGateway(FrameServer):
         self._metrics_memo: "OrderedDict[str, Dict]" = OrderedDict()
         self._cancel_dir: Optional[Path] = None
         self._cancel_seq = itertools.count(1)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[Executor] = None
         self._pool_epoch = 0
         self._pool_lock: Optional[asyncio.Lock] = None
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._seen_worker_pids: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -306,12 +307,15 @@ class CompileGateway(FrameServer):
         # workers may have left mid-publish.  The sweep walks the store
         # directory, so it runs off-loop like every other disk touch here.
         await loop.run_in_executor(None, self.cache.sweep_stale_tmp)
+        # Thread mode differs from process mode only in its executor: the
+        # same compile-and-publish step runs there on this gateway's cache.
         if self.config.workers >= 1:
-            self._pool = self._new_pool()
+            self._pool, self._entry = self._new_pool(), _worker_compile
         else:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="gw-compile"
-            )
+            self._pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="gw-compile")
+            self._entry = functools.partial(compile_and_publish,
+                                            store=self.cache)
         await self._listen()
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
 
@@ -361,9 +365,6 @@ class CompileGateway(FrameServer):
                 None, lambda: self._pool.shutdown(wait=True, cancel_futures=True)
             )
             self._pool = None
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
         # The teardown disk work (temp-dir removal, orphan sweep, socket
         # unlink) runs off-loop in one hop: close() may overlap live
         # traffic on other gateways sharing this loop.
@@ -683,19 +684,15 @@ class CompileGateway(FrameServer):
             self.metrics.queue_wait.record(time.perf_counter() - job.created_at)
             self._spawn(self._run_job(job))
 
-    def _shared_store(self, pid: int) -> bool:
-        """Whether the worker ``pid`` wrote the shared store itself."""
-        return pid != os.getpid() and self.cache.root is not None
-
-    async def _compile(self, payload: Tuple,
+    async def _compile(self, job: CompileJob,
                        spec: Optional[_SpecJob] = None,
-                       ) -> Tuple[Optional[Tuple], Optional[str]]:
-        """Run one worker compile in the slot the dispatcher reserved,
-        rebuilding a broken pool and retrying up to ``DISPATCH_RETRIES``
-        times.  Frees the slot, withdraws the job's cancel flag, and
-        absorbs a shared-store worker's cache counters.  A background
-        ``spec`` job is a preemption target while it runs.  Returns
-        ``(outcome, failure)``, exactly one of them ``None``."""
+                       ) -> Tuple[Optional[Compiled], Optional[str]]:
+        """Run the compile-and-publish step in the slot the dispatcher
+        reserved, rebuilding a broken pool and retrying up to
+        ``DISPATCH_RETRIES`` times.  Frees the slot, withdraws the job's
+        cancel flag, and absorbs a pool worker's cache counters.  A
+        background ``spec`` job is a preemption target while it runs.
+        Returns ``(outcome, failure)``, exactly one of them ``None``."""
         loop = asyncio.get_running_loop()
         outcome = failure = None
         if spec is not None:
@@ -704,14 +701,8 @@ class CompileGateway(FrameServer):
             for _attempt in range(DISPATCH_RETRIES + 1):
                 epoch = self._pool_epoch
                 try:
-                    # Thread mode runs the very same worker entry point in
-                    # this process: batch._WORKER_CACHE is never initialized
-                    # here, so the worker publishes nothing and _run_job's
-                    # put does.
-                    executor = self._pool if self._pool is not None \
-                        else self._thread_pool
                     outcome = await loop.run_in_executor(
-                        executor, _worker_compile, payload)
+                        self._pool, self._entry, job)
                     failure = None
                     break
                 except BrokenProcessPool:
@@ -725,32 +716,27 @@ class CompileGateway(FrameServer):
             self._in_flight -= 1
             self._slot_free.set()
             self._work.set()
-        # payload[3] is the job's cancel-flag path.
-        await loop.run_in_executor(None, _withdraw_cancel_flag, payload[3])
+        await loop.run_in_executor(None, _withdraw_cancel_flag,
+                                   job.cancel_path)
         if outcome is not None:
-            _fp, _text, _elapsed, _metrics, stats_delta, pid = outcome
-            self._seen_worker_pids.add(pid)
-            if self._shared_store(pid):
-                # Its counter movement is real store activity whether or
-                # not the compile finished: absorb it exactly once,
-                # cancelled jobs included.
-                self.cache.stats.absorb(stats_delta)
+            self._seen_worker_pids.add(outcome.pid)
+            # A worker's counter movement is real store activity whether
+            # or not the compile finished: absorb it exactly once,
+            # cancelled jobs included (empty for a step run here).
+            self.cache.stats.absorb(outcome.stats_delta)
         return outcome, failure
 
     async def _run_job(self, job: _ColdJob) -> None:
-        loop = asyncio.get_running_loop()
-        payload = (job.fingerprint, job.program_dict, job.options,
-                   job.cancel_path)
-        if job.tier != TIER_FULL:
-            payload += (job.tier,)
-        outcome, failure = await self._compile(payload)
+        compile_job = CompileJob(job.fingerprint, job.program_dict,
+                                 job.options, job.cancel_path, job.tier)
+        outcome, failure = await self._compile(compile_job)
         if outcome is None:
             self._drop_cold(job)
             await self._finish_job(job, None, 0.0, None, failed=failure
                                    or "dispatch failed")
             return
 
-        _fp, text, elapsed, result_metrics, _stats_delta, pid = outcome
+        text, elapsed = outcome.artifact, outcome.seconds
         if text is None:
             # The worker honored the cancel flag.  If someone attached
             # after the flag was withdrawn too late, compile again for
@@ -766,28 +752,14 @@ class CompileGateway(FrameServer):
             await self._finish_job(job, None, elapsed, None, cancelled=True)
             return
 
-        if self._shared_store(pid):
-            # Shared-store worker: bytes are already on disk and counted
-            # (absorbed in _compile) — just make the key hot here
-            # (memory-only, loop-safe).
-            self.cache.promote(job.fingerprint, text)
-        elif job.tier != TIER_FULL:
-            # Tiered publish: rank-checked so the fast artifact can never
-            # clobber a full one a concurrent writer landed first.
-            await loop.run_in_executor(
-                None, self.cache.put_tiered, job.fingerprint, text, job.tier)
-        else:
-            # Thread-mode compile or memory-only store: the put may
-            # publish to disk, so it takes the executor hop.
-            await loop.run_in_executor(
-                None, self.cache.put, job.fingerprint, text)
+        settle(self.cache, compile_job, outcome)
         # Only now drop the dedupe entry: the artifact is resident, so a
         # request landing in any suspension above either attached to this
         # job (answered below) or will hit the cache.
         self._drop_cold(job)
-        self.metrics.worker_completed(pid)
-        self._remember_metrics(job.fingerprint, result_metrics)
-        await self._finish_job(job, text, elapsed, result_metrics)
+        self.metrics.worker_completed(outcome.pid)
+        self._remember_metrics(job.fingerprint, outcome.metrics)
+        await self._finish_job(job, text, elapsed, outcome.metrics)
         # The fast tier just answered; hand the full-effort recompile to
         # the background lane (after the responses above, so an upgrade
         # frame can never precede its compile response on the wire).
@@ -948,12 +920,11 @@ class CompileGateway(FrameServer):
                 del client.upgrades[rid]
 
     async def _run_spec_job(self, job: _SpecJob) -> None:
-        loop = asyncio.get_running_loop()
-        payload = (job.fingerprint, job.program_dict, job.options,
-                   job.cancel_path, "opt3")
+        compile_job = CompileJob(job.fingerprint, job.program_dict,
+                                 job.options, job.cancel_path, TIER_UPGRADE)
         try:
             # A failed upgrade drops: the opt-1 answer already stands.
-            outcome, _failure = await self._compile(payload, spec=job)
+            outcome, _failure = await self._compile(compile_job, spec=job)
         except asyncio.CancelledError:
             # close() tore the task down mid-flight: account the job so
             # the speculative ledger reconciles across a shutdown.
@@ -966,8 +937,7 @@ class CompileGateway(FrameServer):
             await self._notify_upgrade(job, ok=False, state="failed")
             return
 
-        _fp, text, elapsed, _result_metrics, stats_delta, pid = outcome
-        if text is None:
+        if outcome.artifact is None:
             # The worker honored the cancel flag (withdrawal or cold-lane
             # preemption).  Withdrawn jobs end here; preempted ones with
             # live interest get back in line behind the cold queue.
@@ -987,17 +957,9 @@ class CompileGateway(FrameServer):
             await self._notify_upgrade(job, ok=False, state="dropped")
             return
 
-        if self._shared_store(pid):
-            # The worker ran the compare-and-swap against the shared
-            # store itself; its absorbed counter delta says how it went.
-            landed = stats_delta.get("upgraded", 0) > 0
-            if landed:
-                self.cache.promote(job.fingerprint, text)
-        else:
-            landed = await loop.run_in_executor(
-                None, self.cache.upgrade, job.fingerprint, text)
+        landed = settle(self.cache, compile_job, outcome)
         self._drop_spec(job)
-        self.metrics.worker_completed(pid)
+        self.metrics.worker_completed(outcome.pid)
         if landed:
             gap = time.perf_counter() - job.enqueued_at
             self.metrics.incr("spec_upgraded")
@@ -1099,7 +1061,7 @@ class CompileGateway(FrameServer):
     # ------------------------------------------------------------------
     def worker_pids(self) -> List[int]:
         """Live pool worker pids (process mode), best effort."""
-        if self._pool is None:
+        if self._pool is None or self.config.workers < 1:
             return []
         try:
             return sorted(self._pool._processes.keys())

@@ -8,7 +8,7 @@ the generic transpiler uses for the baselines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .coupling import CouplingMap
 

@@ -32,7 +32,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..circuit import QuantumCircuit
 from ..ir import PauliProgram

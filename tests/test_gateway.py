@@ -991,8 +991,7 @@ class TestProcessMode:
 
     def test_shared_store_upgrade_lands_via_worker_cas(self, tmp_path):
         """Process mode: the worker performs the compare-and-swap against
-        the shared store itself, and the parent detects a landed upgrade
-        purely from the worker's ``upgraded`` counter delta."""
+        the shared store itself and reports whether the upgrade landed."""
         async def scenario():
             gateway = await make_gateway(tmp_path, workers=1, speculate=True)
             client = await GatewayClient.connect(port=gateway.port)

@@ -48,10 +48,12 @@ class TestAsyncBlocking:
         "path.read_text()",
         "cache.sweep_stale_tmp()",
         "self.cache.get_disk(fp)",
+        "publish(cache, fp, 'text', 'full')",
+        "batch.compile_and_publish(job, cache)",
     ])
     def test_known_blocking_shapes_flagged(self, tmp_path, call):
         found = findings_for(tmp_path, f"""
-            import os, shutil, tempfile
+            import os, shutil, tempfile  # lint: allow-unused-import
             async def handler(path, cache, fp):
                 {call}
         """)
@@ -204,6 +206,63 @@ class TestFloatEquality:
         found = findings_for(tmp_path, """
             def eq(self, other):
                 return self.weight == other.weight  # lint: allow-float-eq
+        """, display="src/repro/core/mod.py")
+        assert found == []
+
+
+class TestUnusedImports:
+    def test_unused_module_imports_flagged(self, tmp_path):
+        found = findings_for(tmp_path, """
+            import os
+            import os.path as osp
+            from typing import Dict, List
+            def f(x: List[int]) -> int:
+                return len(x)
+        """, display="src/repro/core/mod.py")
+        assert rules(found) == ["RS105"] * 3
+        assert [f.message for f in found] == [
+            "unused import 'os'", "unused import 'osp'",
+            "unused import 'Dict'"]
+        assert [f.line for f in found] == [2, 3, 4]
+
+    def test_type_checking_and_try_imports_flagged(self, tmp_path):
+        found = findings_for(tmp_path, """
+            from typing import TYPE_CHECKING
+            if TYPE_CHECKING:
+                from decimal import Decimal
+            try:
+                import numpy
+            except ImportError:
+                numpy = None
+            def f():
+                return numpy
+        """, display="src/repro/core/mod.py")
+        assert [f.message for f in found] == ["unused import 'Decimal'"]
+
+    def test_exemptions_stay_clean(self, tmp_path):
+        found = findings_for(tmp_path, """
+            from __future__ import annotations
+            import random
+            from typing import TYPE_CHECKING, Optional
+            from .sibling import exported
+            if TYPE_CHECKING:
+                from decimal import Decimal
+            __all__ = ["exported"]
+            def f(rng: Optional["random.Random"] = None) -> "Decimal":
+                import math
+                return rng
+        """, display="src/repro/core/mod.py")
+        assert found == []
+
+    def test_init_modules_exempt(self, tmp_path):
+        found = findings_for(tmp_path, """
+            from .mod import helper
+        """, display="src/repro/core/__init__.py")
+        assert found == []
+
+    def test_pragma_keeps_an_import_read_by_attribute(self, tmp_path):
+        found = findings_for(tmp_path, """
+            from .scheduling import gco_schedule  # lint: allow-unused-import
         """, display="src/repro/core/mod.py")
         assert found == []
 

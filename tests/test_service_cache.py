@@ -542,18 +542,19 @@ class TestBatchService:
         for i in range(5)
     ]
 
-    def test_merge_reports_worker_eviction_stats_exactly(self, tmp_path):
+    def test_merge_reports_worker_eviction_stats_exactly(self, tmp_path,
+                                                         monkeypatch):
         """Regression: the batch once threw the workers' cache counters
         away, silently dropping the evictions a full LRU front produced
         mid-run.  With a front of 1 every worker put beyond its first
         evicts, so the aggregate must show puts == dispatched and at least
         (dispatched - workers) evictions."""
+        from repro.service import batch as batch_module
         from repro.service import compile_batch
 
+        monkeypatch.setattr(batch_module, "WORKER_MEMORY_ENTRIES", 1)
         cache = CompileCache(tmp_path)
-        batch = compile_batch(
-            self.MANY_SPECS, cache=cache, workers=2, worker_memory_entries=1,
-        )
+        batch = compile_batch(self.MANY_SPECS, cache=cache, workers=2)
         assert batch.dispatched_jobs == 5
         assert batch.worker_stats is not None
         assert batch.worker_stats["puts"] == 5

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific AST linter: the discipline rules generic linters can't know.
 
-Four rule families, each encoding an invariant this codebase actually
+Five rule families, each encoding an invariant this codebase actually
 relies on (stdlib-only, so CI can run it without the package installed):
 
 * **RS101 — no blocking calls in the gateway's event loop.**  Inside an
@@ -27,10 +27,16 @@ relies on (stdlib-only, so CI can run it without the package installed):
   and term weights are accumulated floats; ``==``/``!=`` against them is
   almost always a latent epsilon bug (canonicalize mod 2*pi or compare
   with a tolerance instead).
+* **RS105 — no unused module-level imports.**  A name a module imports
+  and never reads is a dead dependency that hides what the module really
+  uses.  ``__init__.py`` files (re-export hubs), ``from __future__``,
+  names listed in ``__all__`` and names read only inside string
+  annotations (``"DeviceSpec | str"``) are exempt.
 
 False positives are silenced in place with a pragma comment on the
 offending line: ``# lint: allow-blocking``, ``# lint: caller-holds-lock``,
-``# lint: allow-tape-write``, ``# lint: allow-float-eq``, or the blanket
+``# lint: allow-tape-write``, ``# lint: allow-float-eq``,
+``# lint: allow-unused-import``, or the blanket
 ``# lint: ignore``.  Exit status: 0 clean, 1 findings, 2 bad invocation.
 """
 
@@ -74,6 +80,9 @@ BLOCKING_METHODS = {
     # and would drown the signal — its disk path is caught via
     # _write_disk/read_text inside the cache itself.
     "put", "put_tiered", "upgrade", "pull_through",
+    # The serving layer's compile-and-publish step and its tier rule
+    # (service/batch.py): a compile, then a put into the store.
+    "publish", "compile_and_publish",
 }
 
 # --- RS104 tables ----------------------------------------------------------
@@ -86,6 +95,7 @@ PRAGMAS = {
     "RS102": ("caller-holds-lock", "allow-unlocked"),
     "RS103": ("allow-tape-write",),
     "RS104": ("allow-float-eq",),
+    "RS105": ("allow-unused-import",),
 }
 
 #: GateTape parallel columns: subscript stores on these attribute names
@@ -227,7 +237,8 @@ class FileLinter(ast.NodeVisitor):
             blocked = None
             if dotted is not None and dotted in BLOCKING_CALLS:
                 blocked = dotted
-            elif isinstance(func, ast.Name) and func.id in BLOCKING_NAMES:
+            elif isinstance(func, ast.Name) and (
+                    func.id in BLOCKING_NAMES or func.id in BLOCKING_METHODS):
                 blocked = func.id
             elif isinstance(func, ast.Attribute) and func.attr in BLOCKING_METHODS:
                 blocked = f"...{func.attr}"
@@ -321,6 +332,74 @@ class FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+# -- RS105: unused module-level imports ----------------------------------
+
+def _module_imports(body: List[ast.stmt]) -> List[Tuple[str, ast.alias]]:
+    """``(bound name, alias)`` for every import at module level, including
+    those under a module-level ``if`` (``TYPE_CHECKING``) or ``try``."""
+    bound: List[Tuple[str, ast.alias]] = []
+    for node in body:
+        if isinstance(node, ast.Import):
+            bound.extend((alias.asname or alias.name.split(".")[0], alias)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend((alias.asname or alias.name, alias)
+                         for alias in node.names if alias.name != "*")
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body,
+                          *(h.body for h in getattr(node, "handlers", [])),
+                          node.orelse, getattr(node, "finalbody", [])):
+                bound.extend(_module_imports(block))
+    return bound
+
+
+def _annotation_names(annotation: Optional[ast.AST]) -> List[str]:
+    """Names read inside the string parts of one annotation."""
+    names: List[str] = []
+    if annotation is None:
+        return names
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.extend(n.id for n in ast.walk(parsed)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Every name the module reads: loads, string annotations and the
+    string entries of ``__all__``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            read.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read.update(_annotation_names(node.returns))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                read.update(n.value for n in ast.walk(node.value)
+                            if isinstance(n, ast.Constant)
+                            and isinstance(n.value, str))
+    return read
+
+
+def check_unused_imports(tree: ast.Module, linter: FileLinter) -> None:
+    if Path(linter.display).name == "__init__.py":
+        return
+    read = _read_names(tree)
+    for name, alias in _module_imports(tree.body):
+        if name not in read:
+            linter.report(alias, "RS105", f"unused import {name!r}")
+
+
 def lint_file(path: Path, display: str) -> List[Finding]:
     source = path.read_text()
     try:
@@ -330,6 +409,7 @@ def lint_file(path: Path, display: str) -> List[Finding]:
                         "RS100", f"syntax error: {exc.msg}")]
     linter = FileLinter(path, display, source)
     linter.visit(tree)
+    check_unused_imports(tree, linter)
     return linter.findings
 
 
@@ -350,7 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lint_repro",
         description="repo-specific AST lint (async-safety, lock discipline, "
-                    "tape encapsulation, float equality)",
+                    "tape encapsulation, float equality, unused imports)",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
