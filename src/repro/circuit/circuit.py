@@ -13,6 +13,7 @@ compiler in this repository.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .gates import OP, OP_INVERSE, OP_ROTATION, OPCODES, OP_SINGLE, Gate
@@ -141,12 +142,11 @@ class QuantumCircuit:
         """Append another circuit's gates (same qubit count required)."""
         if other.num_qubits != self.num_qubits:
             raise ValueError("qubit-count mismatch in compose")
-        tape, gates = other._tape, other._slot_gates
-        # A snapshot of the live rows: ``other`` may be this circuit.
-        for slot in list(tape.iter_slots()):
-            op, q0, q1, param = tape.row(slot)
-            self._push(op, q0, q1, param if op in OP_ROTATION else 0.0,
-                       gates[slot])
+        # A snapshot of the live rows first: ``other`` may be this circuit.
+        gates = list(compress(other._slot_gates, other._tape.alive))
+        self._tape.extend(other._tape)
+        self._slot_gates.extend(gates)
+        self._dense = None
         return self
 
     # ------------------------------------------------------------------

@@ -213,6 +213,30 @@ class GateTape:
             self.nxt1.append(NO_SLOT)
         return slot
 
+    def extend(self, other: "GateTape") -> None:
+        """Append ``other``'s live rows in program order as columns, in
+        one step (a non-rotation's angle is zeroed).  ``other`` may be this
+        tape.  A linked tape drops its links; :meth:`ensure_links`
+        rebuilds them on the next structural query."""
+        alive = other.alive
+        op = list(compress(other.op, alive))
+        q0 = list(compress(other.q0, alive))
+        q1 = list(compress(other.q1, alive))
+        param = [angle if code in _OP_ROTATION else 0.0
+                 for code, angle in zip(op, compress(other.param, alive))]
+        self.counts = [mine + theirs
+                       for mine, theirs in zip(self.counts, other.counts)]
+        self.op.extend(op)
+        self.q0.extend(q0)
+        self.q1.extend(q1)
+        self.param.extend(param)
+        self.alive.extend([True] * len(op))
+        self.alive_count += len(op)
+        if self._links_ready:
+            self._links_ready = False
+            (self.nxt0, self.prv0, self.nxt1, self.prv1,
+             self.head, self.tail) = [], [], [], [], [], []
+
     def remove(self, slot: int) -> None:
         """Kill a live row and splice it out of its wire lists."""
         self.ensure_links()

@@ -50,18 +50,24 @@ cold.  A cold miss compiles at the fast opt-1 tier and answers
 immediately; the gateway then enqueues a background full-effort
 recompile that upgrades the cache entry in place
 (:meth:`CompileCache.upgrade`, a compare-and-swap — a concurrent
-full-tier writer wins and the upgrade counts as stale).  The background
-lane can never starve cold traffic: an upgrade job is only dispatched
-when the cold queue is *empty*, the queue is bounded by
-``speculative_limit`` (overflow counts ``spec_dropped``), and a cold
-arrival that finds every slot held preempts running upgrades through
-the same cooperative cancel-flag mechanism — the preempted job requeues
-behind the cold work.  Clients that set ``want_upgrade`` on the request
-get one ``upgrade`` push frame when the background recompile resolves;
-cancelling that request id or disconnecting withdraws their interest,
-and a job nobody is interested in is withdrawn outright.  The
-speculative ledger reconciles like the request one: ``spec_enqueued ==
-spec_upgraded + spec_stale + spec_cancelled + spec_dropped``.
+full-tier writer wins and the upgrade counts as stale).  Both lanes run
+one job type: the tier names the lane (``opt3`` is background), the
+waiters are the requests that keep the job alive, and one coroutine
+settles a dispatched job of either lane as done, failed, cancelled, or
+dropped after ``REQUEUE_LIMIT`` cancelled reruns.  The lanes differ only
+in queue policy and answer.  The background lane can never starve cold
+traffic: an upgrade job is only dispatched when the cold queue is
+*empty*, its FIFO is bounded by ``speculative_limit`` (overflow counts
+``spec_dropped``), and a cold arrival that finds every slot held
+preempts running upgrades through the same cooperative cancel-flag
+mechanism — the preempted job requeues behind the cold work.  Clients
+that set ``want_upgrade`` on the request get one ``upgrade`` push frame
+when the background recompile resolves; cancelling that request id
+withdraws the client's interest unless it holds another subscription on
+the job, a disconnect withdraws it outright, and a job nobody keeps
+alive is withdrawn.  The speculative ledger reconciles like the request
+one: ``spec_enqueued == spec_upgraded + spec_stale + spec_cancelled +
+spec_dropped``.
 """
 
 from __future__ import annotations
@@ -115,6 +121,10 @@ RESOLVE_MEMO_ENTRIES = 4096
 METRICS_MEMO_ENTRIES = 4096
 #: Re-dispatch attempts when the process pool breaks under a job.
 DISPATCH_RETRIES = 2
+#: Reruns of a job whose compile honoured its cancel flag while someone
+#: still waited (a preemption, or a cancel that raced a new waiter); the
+#: next such run drops it.
+REQUEUE_LIMIT = 3
 
 
 @dataclass
@@ -156,7 +166,8 @@ class GatewayConfig:
 
 @dataclass
 class _Waiter:
-    """One client request attached to a cold job."""
+    """One client request keeping a job alive: an unanswered compile on a
+    foreground job, or an answered one on its background upgrade."""
 
     client: "_Client"
     request_id: str
@@ -169,59 +180,40 @@ class _Waiter:
     #: unsolicited trailing frame for an id they consider answered).
     want_upgrade: bool = False
 
+    @property
+    def live(self) -> bool:
+        return not self.cancelled and not self.client.closed
 
-@dataclass
-class _ColdJob:
-    """One unique fingerprint being compiled, with every request waiting
-    on it."""
+
+@dataclass(eq=False)            # identity semantics: jobs live in sets
+class _Job:
+    """One unique fingerprint compiling in one lane, with every request
+    waiting on it.  The tier names the lane: ``full`` or the fast ``opt1``
+    pass answers cold requests (foreground); ``opt3`` upgrades an answered
+    opt-1 artifact in the background."""
 
     fingerprint: str
     program_dict: Dict
     options: Dict
     label: str
+    tier: str
     cancel_path: str
     created_at: float
     waiters: List[_Waiter] = field(default_factory=list)
     dispatched: bool = False
     requeues: int = 0
-    #: Compile effort: ``full``, or the fast ``opt1`` pass when the
-    #: gateway speculates (the background lane upgrades it later).
-    tier: str = "full"
-    #: The client whose pending deque currently holds this job (None once
-    #: dispatched); lets pruning reap an abandoned job from the queue
-    #: eagerly instead of leaving a capacity-consuming tombstone.
+    #: The client whose pending deque holds this foreground job (None
+    #: once dispatched, and always for a background job); lets pruning
+    #: reap an abandoned job from the queue eagerly instead of leaving a
+    #: capacity-consuming tombstone.
     owner: Optional["_Client"] = None
 
+    @property
+    def background(self) -> bool:
+        return self.tier == TIER_UPGRADE
+
     def live_waiters(self) -> List[_Waiter]:
-        return [w for w in self.waiters
-                if not w.cancelled and not w.client.closed]
-
-
-@dataclass(eq=False)            # identity semantics: jobs live in sets
-class _SpecJob:
-    """One background full-effort recompile of a fingerprint the cache
-    currently holds at a lower tier."""
-
-    fingerprint: str
-    program_dict: Dict
-    options: Dict
-    label: str
-    cancel_path: str
-    enqueued_at: float
-    #: Clients whose request spawned (or re-spawned) this upgrade; when
-    #: the last one cancels or disconnects the job is withdrawn — the
-    #: background lane never burns a worker nobody is waiting to benefit
-    #: from.
-    interested: Set["_Client"] = field(default_factory=set)
-    #: ``(client, request_id)`` pairs that asked for the ``upgrade``
-    #: push frame (``want_upgrade``); always a subset of ``interested``.
-    subscribers: List[Tuple["_Client", str]] = field(default_factory=list)
-    dispatched: bool = False
-    withdrawn: bool = False
-    #: Set when a cold arrival preempted this running job (its cancel
-    #: flag was touched to free the slot); it requeues instead of dying.
-    preempted: bool = False
-    requeues: int = 0
+        return [w for w in self.waiters if w.live]
 
 
 def _withdraw_cancel_flag(path: str) -> None:
@@ -233,13 +225,15 @@ def _withdraw_cancel_flag(path: str) -> None:
         pass
 
 
-def _raise_cancel_flag(path: str) -> None:
-    """Touch a running job's cancel-flag file; the worker notices at its
-    next pass boundary."""
-    try:
-        Path(path).touch()
-    except OSError:
-        pass
+def _raise_cancel_flag(*paths: str) -> None:
+    """Touch running jobs' cancel-flag files; each worker notices at its
+    next pass boundary (blocking: callers on the event loop run this via
+    the executor)."""
+    for path in paths:
+        try:
+            Path(path).touch()
+        except OSError:
+            pass
 
 
 class _Client(Connection):
@@ -250,11 +244,11 @@ class _Client(Connection):
         super().__init__(writer)
         #: Cold jobs this client is responsible for dispatching (fairness
         #: unit: the round-robin drains one of these per turn).
-        self.pending: Deque[_ColdJob] = deque()
+        self.pending: Deque[_Job] = deque()
         self.in_rr = False
         #: Answered requests still subscribed to an ``upgrade`` push
         #: frame, keyed by request id (cancel verb lookups).
-        self.upgrades: Dict[str, _SpecJob] = {}
+        self.upgrades: Dict[str, _Job] = {}
 
 
 class CompileGateway(FrameServer):
@@ -273,18 +267,17 @@ class CompileGateway(FrameServer):
             peer_roots=config.peer_stores,
             replica_probes=config.replica_probes,
         )
-        self._cold: Dict[str, _ColdJob] = {}
-        #: Background upgrade jobs: dedupe map + FIFO queue + the ones a
-        #: worker is currently compiling (preemption targets).
-        self._spec: Dict[str, _SpecJob] = {}
-        self._spec_queue: Deque[_SpecJob] = deque()
-        self._spec_running: Set[_SpecJob] = set()
+        #: In-flight dedupe: one job per (fingerprint, background).
+        self._jobs: Dict[Tuple[str, bool], _Job] = {}
+        #: The background lane's FIFO; foreground jobs queue on their
+        #: clients' ``pending`` deques, drained round-robin from ``_rr``.
+        self._spec_queue: Deque[_Job] = deque()
+        #: Jobs a worker is compiling (background ones can be preempted).
+        self._running: Set[_Job] = set()
         self._rr: Deque[_Client] = deque()
         self._queued = 0
         self._in_flight = 0
         self._work = asyncio.Event()
-        self._slot_free = asyncio.Event()
-        self._slot_free.set()
         self._dispatcher: Optional[asyncio.Task] = None
         self._resolve_memo: "OrderedDict[str, Tuple]" = OrderedDict()
         self._metrics_memo: "OrderedDict[str, Dict]" = OrderedDict()
@@ -343,10 +336,10 @@ class CompileGateway(FrameServer):
         # Upgrade jobs still queued will never run; account each so the
         # speculative ledger reconciles across a shutdown.
         while self._spec_queue:
-            spec = self._spec_queue.popleft()
-            self._drop_spec(spec)
+            job = self._spec_queue.popleft()
+            self._drop(job)
             self.metrics.incr(
-                "spec_cancelled" if spec.withdrawn else "spec_dropped")
+                "spec_dropped" if job.live_waiters() else "spec_cancelled")
         # Whatever still waits gets a clean refusal before the socket dies;
         # count each one so the outcome ledger still reconciles (these
         # requests were admitted but will never complete).
@@ -401,16 +394,20 @@ class CompileGateway(FrameServer):
             await client.send(error_frame(
                 "compile", request.id, E_BAD_SPEC, str(exc)))
             return
+        waiter = _Waiter(client=client, request_id=request.id,
+                         want=request.want, admitted_at=received_at,
+                         fingerprint=fingerprint,
+                         want_upgrade=request.want_upgrade)
 
         # Warm lane: a cache hit never queues, never touches a worker.
         # The memory front answers inline (lock-guarded dict probe, no
         # I/O).  Only a memory miss with no in-flight compile pays an
         # executor hop for the disk tier: an in-flight fingerprint cannot
         # be on disk yet (the publish happens before the job leaves
-        # ``_cold``), and skipping the hop keeps follower attachment
+        # ``_jobs``), and skipping the hop keeps follower attachment
         # suspension-free — see the dedupe path below.
         text = self.cache.get_memory(fingerprint)
-        if text is None and fingerprint not in self._cold:
+        if text is None and (fingerprint, False) not in self._jobs:
             text = await asyncio.get_running_loop().run_in_executor(
                 None, self.cache.get_disk, fingerprint)
         if text is not None:
@@ -439,13 +436,8 @@ class CompileGateway(FrameServer):
                         and tier is not None
                         and tier_rank(tier) < tier_rank(TIER_FULL)
                         and options.get("run_peephole", True)):
-                    self._enqueue_spec(
-                        fingerprint, program_dict, options, label,
-                        interested={client},
-                        subscribers=(
-                            [(client, request.id)]
-                            if request.want_upgrade else []),
-                    )
+                    self._speculate(fingerprint, program_dict, options,
+                                    label, [waiter])
                 return
 
         if self._closing:
@@ -464,11 +456,7 @@ class CompileGateway(FrameServer):
                 f"(limit {self.config.per_client_limit})"))
             return
 
-        waiter = _Waiter(client=client, request_id=request.id,
-                         want=request.want, admitted_at=received_at,
-                         fingerprint=fingerprint,
-                         want_upgrade=request.want_upgrade)
-        job = self._cold.get(fingerprint)
+        job = self._jobs.get((fingerprint, False))
         if job is not None:
             # Follower: the same fingerprint is already queued or running;
             # attach instead of compiling twice.  Attach *before* any
@@ -480,8 +468,7 @@ class CompileGateway(FrameServer):
             if job.dispatched:
                 # A cancel may have raced in before this new interest;
                 # withdraw the flag off-loop — if the worker already
-                # honored it, the completion handler re-queues for the
-                # new waiters.
+                # honored it, the job requeues for the new waiters.
                 await asyncio.get_running_loop().run_in_executor(
                     None, _withdraw_cancel_flag, job.cancel_path)
             return
@@ -499,51 +486,47 @@ class CompileGateway(FrameServer):
         tier = TIER_FULL
         if self.config.speculate and options.get("run_peephole", True):
             tier = TIER_FAST
-        job = _ColdJob(
-            fingerprint=fingerprint,
-            program_dict=program_dict,
-            options=options,
-            label=label,
-            cancel_path=str(
-                self._cancel_dir / f"job-{next(self._cancel_seq)}.cancel"),
-            created_at=received_at,
-            waiters=[waiter],
-            tier=tier,
-        )
+        job = self._new_job(fingerprint, program_dict, options, label, tier,
+                            received_at)
+        job.waiters.append(waiter)
         client.waiting[request.id] = waiter
-        self._cold[fingerprint] = job
-        self._enqueue(client, job)
+        self._enqueue(job)
         self.metrics.incr("admitted")
 
     async def _handle_cancel(self, client: _Client, request: Request) -> None:
         waiter = client.waiting.get(request.id)
         state = "not-found"
+        flags: List[str] = []
         if waiter is not None and not waiter.cancelled:
             waiter.cancelled = True
             del client.waiting[request.id]
             self.metrics.incr("cancelled")
             await client.send(error_frame(
                 "compile", request.id, E_CANCELLED, "cancelled by request"))
-            job = self._cold.get(waiter.fingerprint)
+            job = self._jobs.get((waiter.fingerprint, False))
+            state = "cancelled"
             if job is not None and waiter in job.waiters:
-                self._prune_job(job)
-                state = "in-flight" if job.dispatched else "cancelled"
-            else:
-                state = "cancelled"
-        elif waiter is None:
-            # The compile already answered, but this id may still hold an
-            # upgrade subscription: cancelling it mid-upgrade withdraws
-            # the client's interest (and the whole background job when it
-            # was the last interested client).
-            spec = client.upgrades.pop(request.id, None)
-            if spec is not None:
-                spec.subscribers = [
-                    (c, r) for c, r in spec.subscribers
-                    if not (c is client and r == request.id)]
-                if not any(c is client for c, _ in spec.subscribers):
-                    spec.interested.discard(client)
-                self._withdraw_spec(spec)
-                state = "upgrade-cancelled"
+                if self._prune(job):
+                    flags.append(job.cancel_path)
+                if job.dispatched:
+                    state = "in-flight"
+        elif waiter is None and request.id in client.upgrades:
+            # The compile already answered, but this id still holds an
+            # upgrade subscription: cancelling it withdraws the client's
+            # interest in the background job, unless the client holds
+            # another subscription there.
+            job = client.upgrades.pop(request.id)
+            mine = [w for w in job.live_waiters() if w.client is client]
+            keep = any(w.want_upgrade and w.request_id != request.id
+                       for w in mine)
+            for w in mine:
+                if not keep or (w.want_upgrade
+                                and w.request_id == request.id):
+                    w.cancelled = True
+            if self._prune(job):
+                flags.append(job.cancel_path)
+            state = "upgrade-cancelled"
+        await self._raise_flags(flags)
         await client.send({
             "op": "cancel", "id": request.id, "ok": True, "state": state})
 
@@ -554,6 +537,7 @@ class CompileGateway(FrameServer):
                 waiter.cancelled = True
                 cancelled += 1
         client.waiting.clear()
+        client.upgrades.clear()
         if cancelled:
             self.metrics.incr("cancelled", cancelled)
         # Jobs this client was queued to dispatch: hand live ones to a
@@ -562,35 +546,26 @@ class CompileGateway(FrameServer):
             job = client.pending.popleft()
             job.owner = None
             self._queued -= 1
-            survivors = job.live_waiters()
-            if survivors:
-                self._enqueue(survivors[0].client, job)
+            if job.live_waiters():
+                self._enqueue(job)
             else:
-                self._cold.pop(job.fingerprint, None)
-        # Jobs elsewhere whose last waiter just left: flag in-flight
-        # workers, reap abandoned queued jobs from other clients' deques.
-        for job in list(self._cold.values()):
-            self._prune_job(job)
-        # Upgrade jobs this client alone was interested in are withdrawn
-        # (queued ones die at pop time, running ones via the cancel flag).
-        for spec in list(self._spec.values()):
-            spec.interested.discard(client)
-            spec.subscribers = [
-                (c, r) for c, r in spec.subscribers if c is not client]
-            self._withdraw_spec(spec)
-        client.upgrades.clear()
+                self._drop(job)
+        # Jobs of either lane this client alone kept alive are withdrawn.
+        await self._raise_flags([job.cancel_path
+                                 for job in list(self._jobs.values())
+                                 if self._prune(job)])
 
-    def _prune_job(self, job: _ColdJob) -> None:
-        """Drop dead waiters; cancel the underlying work when none remain."""
-        job.waiters = [w for w in job.waiters
-                       if not w.cancelled and not w.client.closed]
+    def _prune(self, job: _Job) -> bool:
+        """Drop a job's dead waiters.  A job with none left is withdrawn:
+        a queued foreground job is reaped now, so it stops consuming
+        queue_limit capacity; a queued background job is reaped (and
+        counted) when popped; a running one needs its cancel flag raised,
+        which the caller does off the loop when this returns True."""
+        job.waiters = job.live_waiters()
         if job.waiters:
-            return
+            return False
         if job.dispatched:
-            _raise_cancel_flag(job.cancel_path)
-            return
-        # Undispatched and nobody waiting: reap it now so it stops
-        # consuming queue_limit capacity against other clients.
+            return True
         if job.owner is not None:
             try:
                 job.owner.pending.remove(job)
@@ -599,21 +574,53 @@ class CompileGateway(FrameServer):
             else:
                 self._queued -= 1
             job.owner = None
-        self._cold.pop(job.fingerprint, None)
+            self._drop(job)
+        return False
+
+    async def _raise_flags(self, paths: List[str]) -> None:
+        """Raise these cancel flags on the executor (a touch is disk I/O)."""
+        if paths:
+            await asyncio.get_running_loop().run_in_executor(
+                None, _raise_cancel_flag, *paths)
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Jobs and dispatch
     # ------------------------------------------------------------------
-    def _enqueue(self, client: _Client, job: _ColdJob) -> None:
-        client.pending.append(job)
-        job.owner = client
-        self._queued += 1
-        if not client.in_rr:
-            self._rr.append(client)
-            client.in_rr = True
+    def _new_job(self, fingerprint: str, program_dict: Dict, options: Dict,
+                 label: str, tier: str, created_at: float) -> _Job:
+        """Create a job and enter it in the dedupe map (not yet queued)."""
+        job = _Job(fingerprint, program_dict, options, label, tier,
+                   str(self._cancel_dir / f"job-{next(self._cancel_seq)}.cancel"),
+                   created_at)
+        self._jobs[fingerprint, job.background] = job
+        return job
+
+    def _drop(self, job: _Job) -> None:
+        """Retire a job's dedupe entry (unless a new job replaced it) and
+        its requests' upgrade subscriptions."""
+        if self._jobs.get((job.fingerprint, job.background)) is job:
+            del self._jobs[job.fingerprint, job.background]
+        for waiter in job.waiters:
+            if waiter.client.upgrades.get(waiter.request_id) is job:
+                del waiter.client.upgrades[waiter.request_id]
+
+    def _enqueue(self, job: _Job) -> None:
+        """Queue a job in its lane: a background job at the back of the
+        FIFO; a foreground one on the deque of its first live waiter's
+        client, the round-robin's fairness unit."""
+        if job.background:
+            self._spec_queue.append(job)
+        else:
+            client = job.live_waiters()[0].client
+            client.pending.append(job)
+            job.owner = client
+            self._queued += 1
+            if not client.in_rr:
+                self._rr.append(client)
+                client.in_rr = True
         self._work.set()
 
-    def _pop_next_job(self) -> Optional[_ColdJob]:
+    def _pop_next_job(self) -> Optional[_Job]:
         """Round-robin pop: one job from the head client, then rotate."""
         while self._rr:
             client = self._rr.popleft()
@@ -628,81 +635,85 @@ class CompileGateway(FrameServer):
                 client.in_rr = False
             self._queued -= 1
             if not job.live_waiters():
-                self._cold.pop(job.fingerprint, None)
+                self._drop(job)
                 continue
             return job
         return None
 
+    def _pop_next_spec(self) -> Optional[_Job]:
+        """Next background job someone keeps alive; withdrawn ones are
+        reaped (and counted) here rather than searched out of the deque
+        eagerly."""
+        while self._spec_queue:
+            job = self._spec_queue.popleft()
+            if job.live_waiters():
+                return job
+            self._drop(job)
+            self.metrics.incr("spec_cancelled")
+        return None
+
     async def _dispatch_loop(self) -> None:
+        workers = max(self.config.workers, 1)
         while True:
             await self._work.wait()
             if self._closing and self._queued == 0:
                 return
             # Width throttle first: a job stays *in the queue* (visible to
             # admission control as depth) until a compile slot is free —
-            # at most `workers` in flight (1 for the thread mode).  Slot
-            # exhaustion parks on an event _run_job sets when one frees,
-            # rather than polling.
-            if self._in_flight >= max(self.config.workers, 1):
-                # Arm the event *before* any suspension: a job finishing
-                # during the preemption hop below sets it, and clearing
-                # afterwards would eat that wakeup with no running job
-                # left to ever set it again (dispatcher deadlock).
-                self._slot_free.clear()
-                if self._queued and self._spec_running:
+            # at most `workers` in flight (1 for the thread mode).  A full
+            # house parks on ``_work``, which a freed slot and a cold
+            # arrival both set.
+            if self._in_flight >= workers:
+                # Clear *before* any suspension: a job finishing during
+                # the preemption hop below sets it again, and clearing
+                # afterwards would eat that wakeup (dispatcher deadlock).
+                self._work.clear()
+                if self._queued:
                     # Cold work is waiting on a slot a background upgrade
                     # holds: preempt it cooperatively (it requeues), so
                     # speculation can never starve the cold lane.
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self._preempt_specs)
-                await self._slot_free.wait()
+                    await self._raise_flags([job.cancel_path
+                                             for job in self._running
+                                             if job.background])
                 continue
             job = self._pop_next_job()
-            if job is None:
+            if job is not None:
+                self.metrics.queue_wait.record(
+                    time.perf_counter() - job.created_at)
+            elif (not self._closing
+                  and self._in_flight < (workers - 1 if workers > 1 else 1)):
                 # Strict priority: the background lane only gets a slot
                 # when the cold queue is empty (and never during drain).
                 # Multi-worker pools additionally keep one slot in
                 # reserve — an arriving cold request starts immediately
                 # instead of paying a preemption round trip; with a
                 # single worker, preemption is the mechanism.
-                workers = max(self.config.workers, 1)
-                headroom = workers - 1 if workers > 1 else 1
-                spec = None
-                if not self._closing and self._in_flight < headroom:
-                    spec = self._pop_next_spec()
-                if spec is not None:
-                    spec.dispatched = True
-                    self._in_flight += 1
-                    self._spawn(self._run_spec_job(spec))
-                    continue
+                job = self._pop_next_spec()
+            if job is None:
                 self._work.clear()
                 if self._closing:
                     return
                 continue
             job.dispatched = True
             self._in_flight += 1
-            self.metrics.queue_wait.record(time.perf_counter() - job.created_at)
-            self._spawn(self._run_job(job))
+            self._spawn(self._run(job))
 
-    async def _compile(self, job: CompileJob,
-                       spec: Optional[_SpecJob] = None,
+    async def _compile(self, job: _Job, compile_job: CompileJob,
                        ) -> Tuple[Optional[Compiled], Optional[str]]:
         """Run the compile-and-publish step in the slot the dispatcher
         reserved, rebuilding a broken pool and retrying up to
         ``DISPATCH_RETRIES`` times.  Frees the slot, withdraws the job's
-        cancel flag, and absorbs a pool worker's cache counters.  A
-        background ``spec`` job is a preemption target while it runs.
+        cancel flag, and absorbs a pool worker's cache counters.
         Returns ``(outcome, failure)``, exactly one of them ``None``."""
         loop = asyncio.get_running_loop()
         outcome = failure = None
-        if spec is not None:
-            self._spec_running.add(spec)
+        self._running.add(job)
         try:
             for _attempt in range(DISPATCH_RETRIES + 1):
                 epoch = self._pool_epoch
                 try:
                     outcome = await loop.run_in_executor(
-                        self._pool, self._entry, job)
+                        self._pool, self._entry, compile_job)
                     failure = None
                     break
                 except BrokenProcessPool:
@@ -712,9 +723,8 @@ class CompileGateway(FrameServer):
                     failure = f"{type(exc).__name__}: {exc}"
                     break
         finally:
-            self._spec_running.discard(spec)
+            self._running.discard(job)
             self._in_flight -= 1
-            self._slot_free.set()
             self._work.set()
         await loop.run_in_executor(None, _withdraw_cancel_flag,
                                    job.cancel_path)
@@ -726,93 +736,124 @@ class CompileGateway(FrameServer):
             self.cache.stats.absorb(outcome.stats_delta)
         return outcome, failure
 
-    async def _run_job(self, job: _ColdJob) -> None:
+    async def _run(self, job: _Job) -> None:
+        """Compile one dispatched job of either lane and settle it once:
+        ``done``, ``failed``, ``cancelled`` (nobody waits any more), or
+        ``dropped`` once its compile honoured the cancel flag with someone
+        still waiting more than ``REQUEUE_LIMIT`` times (before that it
+        requeues in its lane).  Only the answer differs by lane."""
         compile_job = CompileJob(job.fingerprint, job.program_dict,
                                  job.options, job.cancel_path, job.tier)
-        outcome, failure = await self._compile(compile_job)
+        try:
+            outcome, failure = await self._compile(job, compile_job)
+        except asyncio.CancelledError:
+            # close() tore the task down mid-flight: account a background
+            # job so the speculative ledger reconciles across a shutdown
+            # (close() refuses a foreground job's waiters itself).
+            self._drop(job)
+            if job.background:
+                self.metrics.incr("spec_dropped")
+            raise
+        landed = False
         if outcome is None:
-            self._drop_cold(job)
-            await self._finish_job(job, None, 0.0, None, failed=failure
-                                   or "dispatch failed")
-            return
-
-        text, elapsed = outcome.artifact, outcome.seconds
-        if text is None:
-            # The worker honored the cancel flag.  If someone attached
-            # after the flag was withdrawn too late, compile again for
-            # them; otherwise everyone is gone and the job just ends.
-            survivors = job.live_waiters()
-            if survivors and job.requeues < 3:
+            state = "failed"
+        elif outcome.artifact is None:
+            # The worker honoured the cancel flag: a withdrawal, a
+            # preemption, or a cancel that raced a new waiter.
+            job.dispatched = False
+            if not job.live_waiters():
+                state = "cancelled"
+            elif job.requeues < REQUEUE_LIMIT:
                 job.requeues += 1
-                job.dispatched = False
-                self._cold[job.fingerprint] = job
-                self._enqueue(survivors[0].client, job)
+                self._enqueue(job)
                 return
-            self._drop_cold(job)
-            await self._finish_job(job, None, elapsed, None, cancelled=True)
-            return
-
-        settle(self.cache, compile_job, outcome)
-        # Only now drop the dedupe entry: the artifact is resident, so a
-        # request landing in any suspension above either attached to this
-        # job (answered below) or will hit the cache.
-        self._drop_cold(job)
-        self.metrics.worker_completed(outcome.pid)
-        self._remember_metrics(job.fingerprint, outcome.metrics)
-        await self._finish_job(job, text, elapsed, outcome.metrics)
-        # The fast tier just answered; hand the full-effort recompile to
-        # the background lane (after the responses above, so an upgrade
-        # frame can never precede its compile response on the wire).
-        if (job.tier != TIER_FULL and self.config.speculate
-                and not self._closing):
-            live = job.live_waiters()
-            if live:
-                self._enqueue_spec(
-                    job.fingerprint, job.program_dict, job.options,
-                    job.label,
-                    interested={w.client for w in live},
-                    subscribers=[(w.client, w.request_id)
-                                 for w in live if w.want_upgrade],
-                )
-
-    def _drop_cold(self, job: _ColdJob) -> None:
-        """Retire a job's dedupe entry (unless a requeue replaced it)."""
-        if self._cold.get(job.fingerprint) is job:
-            del self._cold[job.fingerprint]
-
-    async def _finish_job(self, job: _ColdJob, text: Optional[str],
-                          elapsed: float, result_metrics: Optional[Dict],
-                          failed: Optional[str] = None,
-                          cancelled: bool = False) -> None:
-        now = time.perf_counter()
-        for waiter in job.waiters:
-            alive = not waiter.cancelled and not waiter.client.closed
-            waiter.client.waiting.pop(waiter.request_id, None)
-            if not alive:
-                continue
-            if cancelled:
-                waiter.cancelled = True
-                self.metrics.incr("cancelled")
-                await waiter.client.send(error_frame(
-                    "compile", waiter.request_id, E_CANCELLED,
-                    "compile cancelled"))
-            elif failed is not None:
-                self.metrics.incr("failed")
-                await waiter.client.send(error_frame(
-                    "compile", waiter.request_id, E_COMPILE, failed))
             else:
+                state = "dropped"
+        else:
+            state = "done"
+            landed = settle(self.cache, compile_job, outcome)
+            self.metrics.worker_completed(outcome.pid)
+        # Only now drop the dedupe entry: a compiled artifact is resident,
+        # so a request landing in any suspension above either attached to
+        # this job (answered below) or will hit the cache.
+        self._drop(job)
+        if job.background:
+            await self._answer_upgrade(job, state, landed)
+        else:
+            await self._answer_compile(job, state, outcome, failure)
+
+    async def _answer_compile(self, job: _Job, state: str,
+                              outcome: Optional[Compiled],
+                              failure: Optional[str]) -> None:
+        """The foreground answer: a compile frame to every live waiter,
+        then the background upgrade of a fast-tier answer."""
+        now = time.perf_counter()
+        if state == "done":
+            self._remember_metrics(job.fingerprint, outcome.metrics)
+        for waiter in job.waiters:
+            waiter.client.waiting.pop(waiter.request_id, None)
+            if not waiter.live:
+                continue
+            if state == "done":
                 frame = self._result_frame(
-                    waiter.request_id, waiter.want, job.fingerprint, text,
-                    cached=False,
-                    queued_ms=(now - waiter.admitted_at - elapsed) * 1e3,
-                    compile_ms=elapsed * 1e3,
-                    known_metrics=result_metrics,
+                    waiter.request_id, waiter.want, job.fingerprint,
+                    outcome.artifact, cached=False,
+                    queued_ms=(now - waiter.admitted_at
+                               - outcome.seconds) * 1e3,
+                    compile_ms=outcome.seconds * 1e3,
+                    known_metrics=outcome.metrics,
                     tier=(job.tier if (self.config.speculate
                                        or waiter.want_upgrade) else None),
                 )
                 self.metrics.incr("completed")
                 self.metrics.cold_latency.record(now - waiter.admitted_at)
                 await waiter.client.send(frame)
+            elif state == "failed":
+                self.metrics.incr("failed")
+                await waiter.client.send(error_frame(
+                    "compile", waiter.request_id, E_COMPILE, failure))
+            else:
+                waiter.cancelled = True
+                self.metrics.incr("cancelled")
+                await waiter.client.send(error_frame(
+                    "compile", waiter.request_id, E_CANCELLED,
+                    "compile cancelled"))
+        # The fast tier just answered; hand the full-effort recompile to
+        # the background lane (after the responses above, so an upgrade
+        # frame can never precede its compile response on the wire).
+        if (state == "done" and job.tier != TIER_FULL
+                and self.config.speculate and not self._closing):
+            live = job.live_waiters()
+            if live:
+                self._speculate(job.fingerprint, job.program_dict,
+                                job.options, job.label, live)
+
+    async def _answer_upgrade(self, job: _Job, state: str,
+                              landed: bool) -> None:
+        """The background answer: one ``spec_*`` outcome, and an
+        ``upgrade`` push to every live subscribed request."""
+        if state == "cancelled":            # withdrawn: nobody to tell
+            self.metrics.incr("spec_cancelled")
+            return
+        ok = state == "done" and landed
+        if ok:
+            gap = time.perf_counter() - job.created_at
+            self.metrics.incr("spec_upgraded")
+            self.metrics.upgrade_latency.record(gap)
+            tail: Dict = {"tier": TIER_FULL,
+                          "upgrade_ms": round(gap * 1e3, 3)}
+        else:
+            # A failed or dropped upgrade: the opt-1 answer stands.
+            state = "stale" if state == "done" else state
+            self.metrics.incr("spec_stale" if state == "stale"
+                              else "spec_dropped")
+            tail = {"state": state}
+        for waiter in job.live_waiters():
+            if waiter.want_upgrade:
+                await waiter.client.send({
+                    "op": "upgrade", "id": waiter.request_id,
+                    "ok": ok, "fingerprint": job.fingerprint,
+                    **tail})
 
     async def _rebuild_pool(self, epoch: int) -> None:
         async with self._pool_lock:
@@ -837,153 +878,34 @@ class CompileGateway(FrameServer):
             return TIER_FULL
         return artifact_tier(text)
 
-    @staticmethod
-    def _live_interest(job: _SpecJob) -> bool:
-        return any(not c.closed for c in job.interested)
-
-    def _enqueue_spec(self, fingerprint: str, program_dict: Dict,
-                      options: Dict, label: str,
-                      interested: Set[_Client],
-                      subscribers: List[Tuple[_Client, str]]) -> None:
-        """Admit one background upgrade job (or merge into the in-flight
-        one for this fingerprint).  Over-budget admissions are counted
-        and dropped immediately — the queue is a cap, not a buffer."""
-        job = self._spec.get(fingerprint)
-        if job is not None:
-            # Fresh interest revives a withdrawn-but-unreaped job.
-            job.withdrawn = False
-            job.interested.update(c for c in interested if not c.closed)
-            for client, rid in subscribers:
-                if (client, rid) not in job.subscribers:
-                    job.subscribers.append((client, rid))
-                    client.upgrades[rid] = job
-            return
-        if len(self._spec_queue) >= self.config.speculative_limit:
+    def _speculate(self, fingerprint: str, program_dict: Dict,
+                   options: Dict, label: str,
+                   waiters: List[_Waiter]) -> None:
+        """Attach answered requests to the background upgrade of
+        ``fingerprint``, admitting the job when none is queued or running.
+        Over-budget admissions are counted and dropped immediately — the
+        queue is a cap, not a buffer."""
+        job = self._jobs.get((fingerprint, True))
+        if job is None:
             self.metrics.incr("spec_enqueued")
-            self.metrics.incr("spec_dropped")
-            return
-        job = _SpecJob(
-            fingerprint=fingerprint,
-            program_dict=program_dict,
-            options=options,
-            label=label,
-            cancel_path=str(
-                self._cancel_dir / f"job-{next(self._cancel_seq)}.cancel"),
-            enqueued_at=time.perf_counter(),
-            interested={c for c in interested if not c.closed},
-            subscribers=list(subscribers),
-        )
-        for client, rid in job.subscribers:
-            client.upgrades[rid] = job
-        self._spec[fingerprint] = job
-        self._spec_queue.append(job)
-        self.metrics.incr("spec_enqueued")
-        self._work.set()
-
-    def _pop_next_spec(self) -> Optional[_SpecJob]:
-        """Next live background job; withdrawn ones are reaped (and
-        accounted) here rather than searched out of the deque eagerly."""
-        while self._spec_queue:
-            job = self._spec_queue.popleft()
-            if job.withdrawn or not self._live_interest(job):
-                self._drop_spec(job)
-                self.metrics.incr("spec_cancelled")
-                continue
-            return job
-        return None
-
-    def _withdraw_spec(self, job: _SpecJob) -> None:
-        """Withdraw the job once no client is interested.  Queued jobs die
-        (and count) at pop time; a running one is flagged through the
-        same cooperative cancel file as a cold compile."""
-        if job.interested or job.withdrawn:
-            return
-        job.withdrawn = True
-        if job.dispatched:
-            _raise_cancel_flag(job.cancel_path)
-
-    def _preempt_specs(self) -> None:
-        """Flag every running background upgrade to yield its slot to
-        waiting cold work (blocking: dispatcher calls via the executor).
-        Cooperative — the worker notices at its next pass boundary and
-        the job requeues behind the cold queue."""
-        for job in list(self._spec_running):
-            job.preempted = True
-            _raise_cancel_flag(job.cancel_path)
-
-    def _drop_spec(self, job: _SpecJob) -> None:
-        """Retire a background job's dedupe entry and id subscriptions."""
-        if self._spec.get(job.fingerprint) is job:
-            del self._spec[job.fingerprint]
-        for client, rid in job.subscribers:
-            if client.upgrades.get(rid) is job:
-                del client.upgrades[rid]
-
-    async def _run_spec_job(self, job: _SpecJob) -> None:
-        compile_job = CompileJob(job.fingerprint, job.program_dict,
-                                 job.options, job.cancel_path, TIER_UPGRADE)
-        try:
-            # A failed upgrade drops: the opt-1 answer already stands.
-            outcome, _failure = await self._compile(compile_job, spec=job)
-        except asyncio.CancelledError:
-            # close() tore the task down mid-flight: account the job so
-            # the speculative ledger reconciles across a shutdown.
-            self.metrics.incr("spec_dropped")
-            self._drop_spec(job)
-            raise
-        if outcome is None:
-            self._drop_spec(job)
-            self.metrics.incr("spec_dropped")
-            await self._notify_upgrade(job, ok=False, state="failed")
-            return
-
-        if outcome.artifact is None:
-            # The worker honored the cancel flag (withdrawal or cold-lane
-            # preemption).  Withdrawn jobs end here; preempted ones with
-            # live interest get back in line behind the cold queue.
-            job.dispatched = False
-            job.preempted = False
-            if job.withdrawn or not self._live_interest(job):
-                self._drop_spec(job)
-                self.metrics.incr("spec_cancelled")
+            if len(self._spec_queue) >= self.config.speculative_limit:
+                self.metrics.incr("spec_dropped")
                 return
-            if job.requeues < 3:
-                job.requeues += 1
-                self._spec_queue.append(job)
-                self._work.set()
-                return
-            self._drop_spec(job)
-            self.metrics.incr("spec_dropped")
-            await self._notify_upgrade(job, ok=False, state="dropped")
-            return
-
-        landed = settle(self.cache, compile_job, outcome)
-        self._drop_spec(job)
-        self.metrics.worker_completed(outcome.pid)
-        if landed:
-            gap = time.perf_counter() - job.enqueued_at
-            self.metrics.incr("spec_upgraded")
-            self.metrics.upgrade_latency.record(gap)
-            await self._notify_upgrade(job, ok=True, upgrade_ms=gap * 1e3)
-        else:
-            self.metrics.incr("spec_stale")
-            await self._notify_upgrade(job, ok=False, state="stale")
-
-    async def _notify_upgrade(self, job: _SpecJob, ok: bool,
-                              state: Optional[str] = None,
-                              upgrade_ms: Optional[float] = None) -> None:
-        """Push the ``upgrade`` frame to every subscriber still around."""
-        for client, rid in job.subscribers:
-            if client.closed:
+            job = self._new_job(fingerprint, program_dict, options, label,
+                                TIER_UPGRADE, time.perf_counter())
+            self._enqueue(job)
+        for waiter in waiters:
+            # Keep one waiter per subscribed request id, and one per
+            # client that keeps the job alive without subscribing.
+            mine = [w for w in job.live_waiters() if w.client is waiter.client]
+            if waiter.want_upgrade:
+                if any(w.want_upgrade and w.request_id == waiter.request_id
+                       for w in mine):
+                    continue
+                waiter.client.upgrades[waiter.request_id] = job
+            elif mine:
                 continue
-            frame: Dict = {"op": "upgrade", "id": rid, "ok": ok,
-                           "fingerprint": job.fingerprint}
-            if ok:
-                frame["tier"] = TIER_FULL
-                frame["upgrade_ms"] = round(upgrade_ms or 0.0, 3)
-            else:
-                frame["state"] = state
-            await client.send(frame)
+            job.waiters.append(waiter)
 
     # ------------------------------------------------------------------
     # Resolution / response assembly
@@ -1086,13 +1008,14 @@ class CompileGateway(FrameServer):
             "depth": self._queued,
             "limit": self.config.queue_limit,
             "in_flight": self._in_flight,
-            "cold_fingerprints": len(self._cold),
+            "cold_fingerprints": sum(
+                1 for _, background in self._jobs if not background),
         }
         spec = snap.get("speculative", {})
         spec.update({
             "enabled": self.config.speculate,
             "queued": len(self._spec_queue),
-            "in_flight": len(self._spec_running),
+            "in_flight": sum(job.background for job in self._running),
             "limit": self.config.speculative_limit,
         })
         snap["speculative"] = spec

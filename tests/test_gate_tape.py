@@ -165,3 +165,36 @@ def test_compact_after_removals_matches_per_slot_copy(data):
     assert dense.counts == recount
     assert dense.counts is not tape.counts
     check_tape(dense).raise_on_error()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_per_gate_append(data):
+    """``compose`` adopts the live rows as columns in one step; it must
+    leave what appending each live gate leaves: with dead rows in the
+    other circuit, composing a circuit with itself, and onto a target
+    whose wire links are realized."""
+    target = _random_circuit(data, max_gates=15)
+    other = target if data.draw(st.booleans()) else _random_circuit(data)
+    live = list(other.tape.iter_slots())
+    for slot in data.draw(st.lists(st.sampled_from(live), unique=True)
+                          if live else st.just([])):
+        other.tape.remove(slot)
+    if data.draw(st.booleans()):
+        target.tape.ensure_links()
+    before, appended = list(target), list(other)
+    expected = QuantumCircuit(target.num_qubits)
+    for gate in before + appended:
+        expected.append(gate)
+
+    assert target.compose(other) is target
+    assert list(target) == before + appended
+    dense, reference = target.tape.compact(), expected.tape.compact()
+    assert (dense.op, dense.q0, dense.q1, dense.param) == (
+        reference.op, reference.q0, reference.q1, reference.param)
+    assert target.tape.counts == expected.tape.counts
+    assert target.tape.alive_count == len(before) + len(appended)
+    check_tape(target).raise_on_error()
+    for q in range(target.num_qubits):
+        assert [target.tape.op[s] for s in target.tape.wire_sequence(q)] == \
+            [expected.tape.op[s] for s in expected.tape.wire_sequence(q)]

@@ -353,6 +353,64 @@ class TestAsyncSafety:
 
         run(scenario())
 
+    def test_cancel_flag_raise_offloaded(self, tmp_path, monkeypatch):
+        """Raising a running job's cancel flag touches a file; from the
+        cancel verb and from a disconnect alike it must ride the
+        executor."""
+        import threading
+
+        from repro.service import gateway as gateway_module
+        from repro.service.batch import Compiled
+
+        seen = []
+        original = gateway_module._raise_cancel_flag
+
+        def recording(*paths):
+            seen.append(threading.get_ident())
+            return original(*paths)
+
+        def until_cancelled(job, store):
+            deadline = time.monotonic() + 30
+            while not os.path.exists(job.cancel_path):
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.005)
+            return Compiled(None, 0.0, None, False, {}, os.getpid())
+
+        monkeypatch.setattr(gateway_module, "_raise_cancel_flag", recording)
+        monkeypatch.setattr(gateway_module, "compile_and_publish",
+                            until_cancelled)
+
+        async def scenario():
+            loop_thread = threading.get_ident()
+            gateway = await make_gateway(tmp_path)
+            client = await GatewayClient.connect(port=gateway.port)
+
+            async def in_flight(count):
+                stats = await client.stats()
+                return stats["queue"]["in_flight"] == count
+
+            await client._send({"op": "compile", "id": "r1", "spec": SPEC_A})
+            await wait_until(lambda: in_flight(1))
+            ack = await client.cancel("r1")
+            assert ack["state"] == "in-flight"
+            await wait_until(lambda: in_flight(0))
+            assert seen, "the cancel verb raised no flag"
+            assert loop_thread not in seen
+            seen.clear()
+
+            rude = await GatewayClient.connect(port=gateway.port)
+            await rude._send({"op": "compile", "id": "r2", "spec": SPEC_B})
+            await wait_until(lambda: in_flight(1))
+            await rude.close()
+            await wait_until(lambda: in_flight(0))
+            assert seen, "the disconnect raised no flag"
+            assert loop_thread not in seen
+            await client.close()
+            await gateway.close()
+
+        run(scenario())
+
 
 class TestAdmissionControl:
     def test_per_client_limit_rejects_with_overloaded(self, tmp_path):
@@ -877,6 +935,46 @@ class TestSpeculativeLane:
             assert spec["spec_enqueued"] == 2           # r1's and r2's
             assert spec["spec_enqueued"] == outcomes
             assert stats["requests"]["completed"] == 2
+            await client.close()
+            await gateway.close()
+
+        run(scenario())
+
+    def test_cold_arrival_wakes_a_parked_dispatcher(self, tmp_path,
+                                                    monkeypatch):
+        """With every slot held, the dispatcher parks; a cold arrival
+        must wake it to preempt the upgrade, not wait for a slot to free.
+        The upgrade here yields only to its cancel flag."""
+        from repro.service import gateway as gateway_module
+        from repro.service.batch import TIER_UPGRADE, Compiled
+
+        real = gateway_module.compile_and_publish
+
+        def stubborn(job, store):
+            deadline = time.monotonic() + 30
+            while job.tier == TIER_UPGRADE:
+                if os.path.exists(job.cancel_path) or \
+                        time.monotonic() > deadline:
+                    return Compiled(None, 0.0, None, False, {}, os.getpid())
+                time.sleep(0.005)
+            return real(job, store)
+
+        monkeypatch.setattr(gateway_module, "compile_and_publish", stubborn)
+
+        async def scenario():
+            gateway = await make_gateway(tmp_path, speculate=True)
+            client = await GatewayClient.connect(port=gateway.port)
+            await client.compile(SPEC_A, "r1")
+
+            async def spec_holds_slot():
+                stats = await client.stats()
+                return stats["speculative"]["in_flight"] == 1
+
+            await wait_until(spec_holds_slot)
+            started = time.monotonic()
+            cold = await client.compile(SPEC_B, "r2", timeout=60)
+            assert cold["ok"]
+            assert time.monotonic() - started < 10
             await client.close()
             await gateway.close()
 
