@@ -42,6 +42,7 @@ SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.service import GatewayClient  # noqa: E402
+from repro.service.metrics import REQUESTS  # noqa: E402
 
 WARM_P50_FLOOR_MS = 10.0
 THROUGHPUT_FLOOR = 200.0
@@ -283,10 +284,8 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 failed = True
             served = row["server_requests"]
-            outcomes = (served["warm_hits"] + served["completed"]
-                        + served["failed"] + served["cancelled"]
-                        + served["rejected"] + served["bad_specs"])
-            if served["received"] != outcomes:
+            outcomes = sum(served[name] for name in REQUESTS.outcomes)
+            if served[REQUESTS.intake] != outcomes:
                 print(f"FAIL: ledger does not reconcile: {served}",
                       file=sys.stderr)
                 failed = True

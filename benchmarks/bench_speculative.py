@@ -44,6 +44,7 @@ SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.service import GatewayClient  # noqa: E402
+from repro.service.metrics import SPECULATIVE  # noqa: E402
 
 COLD_RATIO_CEILING = 1.10       # spec-on cold p50/p95 vs spec-off
 LANDED_RATE_FLOOR = 0.90
@@ -283,9 +284,8 @@ def main(argv=None) -> int:
               f"the {LANDED_RATE_FLOOR:.2f} floor", file=sys.stderr)
         failed = True
     ledger = on["speculative"]
-    outcomes = (ledger["spec_upgraded"] + ledger["spec_stale"]
-                + ledger["spec_cancelled"] + ledger["spec_dropped"])
-    if ledger["spec_enqueued"] != outcomes:
+    outcomes = sum(ledger[name] for name in SPECULATIVE.outcomes)
+    if ledger[SPECULATIVE.intake] != outcomes:
         print(f"FAIL: speculative ledger does not reconcile: {ledger}",
               file=sys.stderr)
         failed = True

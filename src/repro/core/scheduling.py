@@ -69,9 +69,10 @@ def schedule_to_program(schedule: Schedule, name: str = "") -> PauliProgram:
 def do_schedule(program: PauliProgram) -> Schedule:
     """Depth-oriented scheduling (Algorithm 1).
 
-    Returns layers of qubit-disjoint blocks.  Padding uses per-qubit column
-    heights so several small blocks may stack sequentially inside one layer
-    as long as no column exceeds the primary block's depth estimate.
+    Returns layers of a primary block plus padding blocks that share no
+    qubit with it.  Padding uses per-qubit column heights so several small
+    blocks may stack sequentially inside one layer as long as no column
+    exceeds the primary block's depth estimate.
     """
     remaining = [block.sorted_lexicographically() for block in program]
     remaining.sort(key=lambda b: (-b.active_length, b.lex_key()))

@@ -33,7 +33,6 @@ __all__ = [
     "PRODUCT_PHASE",
     "SINGLE_QUBIT_MATRICES",
     "code_of",
-    "label_of",
     "matrix_of",
 ]
 
@@ -75,13 +74,6 @@ def code_of(label: str) -> int:
         return LABEL_TO_CODE[label]
     except KeyError:
         raise ValueError(f"invalid Pauli label {label!r}; expected I, X, Y or Z") from None
-
-
-def label_of(code: int) -> str:
-    """Return the character label for an integer Pauli code."""
-    if not 0 <= code <= 3:
-        raise ValueError(f"invalid Pauli code {code!r}; expected 0..3")
-    return CODE_TO_LABEL[code]
 
 
 def matrix_of(code: int) -> np.ndarray:

@@ -78,6 +78,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .batch import resolve_spec
 from .gateway import GatewayConfig
+from .metrics import outcome_of
 from .protocol import (
     E_BAD_SPEC,
     E_CANCELLED,
@@ -333,10 +334,6 @@ def _cancelled_frames(request_id: str, message: str) -> List[Dict]:
              "state": "cancelled"}]
 
 
-#: Node error codes the router passes through as clean rejections.
-_REJECT_CODES = (E_OVERLOADED, E_SHUTTING_DOWN, E_UNAVAILABLE)
-
-
 class ClusterRouter(FrameServer):
     """Fingerprint-sharding front for a fleet of compile gateways.
 
@@ -400,9 +397,9 @@ class ClusterRouter(FrameServer):
         # ledger, before the sockets die.
         for client in list(self._clients):
             for forward in list(client.waiting.values()):
-                await self._finish(forward, "rejected", [error_frame(
+                await self._finish(forward, error_frame(
                     "compile", forward.request_id, E_SHUTTING_DOWN,
-                    "cluster router is shutting down")])
+                    "cluster router is shutting down"))
         self._close_clients()
         for node in self._nodes.values():
             if node.trunk is not None:
@@ -512,7 +509,7 @@ class ClusterRouter(FrameServer):
             if forward.done:
                 continue
             if not retry or forward.cancel_requested:
-                await self._finish(forward, "cancelled", _cancelled_frames(
+                await self._finish(forward, *_cancelled_frames(
                     forward.request_id, "node lost while cancelling"))
             else:
                 # Failover: the ring no longer contains this node, so the
@@ -574,19 +571,7 @@ class ClusterRouter(FrameServer):
             return
         out = dict(frame)
         out["id"] = forward.request_id
-        if frame.get("ok"):
-            counter = "warm_hits" if frame.get("cached") else "completed"
-        else:
-            code = frame.get("code")
-            if code in _REJECT_CODES:
-                counter = "rejected"
-            elif code == E_BAD_SPEC:
-                counter = "bad_specs"
-            elif code == E_CANCELLED:
-                counter = "cancelled"
-            else:
-                counter = "failed"
-        await self._finish(forward, counter, [out])
+        await self._finish(forward, out)
 
     # ------------------------------------------------------------------
     # Client compile, cancel, disconnect
@@ -600,32 +585,26 @@ class ClusterRouter(FrameServer):
         try:
             fingerprint = await self._fingerprint(request.spec)
         except (ValueError, KeyError, TypeError) as exc:
-            self.metrics.incr("bad_specs")
-            await client.send(error_frame(
-                "compile", request.id, E_BAD_SPEC, str(exc)))
+            await self._refuse(client, request.id, E_BAD_SPEC, str(exc))
             return
         if self._closing:
-            self.metrics.incr("rejected")
-            await client.send(error_frame(
-                "compile", request.id, E_SHUTTING_DOWN,
-                "cluster router is shutting down"))
+            await self._refuse(client, request.id, E_SHUTTING_DOWN,
+                               "cluster router is shutting down")
             return
         if len(client.waiting) >= self.config.per_client_limit:
-            self.metrics.incr("rejected")
-            await client.send(error_frame(
-                "compile", request.id, E_OVERLOADED,
+            await self._refuse(
+                client, request.id, E_OVERLOADED,
                 f"client has {len(client.waiting)} unanswered requests "
-                f"(limit {self.config.per_client_limit})"))
+                f"(limit {self.config.per_client_limit})")
             return
         quota = self._tenant_quota(request.tenant)
         if quota is not None \
                 and self._tenants.get(request.tenant, 0) >= quota:
-            self.metrics.incr("rejected")
-            await client.send(error_frame(
-                "compile", request.id, E_OVERLOADED,
+            await self._refuse(
+                client, request.id, E_OVERLOADED,
                 f"tenant {request.tenant!r} has "
                 f"{self._tenants.get(request.tenant, 0)} outstanding "
-                f"requests (quota {quota})"))
+                f"requests (quota {quota})")
             return
 
         forward = _Forward(
@@ -657,15 +636,15 @@ class ClusterRouter(FrameServer):
         key's preference order as nodes die under it."""
         while not forward.done:
             if forward.client.closed or forward.cancel_requested:
-                await self._finish(forward, "cancelled", [])
+                await self._finish(forward, None)
                 return
             owner = self.ring.owner(forward.fingerprint)
             if owner is None or forward.attempts > FORWARD_RETRIES:
-                await self._finish(forward, "rejected", [error_frame(
+                await self._finish(forward, error_frame(
                     "compile", forward.request_id, E_UNAVAILABLE,
                     "no healthy node owns this shard" if owner is None else
                     f"shard owners kept failing ({forward.attempts} attempts)",
-                )])
+                ))
                 return
             node = self._nodes[owner]
             trunk = node.trunk
@@ -705,7 +684,7 @@ class ClusterRouter(FrameServer):
             await trunk.send({"op": "cancel", "id": forward.router_id})
             return
         # Not currently on any node (between failovers): settle it here.
-        await self._finish(forward, "cancelled", _cancelled_frames(
+        await self._finish(forward, *_cancelled_frames(
             request.id, "cancelled by request"))
 
     async def _disconnect(self, client: Connection) -> None:
@@ -718,15 +697,17 @@ class ClusterRouter(FrameServer):
                 # ledger (the client is gone, so the frames go nowhere).
                 await trunk.send({"op": "cancel", "id": forward.router_id})
             else:
-                await self._finish(forward, "cancelled", [])
+                await self._finish(forward, None)
 
     # ------------------------------------------------------------------
     # Settlement / send
     # ------------------------------------------------------------------
-    async def _finish(self, forward: _Forward, counter: str,
-                      frames: Sequence[Dict]) -> None:
-        """Settle one forward exactly once: ledger, quota release, client
-        frames, and the recent-id bridge for trailing cancel acks."""
+    async def _finish(self, forward: _Forward, answer: Optional[Dict],
+                      *trailing: Dict) -> None:
+        """Settle one forward exactly once: quota release, the outcome
+        its compile ``answer`` counts in (``None``: cancelled with nobody
+        to answer), the frames to the client, and the recent-id bridge
+        for trailing cancel acks."""
         if forward.done:
             return
         forward.done = True
@@ -739,17 +720,19 @@ class ClusterRouter(FrameServer):
                 self._tenants[forward.tenant] = left
             else:
                 self._tenants.pop(forward.tenant, None)
-        self.metrics.incr(counter)
+        outcome = "cancelled" if answer is None else outcome_of(answer)
+        self.metrics.incr(outcome)
         elapsed = time.perf_counter() - forward.received_at
-        if counter == "warm_hits":
+        if outcome == "warm_hits":
             self.metrics.warm_latency.record(elapsed)
-        elif counter == "completed":
+        elif outcome == "completed":
             self.metrics.cold_latency.record(elapsed)
         self._recent[forward.router_id] = (client, forward.request_id)
         while len(self._recent) > 1024:
             self._recent.popitem(last=False)
-        for frame in frames:
-            await client.send(frame)
+        if answer is not None:
+            for frame in (answer, *trailing):
+                await client.send(frame)
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -800,9 +783,9 @@ class ClusterRouter(FrameServer):
         """The ``stats`` verb payload: router ledger + per-node snapshots
         + cluster-wide sums, fetched from every healthy node in parallel.
 
-        Reconciliation nests: the router's ``requests`` section satisfies
-        received == sum(outcomes) for traffic *it* accepted, each node's
-        section satisfies it for traffic that *reached* that node, and
+        Reconciliation nests: the router's ``requests`` ledger (see
+        :mod:`~repro.service.metrics`) holds for traffic *it* accepted,
+        each node's for traffic that *reached* that node, and
         ``cluster.requests`` is the per-node sum (so it reconciles too).
         """
 

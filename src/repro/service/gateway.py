@@ -65,9 +65,8 @@ that set ``want_upgrade`` on the request get one ``upgrade`` push frame
 when the background recompile resolves; cancelling that request id
 withdraws the client's interest unless it holds another subscription on
 the job, a disconnect withdraws it outright, and a job nobody keeps
-alive is withdrawn.  The speculative ledger reconciles like the request
-one: ``spec_enqueued == spec_upgraded + spec_stale + spec_cancelled +
-spec_dropped``.
+alive is withdrawn.  Both ledgers, and the outcome each error code
+counts in, are declared in :mod:`repro.service.metrics`.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ from .protocol import (
     E_SHUTTING_DOWN,
     Request,
     encode_frame,
-    error_frame,
 )
 from .server import Connection, FrameServer, open_frame_stream, read_frame
 
@@ -347,11 +345,9 @@ class CompileGateway(FrameServer):
             for waiter in list(client.waiting.values()):
                 if not waiter.cancelled:
                     waiter.cancelled = True
-                    self.metrics.incr("rejected")
-                    await client.send(error_frame(
-                        "compile", waiter.request_id, E_SHUTTING_DOWN,
-                        "gateway is shutting down",
-                    ))
+                    await self._refuse(client, waiter.request_id,
+                                       E_SHUTTING_DOWN,
+                                       "gateway is shutting down")
         self._close_clients()
         if self._pool is not None:
             await asyncio.get_running_loop().run_in_executor(
@@ -390,9 +386,7 @@ class CompileGateway(FrameServer):
             fingerprint, options, program_dict, label = \
                 await self._resolve(request.spec)
         except (ValueError, KeyError, TypeError) as exc:
-            self.metrics.incr("bad_specs")
-            await client.send(error_frame(
-                "compile", request.id, E_BAD_SPEC, str(exc)))
+            await self._refuse(client, request.id, E_BAD_SPEC, str(exc))
             return
         waiter = _Waiter(client=client, request_id=request.id,
                          want=request.want, admitted_at=received_at,
@@ -441,19 +435,16 @@ class CompileGateway(FrameServer):
                 return
 
         if self._closing:
-            await client.send(error_frame(
-                "compile", request.id, E_SHUTTING_DOWN,
-                "gateway is shutting down"))
-            self.metrics.incr("rejected")
+            await self._refuse(client, request.id, E_SHUTTING_DOWN,
+                               "gateway is shutting down")
             return
 
         # Cold lane: admission control, then the fairness queue.
         if len(client.waiting) >= self.config.per_client_limit:
-            self.metrics.incr("rejected")
-            await client.send(error_frame(
-                "compile", request.id, E_OVERLOADED,
+            await self._refuse(
+                client, request.id, E_OVERLOADED,
                 f"client has {len(client.waiting)} unanswered cold requests "
-                f"(limit {self.config.per_client_limit})"))
+                f"(limit {self.config.per_client_limit})")
             return
 
         job = self._jobs.get((fingerprint, False))
@@ -474,10 +465,9 @@ class CompileGateway(FrameServer):
             return
 
         if self._queued >= self.config.queue_limit:
-            self.metrics.incr("rejected")
-            await client.send(error_frame(
-                "compile", request.id, E_OVERLOADED,
-                f"cold queue is full ({self._queued}/{self.config.queue_limit})"))
+            await self._refuse(
+                client, request.id, E_OVERLOADED,
+                f"cold queue is full ({self._queued}/{self.config.queue_limit})")
             return
 
         # Speculation compiles the fast opt-1 tier first (answer now, the
@@ -500,9 +490,8 @@ class CompileGateway(FrameServer):
         if waiter is not None and not waiter.cancelled:
             waiter.cancelled = True
             del client.waiting[request.id]
-            self.metrics.incr("cancelled")
-            await client.send(error_frame(
-                "compile", request.id, E_CANCELLED, "cancelled by request"))
+            await self._refuse(client, request.id, E_CANCELLED,
+                               "cancelled by request")
             job = self._jobs.get((waiter.fingerprint, False))
             state = "cancelled"
             if job is not None and waiter in job.waiters:
@@ -809,15 +798,12 @@ class CompileGateway(FrameServer):
                 self.metrics.cold_latency.record(now - waiter.admitted_at)
                 await waiter.client.send(frame)
             elif state == "failed":
-                self.metrics.incr("failed")
-                await waiter.client.send(error_frame(
-                    "compile", waiter.request_id, E_COMPILE, failure))
+                await self._refuse(waiter.client, waiter.request_id,
+                                   E_COMPILE, failure)
             else:
                 waiter.cancelled = True
-                self.metrics.incr("cancelled")
-                await waiter.client.send(error_frame(
-                    "compile", waiter.request_id, E_CANCELLED,
-                    "compile cancelled"))
+                await self._refuse(waiter.client, waiter.request_id,
+                                   E_CANCELLED, "compile cancelled")
         # The fast tier just answered; hand the full-effort recompile to
         # the background lane (after the responses above, so an upgrade
         # frame can never precede its compile response on the wire).

@@ -6,13 +6,15 @@ concurrently) and allocation-bounded: latencies go into fixed-size
 reservoirs of the most recent samples, so a week-long soak cannot grow
 memory, while total count and sum stay exact for the lifetime averages.
 
-The counters are designed to *reconcile*: every received compile request
-ends in exactly one of ``warm_hits``, ``completed``, ``failed``,
-``cancelled``, ``rejected`` or ``bad_specs`` — the soak test asserts
-``received == sum(outcomes)`` once the queue has drained, which is how
-leaked or double-counted requests are caught.  (``bad_requests`` counts
-malformed *frames*, which are answered before ``received`` is ever
-incremented, so it sits outside the ledger.)
+The counters form two *reconciling* ledgers, each declared once below
+(:data:`REQUESTS`, :data:`SPECULATIVE`): every unit of a ledger's intake
+ends in exactly one of its outcomes, so once the queues drain
+``received == sum(REQUESTS.outcomes)`` and ``spec_enqueued ==
+sum(SPECULATIVE.outcomes)`` — which is how leaked or double-counted
+requests are caught.  :data:`CODE_OUTCOMES` names the request outcome
+each compile error code settles in; the gateway and the router both
+count refusals and node answers through it (:func:`outcome_of`).  The
+remaining counters sit outside both ledgers.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
-__all__ = ["LatencyReservoir", "GatewayMetrics"]
+from .protocol import (E_BAD_SPEC, E_CANCELLED, E_COMPILE, E_OVERLOADED,
+                       E_SHUTTING_DOWN, E_UNAVAILABLE)
+
+__all__ = ["LatencyReservoir", "GatewayMetrics", "REQUESTS", "SPECULATIVE",
+           "CODE_OUTCOMES", "outcome_of"]
 
 
 class LatencyReservoir:
@@ -75,37 +81,50 @@ class LatencyReservoir:
         }
 
 
-#: Counter names with a fixed meaning; snapshot() reports exactly these.
-_COUNTERS = (
+class Ledger(NamedTuple):
+    """A reconciling ledger: each ``intake`` ends in exactly one outcome."""
+    intake: str
+    outcomes: Tuple[str, ...]
+
+
+#: Well-formed compile requests, by how each was answered.
+REQUESTS = Ledger("received", (
+    "warm_hits",    # answered from the cache, never queued
+    "completed",    # cold compiles that streamed a result
+    "failed",       # cold compiles that errored
+    "cancelled",    # cancelled by verb or disconnect
+    "rejected",     # refused: overloaded, shutting down, or no node
+    "bad_specs",    # the spec would not resolve
+))
+
+#: Background opt-3 recompiles (``--speculate``), by-products of requests
+#: already answered: landed, lost the CAS to an equal-or-better artifact,
+#: withdrawn by verb or disconnect, or dropped (budget cap, requeue
+#: exhaustion, shutdown with the job still queued).
+SPECULATIVE = Ledger("spec_enqueued", (
+    "spec_upgraded", "spec_stale", "spec_cancelled", "spec_dropped"))
+
+#: The request outcome each compile error code settles in; a code
+#: outside the table counts as ``failed``.
+CODE_OUTCOMES = {E_OVERLOADED: "rejected", E_SHUTTING_DOWN: "rejected",
+                 E_UNAVAILABLE: "rejected", E_BAD_SPEC: "bad_specs",
+                 E_CANCELLED: "cancelled", E_COMPILE: "failed"}
+
+#: Counters outside both ledgers.
+_OTHER_COUNTERS = (
     "connections_total",     # accepted sockets over the lifetime
-    "received",              # well-formed compile requests
-    "warm_hits",             # answered from the cache, never queued
     "admitted",              # cold requests that entered the queue
-    "rejected",              # admission control said no (overloaded)
-    "bad_requests",          # malformed frames answered with errors
-    "bad_specs",             # well-formed compiles whose spec won't resolve
-    "completed",             # cold compiles that streamed a result
-    "failed",                # cold compiles that errored
-    "cancelled",             # cancelled by verb or disconnect
+    "bad_requests",          # malformed frames, answered before intake
     "disconnects",           # client connections torn down
     "worker_restarts",       # process pool rebuilt after a worker died
 )
 
-#: Speculative-lane counters.  Their own reconciling ledger, *outside*
-#: the request ledger above (an upgrade job is an internal by-product of
-#: a request that already landed in ``completed`` or ``warm_hits``):
-#: every ``spec_enqueued`` ends in exactly one of ``spec_upgraded``
-#: (background opt-3 replaced the opt-1 entry), ``spec_stale`` (the CAS
-#: lost to an equal-or-better artifact), ``spec_cancelled`` (withdrawn
-#: by verb or disconnect), or ``spec_dropped`` (budget cap, requeue
-#: exhaustion, or shutdown with the job still queued).
-_SPEC_COUNTERS = (
-    "spec_enqueued",
-    "spec_upgraded",
-    "spec_stale",
-    "spec_cancelled",
-    "spec_dropped",
-)
+
+def outcome_of(answer: Dict) -> str:
+    """The request outcome a compile answer frame settles in."""
+    if answer.get("ok"):
+        return "warm_hits" if answer.get("cached") else "completed"
+    return CODE_OUTCOMES.get(answer.get("code"), "failed")
 
 
 class GatewayMetrics:
@@ -113,7 +132,9 @@ class GatewayMetrics:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counters = {name: 0 for name in _COUNTERS + _SPEC_COUNTERS}
+        self._counters = {name: 0 for name in (
+            REQUESTS.intake, *REQUESTS.outcomes, *_OTHER_COUNTERS,
+            SPECULATIVE.intake, *SPECULATIVE.outcomes)}
         self._per_worker: Dict[int, int] = {}
         self.warm_latency = LatencyReservoir()
         self.cold_latency = LatencyReservoir()
@@ -146,7 +167,8 @@ class GatewayMetrics:
         # The speculative ledger reports under its own key so the
         # "requests" section keeps its original shape (and its own
         # reconciliation invariant) for existing consumers.
-        spec = {name: counters.pop(name) for name in _SPEC_COUNTERS}
+        spec = {name: counters.pop(name)
+                for name in (SPECULATIVE.intake, *SPECULATIVE.outcomes)}
         return {
             "uptime_s": round(uptime, 3),
             "requests": counters,

@@ -51,9 +51,8 @@ never receives one (pipelined clients match any frame bearing a known
 id to its request, so an unsolicited trailing frame would corrupt their
 accounting).  An upgrade that never lands (CAS lost, cancelled, or
 dropped) pushes ``ok: false`` with the reason in ``"state"``.  The
-``stats`` payload grows a reconciling ``"speculative"`` section:
-``spec_enqueued == spec_upgraded + spec_stale + spec_cancelled +
-spec_dropped``.
+``stats`` payload grows a ``"speculative"`` section, a ledger of its own
+(:mod:`repro.service.metrics` declares both ledgers).
 
 Cluster extensions (:mod:`repro.service.cluster`) reuse the same frames:
 a router speaks this exact protocol to clients (hello ``server`` is
@@ -66,8 +65,8 @@ a router speaks this exact protocol to clients (hello ``server`` is
   (every node dead / unreachable) — a clean refusal, never a hang;
 * the router's ``stats`` response nests reconciling sections:
   ``{"router": {...}, "nodes": {name: {...}}, "cluster": {...}}``, where
-  ``router`` is the router's own ``GatewayMetrics`` snapshot (same
-  received == sum(outcomes) ledger as a node), ``nodes`` maps each node
+  ``router`` is the router's own ``GatewayMetrics`` snapshot (the same
+  request ledger as a node), ``nodes`` maps each node
   name to its health plus its own ``stats`` payload, and ``cluster``
   sums the per-node request/cache counters.
 """

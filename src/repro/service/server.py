@@ -26,7 +26,7 @@ import stat
 import time
 from typing import Dict, Optional, Set, Tuple
 
-from .metrics import GatewayMetrics
+from .metrics import GatewayMetrics, outcome_of
 from .protocol import (
     E_UNSUPPORTED,
     MAX_FRAME_BYTES,
@@ -185,6 +185,14 @@ class FrameServer:
                 pass
 
     # -- connections and frames ------------------------------------------
+    async def _refuse(self, client: Connection, request_id: Optional[str],
+                      code: str, message: str) -> None:
+        """Settle a compile request with ``code``'s error frame: count the
+        request outcome the code maps to, then send the frame."""
+        frame = error_frame("compile", request_id, code, message)
+        self.metrics.incr(outcome_of(frame))
+        await client.send(frame)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         client = self.connection_class(writer)

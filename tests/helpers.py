@@ -1,5 +1,5 @@
 """Shared test utilities: exact references for compiled circuits, and
-process liveness for the serving tests."""
+process liveness and ledger reconciliation for the serving tests."""
 
 import os
 import time
@@ -65,3 +65,21 @@ def wait_until_gone(pids, timeout: float) -> list:
         time.sleep(0.1)
         alive = [pid for pid in alive if process_alive(pid)]
     return alive
+
+
+#: The serving ledgers' outcomes, written out here independently of
+#: ``repro.service.metrics`` (``test_metrics`` checks the two agree), so
+#: a table that loses an outcome fails that one check instead of
+#: quietly weakening every reconciliation below.
+REQUEST_OUTCOMES = ("warm_hits", "completed", "failed", "cancelled",
+                    "rejected", "bad_specs")
+SPEC_OUTCOMES = ("spec_upgraded", "spec_stale", "spec_cancelled",
+                 "spec_dropped")
+_OUTCOMES = {"received": REQUEST_OUTCOMES, "spec_enqueued": SPEC_OUTCOMES}
+
+
+def ledger(section, intake: str = "received") -> int:
+    """Outstanding count of one ``stats`` section's ledger: its ``intake``
+    counter minus its outcomes, 0 once it reconciles.  ``received`` reads
+    a ``requests`` section, ``spec_enqueued`` a ``speculative`` one."""
+    return section[intake] - sum(section[name] for name in _OUTCOMES[intake])

@@ -38,6 +38,8 @@ from repro.service.protocol import (
     encode_frame,
 )
 
+from helpers import ledger
+
 SPEC_A = {"text": "{(XXI, 1.0), (YYI, 0.5), 0.3};", "label": "a"}
 SPEC_B = {"text": "{(IZZ, -0.25), 0.7};", "label": "b"}
 #: Heavy enough that cancellation can land between passes (~1s in thread
@@ -737,23 +739,13 @@ class TestStatsReconciliation:
             )   # 2 admitted, 2 rejected by per-client limit
             stats = await client.stats()
             req = stats["requests"]
-            outcomes = (req["warm_hits"] + req["completed"] + req["failed"]
-                        + req["cancelled"] + req["rejected"] + req["bad_specs"])
-            assert req["received"] == outcomes
+            assert ledger(req) == 0
             assert stats["queue"]["depth"] == 0
             assert stats["queue"]["in_flight"] == 0
             await client.close()
             await gateway.close()
 
         run(scenario())
-
-
-def spec_ledger(stats):
-    """The speculative section's counters as a reconciliation tuple."""
-    spec = stats["speculative"]
-    outcomes = (spec["spec_upgraded"] + spec["spec_stale"]
-                + spec["spec_cancelled"] + spec["spec_dropped"])
-    return spec, outcomes
 
 
 async def wait_until(predicate, timeout=30.0):
@@ -794,10 +786,10 @@ class TestSpeculativeLane:
             assert warm["tier"] == "full"
 
             stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["enabled"] and spec["spec_enqueued"] == 1
             assert spec["spec_upgraded"] == 1
-            assert spec["spec_enqueued"] == outcomes
+            assert ledger(spec, "spec_enqueued") == 0
             assert stats["latency"]["upgrade"]["count"] == 1
             assert stats["cache"]["upgraded"] == 1
             # The request ledger is untouched by the background lane.
@@ -838,7 +830,7 @@ class TestSpeculativeLane:
             cold = await client.compile(SPEC_A, "r1", want_upgrade=True)
             assert cold["ok"] and cold["tier"] == "full"
             stats = await client.stats()
-            spec, _ = spec_ledger(stats)
+            spec = stats["speculative"]
             assert not spec["enabled"] and spec["spec_enqueued"] == 0
             await client.close()
             await gateway.close()
@@ -859,13 +851,13 @@ class TestSpeculativeLane:
 
             async def settled():
                 stats = await client.stats()
-                spec, outcomes = spec_ledger(stats)
-                return spec["spec_enqueued"] == outcomes and \
+                spec = stats["speculative"]
+                return ledger(spec, "spec_enqueued") == 0 and \
                     spec["in_flight"] == 0 and spec["queued"] == 0
 
             await wait_until(settled, timeout=120)
             stats = await client.stats()
-            spec, _ = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["spec_enqueued"] == 1
             assert spec["spec_cancelled"] == 1
             assert spec["spec_upgraded"] == 0
@@ -887,13 +879,13 @@ class TestSpeculativeLane:
 
             async def settled():
                 stats = await watcher.stats()
-                spec, outcomes = spec_ledger(stats)
-                return spec["spec_enqueued"] == outcomes and \
+                spec = stats["speculative"]
+                return ledger(spec, "spec_enqueued") == 0 and \
                     spec["in_flight"] == 0 and spec["queued"] == 0
 
             await wait_until(settled, timeout=120)
             stats = await watcher.stats()
-            spec, _ = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["spec_cancelled"] == 1
             assert spec["spec_upgraded"] == 0
             await watcher.close()
@@ -925,15 +917,15 @@ class TestSpeculativeLane:
 
             async def settled():
                 stats = await client.stats()
-                spec, outcomes = spec_ledger(stats)
-                return spec["spec_enqueued"] == outcomes and \
+                spec = stats["speculative"]
+                return ledger(spec, "spec_enqueued") == 0 and \
                     spec["in_flight"] == 0 and spec["queued"] == 0
 
             await wait_until(settled, timeout=240)
             stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["spec_enqueued"] == 2           # r1's and r2's
-            assert spec["spec_enqueued"] == outcomes
+            assert ledger(spec, "spec_enqueued") == 0
             assert stats["requests"]["completed"] == 2
             await client.close()
             await gateway.close()
@@ -988,10 +980,10 @@ class TestSpeculativeLane:
             cold = await client.compile(SPEC_A, "r1")
             assert cold["tier"] == "opt1"               # answer unaffected
             stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["spec_enqueued"] == 1
             assert spec["spec_dropped"] == 1
-            assert spec["spec_enqueued"] == outcomes
+            assert ledger(spec, "spec_enqueued") == 0
             assert spec["queued"] == 0
             await client.close()
             await gateway.close()
@@ -1016,11 +1008,11 @@ class TestSpeculativeLane:
             final = await client.compile(SPEC_A, "r3")
             assert final["cached"] and final["tier"] == "full"
             stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["spec_enqueued"] == 2           # dropped + landed
             assert spec["spec_dropped"] == 1
             assert spec["spec_upgraded"] == 1
-            assert spec["spec_enqueued"] == outcomes
+            assert ledger(spec, "spec_enqueued") == 0
             await client.close()
             await gateway.close()
 
@@ -1042,9 +1034,9 @@ class TestSpeculativeLane:
             second = await client.wait_upgrade("r2", timeout=240)
             assert first["ok"] and second["ok"]
             stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["spec_upgraded"] == 1           # one shared job
-            assert spec["spec_enqueued"] == outcomes
+            assert ledger(spec, "spec_enqueued") == 0
             await client.close()
             await gateway.close()
 
@@ -1101,9 +1093,9 @@ class TestProcessMode:
             warm = await client.compile(SPEC_A, "r2")
             assert warm["cached"] and warm["tier"] == "full"
             stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
+            spec = stats["speculative"]
             assert spec["spec_upgraded"] == 1
-            assert spec["spec_enqueued"] == outcomes
+            assert ledger(spec, "spec_enqueued") == 0
             # Shared-store ledger: one worker put (the opt-1 publish) and
             # one worker upgrade, each absorbed exactly once.
             assert stats["cache"]["puts"] == 1

@@ -7,7 +7,9 @@ request counters; the background lane (the ``opt3`` upgrade) answers
 with ``upgrade`` pushes and the ``spec_*`` counters.  Each test runs a
 thread-mode gateway with ``compile_and_publish`` replaced before
 ``start()``, so the outcome is chosen, not raced for, and each checks
-that its ledger reconciles.
+that its ledger reconciles.  So does the one test of the requests the
+gateway refuses before either lane: a bad spec, both admission limits,
+and the waiters left at shutdown.
 """
 
 import asyncio
@@ -18,7 +20,10 @@ import time
 from repro.service import CompileGateway, GatewayClient, GatewayConfig
 from repro.service import gateway as gateway_module
 from repro.service.batch import TIER_UPGRADE, Compiled
-from repro.service.protocol import E_CANCELLED, E_COMPILE
+from repro.service.protocol import (E_BAD_SPEC, E_CANCELLED, E_COMPILE,
+                                    E_OVERLOADED, E_SHUTTING_DOWN)
+
+from helpers import ledger
 
 SPEC_A = {"text": "{(XXI, 1.0), (YYI, 0.5), 0.3};", "label": "a"}
 SPEC_B = {"text": "{(IZZ, -0.25), 0.7};", "label": "b"}
@@ -52,20 +57,6 @@ async def start_gateway(tmp_path, monkeypatch, fake, **overrides):
     return gateway
 
 
-def request_ledger(stats):
-    req = stats["requests"]
-    outcomes = (req["warm_hits"] + req["completed"] + req["failed"]
-                + req["cancelled"] + req["rejected"] + req["bad_specs"])
-    return req, outcomes
-
-
-def spec_ledger(stats):
-    spec = stats["speculative"]
-    outcomes = (spec["spec_upgraded"] + spec["spec_stale"]
-                + spec["spec_cancelled"] + spec["spec_dropped"])
-    return spec, outcomes
-
-
 async def wait_until(predicate, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -76,8 +67,8 @@ async def wait_until(predicate, timeout=30.0):
 
 
 def spec_settled(gateway):
-    spec, outcomes = spec_ledger(gateway.stats())
-    return (spec["spec_enqueued"] == outcomes and spec["in_flight"] == 0
+    spec = gateway.stats()["speculative"]
+    return (ledger(spec, "spec_enqueued") == 0 and spec["in_flight"] == 0
             and spec["queued"] == 0)
 
 
@@ -94,9 +85,9 @@ def test_foreground_compile_error_answers_and_counts_failed(
         assert response["code"] == E_COMPILE
         assert response["error"] == "RuntimeError: boom"
         stats = await client.stats()
-        req, outcomes = request_ledger(stats)
+        req = stats["requests"]
         assert req["failed"] == 1 and req["completed"] == 0
-        assert req["received"] == outcomes
+        assert ledger(req) == 0
         assert stats["queue"]["cold_fingerprints"] == 0
         await client.close()
         await gateway.close()
@@ -120,9 +111,9 @@ def test_foreground_cancel_honoured_every_time_runs_four_times(
         assert response["code"] == E_CANCELLED
         assert runs == ["full"] * 4
         stats = await client.stats()
-        req, outcomes = request_ledger(stats)
+        req = stats["requests"]
         assert req["cancelled"] == 1 and req["admitted"] == 1
-        assert req["received"] == outcomes
+        assert ledger(req) == 0
         assert stats["queue"]["cold_fingerprints"] == 0
         assert stats["queue"]["depth"] == 0
         await client.close()
@@ -149,12 +140,12 @@ def test_background_failure_drops_and_pushes_failed(tmp_path, monkeypatch):
                         "state": "failed"}
         await wait_until(lambda: spec_settled(gateway))
         stats = await client.stats()
-        spec, outcomes = spec_ledger(stats)
+        spec = stats["speculative"]
         assert spec["spec_enqueued"] == 1 and spec["spec_dropped"] == 1
-        assert spec["spec_enqueued"] == outcomes
-        req, req_outcomes = request_ledger(stats)
+        assert ledger(spec, "spec_enqueued") == 0
+        req = stats["requests"]
         assert req["completed"] == 1 and req["failed"] == 0
-        assert req["received"] == req_outcomes
+        assert ledger(req) == 0
         await client.close()
         await gateway.close()
 
@@ -184,12 +175,12 @@ def test_background_cancelled_every_time_runs_four_times_then_drops(
         assert runs == [cold["fingerprint"]] * 4
         await wait_until(lambda: spec_settled(gateway))
         stats = await client.stats()
-        spec, outcomes = spec_ledger(stats)
+        spec = stats["speculative"]
         assert spec["spec_enqueued"] == 1 and spec["spec_dropped"] == 1
         assert spec["spec_cancelled"] == 0
-        assert spec["spec_enqueued"] == outcomes
-        req, req_outcomes = request_ledger(stats)
-        assert req["received"] == req_outcomes
+        assert ledger(spec, "spec_enqueued") == 0
+        req = stats["requests"]
+        assert ledger(req) == 0
         await client.close()
         await gateway.close()
 
@@ -221,12 +212,12 @@ def test_cancelling_the_one_subscription_withdraws_the_client(
         assert ack["state"] == "upgrade-cancelled"
         await wait_until(lambda: spec_settled(gateway))
         stats = await client.stats()
-        spec, outcomes = spec_ledger(stats)
+        spec = stats["speculative"]
         assert spec["spec_enqueued"] == 1
         assert spec["spec_cancelled"] == 1
-        assert spec["spec_enqueued"] == outcomes
-        req, req_outcomes = request_ledger(stats)
-        assert req["received"] == req_outcomes
+        assert ledger(spec, "spec_enqueued") == 0
+        req = stats["requests"]
+        assert ledger(req) == 0
         await client.ping()
         assert not any(k.startswith("upgrade:") for k in client._stash)
         await client.close()
@@ -266,14 +257,55 @@ def test_close_accounts_queued_background_jobs(tmp_path, monkeypatch):
         release.set()
         await closing
         stats = gateway.stats()
-        spec, outcomes = spec_ledger(stats)
+        spec = stats["speculative"]
         assert spec["spec_enqueued"] == 3
         assert spec["spec_upgraded"] == 1 and spec["spec_dropped"] == 2
-        assert spec["spec_enqueued"] == outcomes
+        assert ledger(spec, "spec_enqueued") == 0
         assert spec["queued"] == 0 and spec["in_flight"] == 0
-        req, req_outcomes = request_ledger(stats)
+        req = stats["requests"]
         assert req["completed"] == 3
-        assert req["received"] == req_outcomes
+        assert ledger(req) == 0
         await client.close()
+
+    asyncio.run(scenario())
+
+
+def test_refusals_answer_and_count_one_outcome_each(tmp_path, monkeypatch):
+    """A request the gateway will not compile is answered with its error
+    code and counted once: a bad spec, both admission limits, and the
+    waiters a shutdown leaves behind."""
+    release = threading.Event()
+
+    def fake(job, store):
+        release.wait(30)
+        return cancelled_outcome()
+
+    async def scenario():
+        gateway = await start_gateway(tmp_path, monkeypatch, fake,
+                                      per_client_limit=1, queue_limit=1)
+        a = await GatewayClient.connect(port=gateway.port)
+        b = await GatewayClient.connect(port=gateway.port)
+        bad = await a.compile({"benchmark": "No-Such"}, "bad")
+        assert bad["code"] == E_BAD_SPEC
+        await a._send({"op": "compile", "id": "r1", "spec": SPEC_A})
+        await wait_until(lambda: gateway.stats()["queue"]["in_flight"] == 1)
+        over = await a.compile(SPEC_B, "r2")
+        assert over["code"] == E_OVERLOADED           # per-client limit
+        await b._send({"op": "compile", "id": "q1", "spec": SPEC_B})
+        await wait_until(lambda: gateway.stats()["queue"]["depth"] == 1)
+        full = await b.compile(SPEC_C, "q2")
+        assert full["code"] == E_OVERLOADED           # queue limit
+        closing = asyncio.ensure_future(gateway.close(drain=False))
+        for client, rid in ((a, "r1"), (b, "q1")):
+            frame = await asyncio.wait_for(client._read_frame(), 30)
+            assert (frame["id"], frame["code"]) == (rid, E_SHUTTING_DOWN)
+        release.set()
+        await closing
+        req = gateway.stats()["requests"]
+        assert req["received"] == 5 and req["bad_specs"] == 1
+        assert req["rejected"] == 4 and req["admitted"] == 2
+        assert ledger(req) == 0
+        await a.close()
+        await b.close()
 
     asyncio.run(scenario())

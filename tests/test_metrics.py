@@ -6,11 +6,19 @@ single lock acquisition.  The old implementation acquired the lock three
 times (once per percentile, once for the counters), so a ``record()``
 landing between acquisitions produced a summary whose ``p50``/``p95``
 described a different sample population than its ``count``/``mean``.
+The ledger table is checked against the tests' own copy of the outcome
+lists, and against every error code the protocol defines.
 """
 
 import threading
 
-from repro.service import GatewayMetrics, LatencyReservoir
+from repro.service import GatewayMetrics, LatencyReservoir, protocol
+from repro.service.metrics import (CODE_OUTCOMES, REQUESTS, SPECULATIVE,
+                                   outcome_of)
+from repro.service.protocol import (E_BAD_FRAME, E_BAD_REQUEST,
+                                    E_UNSUPPORTED, error_frame)
+
+from helpers import REQUEST_OUTCOMES, SPEC_OUTCOMES
 
 
 class CountingLock:
@@ -124,3 +132,30 @@ class TestGatewayMetrics:
         for t in threads:
             t.join()
         assert metrics.get("received") == 4000
+
+
+class TestLedgerTable:
+    def test_table_equals_the_tests_own_lists(self):
+        assert REQUESTS == ("received", REQUEST_OUTCOMES)
+        assert SPECULATIVE == ("spec_enqueued", SPEC_OUTCOMES)
+        snap = GatewayMetrics().snapshot()
+        assert set(snap["requests"]) == {
+            "received", *REQUEST_OUTCOMES, "connections_total", "admitted",
+            "bad_requests", "disconnects", "worker_restarts"}
+        assert set(snap["speculative"]) == {"spec_enqueued", *SPEC_OUTCOMES}
+
+    def test_every_protocol_code_is_counted_or_frame_level(self):
+        codes = {value for name, value in vars(protocol).items()
+                 if name.startswith("E_")}
+        frame_level = {E_BAD_FRAME, E_BAD_REQUEST, E_UNSUPPORTED}
+        for code in codes:
+            assert (code in CODE_OUTCOMES) != (code in frame_level), code
+        assert set(CODE_OUTCOMES.values()) <= set(REQUEST_OUTCOMES)
+
+    def test_answer_frames_settle_through_the_table(self):
+        assert outcome_of({"ok": True, "cached": True}) == "warm_hits"
+        assert outcome_of({"ok": True, "cached": False}) == "completed"
+        for code, outcome in CODE_OUTCOMES.items():
+            assert outcome_of(error_frame("compile", "r", code, "")) == outcome
+        unknown = error_frame("compile", "r", "no-such-code", "")
+        assert outcome_of(unknown) == "failed"

@@ -3,16 +3,17 @@
 The streaming schedulers (``core/streaming.py``) are pinned against the
 materialized references layer for layer: with the default window they must
 reproduce ``gco_schedule`` / ``do_schedule`` exactly, and with a tiny
-window they must still emit every term exactly once into qubit-disjoint
-layers.  The closed-form Hubbard generator is pinned against the operator
-expansion, and a tracemalloc ceiling checks the frontier actually bounds
-scheduling memory.
+window they must still emit every term exactly once, into DO layers that
+keep ``do_schedule``'s padding rule.  The closed-form Hubbard generator
+is pinned against the operator expansion, and a tracemalloc ceiling
+checks the frontier actually bounds scheduling memory.
 """
 
 import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import do_schedule, gco_schedule, schedule_to_program
@@ -114,16 +115,35 @@ def test_small_window_preserves_term_multiset(specs, window):
             p.multiset_of_terms()
 
 
+def assert_do_padding_rule(layers, program):
+    """A DO layer is its first block, the primary, plus padding: each
+    padding block shares no qubit with the primary, and the padding
+    stacked on any one qubit stays within the primary's depth estimate.
+    Padding blocks may share qubits with each other."""
+    for layer in layers:
+        primary, padding = layer[0], layer[1:]
+        stacked = Counter()
+        for block in padding:
+            assert not set(block.active_qubits) & set(primary.active_qubits)
+            for qubit in block.active_qubits:
+                stacked[qubit] += block.depth_estimate()
+        assert max(stacked.values(), default=0) <= primary.depth_estimate()
+
+    def terms(blocks):
+        return Counter(tuple(sorted(ws.string.label for ws in block))
+                       for block in blocks)
+    assert terms(block for layer in layers for block in layer) == \
+        terms(program)
+
+
 @given(_block_specs, st.integers(min_value=1, max_value=4))
+@example(["IIIX", "IIIX", "IXXI"], 3)   # padding stacked on qubit 0
 @settings(max_examples=40, deadline=None)
 def test_small_window_do_layers_qubit_disjoint(specs, window):
     p = prog(*specs)
-    for layer in stream_schedule(p, "do-stream", window=window):
-        seen = set()
-        for block in layer:
-            qubits = set(block.active_qubits)
-            assert not (qubits & seen)
-            seen |= qubits
+    assert_do_padding_rule(do_schedule(p), p)
+    assert_do_padding_rule(
+        list(stream_schedule(p, "do-stream", window=window)), p)
 
 
 # ----------------------------------------------------------------------
